@@ -172,12 +172,19 @@ def merge_heads(m):
     return T.reshape(T.transpose(m, axes), m.shape[:-3] + (n, h * d_h))
 
 
-def _check_unit_rows(t, eps, what):
+# the tolerance of np.allclose(norms, 1.0, atol=1e-6): atol + rtol * |1.0|
+_UNIT_NORM_TOL = 1e-6 + 1e-5
+
+
+def _check_unit_rows(t, what):
+    """Rows must be unit-norm, or exactly zero: l2_normalize_rows maps a zero
+    row (e.g. a no-data pixel) to zero by its eps rule."""
     norms = np.linalg.norm(t.data, axis=-1)
-    if not np.allclose(norms, 1.0, atol=1e-6):
+    deviation = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0)).max(initial=0.0)
+    if not deviation <= _UNIT_NORM_TOL:  # also catches NaN
         raise ContractError(
-            f"{what} rows must be unit-norm before cosine scoring with norm_mode=both "
-            f"(max deviation {np.abs(norms - 1.0).max():.3e})")
+            f"{what} rows must be unit-norm (or zero) before cosine scoring with "
+            f"norm_mode=both (max deviation {deviation:.3e})")
 
 
 def _cosine_like(variant, q, k, cfg):
@@ -226,8 +233,8 @@ def score(variant, q, k, cfg, additive_params=None):
         variant = ScoreVariant.from_tag(variant)
     mode = cfg.resolved_norm_mode
     if variant.is_cosine_family and mode is NormMode.BOTH:
-        _check_unit_rows(q, cfg.eps, "query")
-        _check_unit_rows(k, cfg.eps, "key")
+        _check_unit_rows(q, "query")
+        _check_unit_rows(k, "key")
     if variant.is_cosine_family:
         return _cosine_like(variant, q, k, cfg)
     if variant in (ScoreVariant.DOT,):
@@ -247,8 +254,8 @@ def score(variant, q, k, cfg, additive_params=None):
         q_cos = T.slice_axis(q, q.ndim - 3, 0, n_cos)
         k_cos = T.slice_axis(k, k.ndim - 3, 0, n_cos)
         if mode is NormMode.BOTH:
-            _check_unit_rows(q_cos, cfg.eps, "query")
-            _check_unit_rows(k_cos, cfg.eps, "key")
+            _check_unit_rows(q_cos, "query")
+            _check_unit_rows(k_cos, "key")
         s_cos = T.square(T.matmul(q_cos, T.transpose(k_cos)))
         q_sdp = T.slice_axis(q, q.ndim - 3, n_cos, cfg.heads)
         k_sdp = T.slice_axis(k, k.ndim - 3, n_cos, cfg.heads)

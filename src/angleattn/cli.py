@@ -39,7 +39,13 @@ CONFIG_DEFAULTS = {
 
 def load_config_file(path):
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, "
+                          f"got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(CONFIG_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")

@@ -4,10 +4,13 @@ Values are numpy arrays; every operation that participates in a gradient
 computation records its inputs and a backward closure on the produced
 tensor. Calling ``backward()`` on a scalar builds a topologically ordered
 tape over the reachable graph and accumulates gradients into every node.
+Inside a ``no_grad()`` block no graph is recorded at all.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -57,9 +60,6 @@ class Tensor:
         if self.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         Tape.trace(self).backward(self)
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     # arithmetic sugar; the named functions below do the work
     def __add__(self, other):
@@ -158,9 +158,25 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+_grad_enabled = contextvars.ContextVar("angleattn_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: every op returns an untracked leaf.
+
+    Intermediates are then freed as soon as the next op has consumed them.
+    Nests, and restores the previous mode on exit, also after an exception.
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
 def _make(data, parents, backward_fn, op):
-    tracked = any(p.requires_grad or p.parents for p in parents)
-    if tracked:
+    if _grad_enabled.get() and any(p.requires_grad or p.parents for p in parents):
         return Tensor(data, requires_grad=any(p.requires_grad for p in parents),
                       parents=parents, backward_fn=backward_fn, op=op)
     return Tensor(data, op=op)
@@ -376,11 +392,12 @@ def reduce_mean(a, axis=None):
 
 def softmax_rows(x):
     """Row-wise softmax along the last axis, max-shifted for stability."""
-    if np.isnan(x.data).any():
+    row_max = x.data.max(axis=-1, keepdims=True)
+    if np.isnan(row_max).any():  # max propagates NaN from anywhere in its row
         raise NumericError("softmax_rows: NaN input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - row_max
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -428,14 +445,11 @@ def layer_norm(x, scale_t, shift_t, eps=1e-5):
 
 
 def dropout(x, rate, training, rng):
-    """Inverted dropout; identity at rate 0 or in inference mode."""
+    """Inverted dropout; at rate 0 or in inference mode it returns ``x`` itself."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        def backward_fn(g):
-            _accumulate(x, g)
-
-        return _make(x.data.copy(), (x,), backward_fn, "dropout")
+        return x
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
     def backward_fn(g):

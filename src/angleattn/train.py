@@ -130,12 +130,17 @@ def _gather_batch(cube, flat_indices, patch_size):
 
 
 def predict(params, cfg, cube, flat_indices, batch_size=256):
-    """Predicted class ids (1-based) for the given flat pixel indices."""
+    """Predicted class ids (1-based) for the given flat pixel indices.
+
+    Runs under ``no_grad``: no graph is kept, so memory per batch is set by
+    the largest few live intermediates rather than by every op output.
+    """
     preds = np.empty(len(flat_indices), dtype=np.int64)
     for lo in range(0, len(flat_indices), batch_size):
         chunk = flat_indices[lo:lo + batch_size]
-        probs = batched_forward(_gather_batch(cube, chunk, cfg.patch_size),
-                                params, cfg, training=False)
+        with T.no_grad():
+            probs = batched_forward(_gather_batch(cube, chunk, cfg.patch_size),
+                                    params, cfg, training=False)
         preds[lo:lo + len(chunk)] = probs.data.argmax(axis=-1) + 1
     return preds
 

@@ -139,6 +139,18 @@ class TestTrain:
                      "--out", str(tmp_path / "ckpt")] + FAST)
         assert code == 2
 
+    @pytest.mark.parametrize("text", ['{"epochs": 2,', '[1, 2]'])
+    def test_malformed_config_exits_2(self, scene_dir, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = main(["train", "--config", str(cfg_path),
+                     "--cube", os.path.join(scene_dir, "scene.npy"),
+                     "--labels", os.path.join(scene_dir, "labels.npy"),
+                     "--out", str(tmp_path / "ckpt")] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file") and err.count("\n") == 1
+
 
 class TestEval:
     def test_prints_metrics(self, scene_dir, tmp_path, capsys):

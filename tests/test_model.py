@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angleattn import tensor as T
-from angleattn.attention import AttentionConfig
+from angleattn.attention import AttentionConfig, ScoreVariant
 from angleattn.errors import DimensionError
 from angleattn.model import (LayerParams, ModelConfig, Positional, add_positions,
                              batched_forward, encoder_block, forward, init_params,
@@ -191,6 +191,20 @@ class TestBatchedForward:
         for b in range(3):
             single = forward(batch[b], params, cfg)[1].data
             np.testing.assert_allclose(probs[b], single, atol=1e-12)
+
+
+class TestNoGradForward:
+    @pytest.mark.parametrize("variant", [v.value for v in ScoreVariant])
+    def test_bit_identical_to_taped(self, variant):
+        # the taped forward is the oracle
+        cfg = toy_config(variant=variant, dropout_rate=0.1)
+        params = init_params(cfg, 25)
+        batch = np.random.default_rng(26).normal(size=(3, 3, 3, 5))
+        taped = batched_forward(batch, params, cfg)
+        with T.no_grad():
+            free = batched_forward(batch, params, cfg)
+        assert taped.backward_fn is not None and free.backward_fn is None
+        np.testing.assert_array_equal(free.data, taped.data)
 
 
 class TestParamCount:

@@ -87,6 +87,12 @@ class TestSoftmaxRows:
         with pytest.raises(NumericError):
             T.softmax_rows(Tensor([1.0, float("nan")]))
 
+    def test_nan_in_later_row_of_3d_input_rejected(self):
+        x = np.zeros((2, 3, 4))
+        x[1, 2, 1] = float("nan")
+        with pytest.raises(NumericError):
+            T.softmax_rows(Tensor(x))
+
     def test_rows_sum_to_one(self):
         out = T.softmax_rows(rand((6, 9), 11, -50, 50)).data
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
@@ -158,7 +164,7 @@ class TestDropout:
     def test_eval_mode_identity(self):
         x = rand((5, 5), 13)
         out = T.dropout(x, 0.9, False, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.data, x.data)
+        assert out is x
 
     def test_seeded_determinism(self):
         x = rand((20, 20), 14)
@@ -218,6 +224,38 @@ class TestGradCheck:
             return T.sum_all(T.add(T.mul(x, Tensor(np.zeros(3))), c))
 
         assert grad_check(f, [x]) < 1e-9
+
+
+class TestNoGrad:
+    def test_nodes_have_no_graph(self):
+        x = rand((3, 4), 30)
+        with T.no_grad():
+            out = T.softmax_rows(T.gelu(T.matmul(x, T.transpose(x))))
+        assert out.parents == () and out.backward_fn is None
+        assert not out.requires_grad
+
+    def test_values_match_taped(self):
+        x = rand((3, 4), 31)
+        taped = T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        with T.no_grad():
+            free = T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        np.testing.assert_array_equal(free.data, taped.data)
+
+    def test_restored_after_exception(self):
+        x = rand((2, 2), 32)
+        with pytest.raises(DimensionError):
+            with T.no_grad():
+                T.matmul(x, rand((3, 3)))
+        assert T.square(x).backward_fn is not None
+
+    def test_nested(self):
+        x = rand((2, 2), 33)
+        with T.no_grad():
+            with T.no_grad():
+                inner = T.square(x)
+            outer = T.square(x)
+        assert inner.backward_fn is None and outer.backward_fn is None
+        assert T.square(x).parents == (x,)
 
 
 class TestTapeAndDeterminism:

@@ -5,12 +5,14 @@ import pytest
 
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig
-from angleattn.data import SplitSpec, SynthSpec, normalize_bands, stratified_split, synth_scene
+from angleattn.data import (HyperCube, SplitSpec, SynthSpec, extract_patch, normalize_bands,
+                            stratified_split, synth_scene)
 from angleattn.errors import ConfigError, EvalError, LabelError
-from angleattn.model import ModelConfig, init_params
+from angleattn.model import ModelConfig, batched_forward, init_params
 from angleattn.tensor import Tensor
 from angleattn.train import (AdamW, TrainConfig, clip_gradients, evaluate,
-                             label_smoothed_ce, metrics_from_confusion, sweep, train)
+                             label_smoothed_ce, metrics_from_confusion, predict, sweep,
+                             train)
 
 
 def tiny_scene(seed=0, snr=None):
@@ -241,6 +243,37 @@ class TestEvaluate:
         params = init_params(cfg, 0)
         with pytest.raises(EvalError):
             evaluate(params, cfg, cube, labels, np.array([], dtype=int))
+
+
+class TestPredict:
+    def test_all_zero_pixel_under_cosine_scoring(self):
+        # a zero (no-data) pixel without positions gives zero query/key rows
+        cube, _ = tiny_scene()
+        values = cube.values.copy()
+        values[10, 10] = 0.0
+        cube = HyperCube(values)
+        attn = AttentionConfig(model_dim=8, heads=2, variant="cs2")
+        cfg = ModelConfig(bands=8, num_classes=3, patch_size=3, model_dim=8, depth=1,
+                          heads=2, mlp_dim=16, attention=attn, positional="none")
+        params = init_params(cfg, 0)
+        flat = np.array([9 * 24 + 10, 10 * 24 + 10, 10 * 24 + 11])
+        preds = predict(params, cfg, cube, flat)
+        assert ((preds >= 1) & (preds <= 3)).all()
+        probs = batched_forward(extract_patch(cube, 10, 10, 3)[None], params, cfg).data
+        assert np.isfinite(probs).all()
+
+    def test_grad_check_after_predict(self):
+        cube, labels = tiny_scene()
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+        predict(params, cfg, cube, np.arange(20))
+        x = np.random.default_rng(1).normal(size=(2, 3, 3, 8))
+
+        def f():
+            return label_smoothed_ce(batched_forward(x, params, cfg), np.array([0, 2]), 0.05)
+
+        tensors = [t for _, t in params.named_parameters()]
+        assert T.grad_check(f, tensors, max_coords=2) <= 1e-4
 
 
 class TestSweep:
