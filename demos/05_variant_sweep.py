@@ -5,8 +5,8 @@ over a few seeds on a gain-perturbed scene, then prints the result table
 as CSV. The cosine variant should win or tie on median OA: per-pixel gain
 scrambles magnitudes but leaves spectral directions intact.
 
-Takes a couple of minutes serially; set ANGLEATTN_THREADS>1 and use the
-CLI `angleattn sweep` for process-parallel cells.
+Takes a couple of minutes serially; set ANGLEATTN_THREADS=2 to run the
+cells in two processes.
 """
 
 import numpy as np
@@ -16,20 +16,26 @@ from angleattn.data import SplitSpec, SynthSpec, normalize_bands, synth_scene
 from angleattn.model import ModelConfig
 from angleattn.train import TrainConfig, rows_to_csv, sweep
 
-spec = SynthSpec(height=32, width=32, bands=16, classes=4, sites=12,
-                 gain_lo=0.5, gain_hi=1.5, seed=0)
-cube, labels = synth_scene(spec)
-cube = normalize_bands(cube)
 
-attn = AttentionConfig(model_dim=16, heads=2, variant="cs2")
-cfg = ModelConfig(bands=16, num_classes=4, patch_size=5, model_dim=16, depth=1,
-                  heads=2, mlp_dim=32, dropout_rate=0.1, attention=attn)
-tcfg = TrainConfig(epochs=8, batch_size=64, seed=0)
+def main():
+    spec = SynthSpec(height=32, width=32, bands=16, classes=4, sites=12,
+                     gain_lo=0.5, gain_hi=1.5, seed=0)
+    cube, labels = synth_scene(spec)
+    cube = normalize_bands(cube)
 
-rows = sweep(["cs2", "dp"], cfg, cube, labels,
-             SplitSpec(train_frac=0.1, val_frac=0.1, seed=0), tcfg, seeds=[0, 1, 2])
-print(rows_to_csv(rows))
+    attn = AttentionConfig(model_dim=16, heads=2, variant="cs2")
+    cfg = ModelConfig(bands=16, num_classes=4, patch_size=5, model_dim=16, depth=1,
+                      heads=2, mlp_dim=32, dropout_rate=0.1, attention=attn)
+    tcfg = TrainConfig(epochs=8, batch_size=64, seed=0)
 
-for tag in ("cs2", "dp"):
-    oas = [r["oa"] for r in rows if r["variant"] == tag]
-    print(f"{tag}: median OA {np.median(oas):.4f}")
+    rows = sweep(["cs2", "dp"], cfg, cube, labels,
+                 SplitSpec(train_frac=0.1, val_frac=0.1, seed=0), tcfg, seeds=[0, 1, 2])
+    print(rows_to_csv(rows))
+
+    for tag in ("cs2", "dp"):
+        oas = [r["oa"] for r in rows if r["variant"] == tag]
+        print(f"{tag}: median OA {np.median(oas):.4f}")
+
+
+if __name__ == "__main__":  # sweep's worker processes import this module
+    main()

@@ -9,7 +9,7 @@ from .data import (HyperCube, LabelMap, SplitSpec, SynthSpec, export_map,
                    normalize_bands, stratified_split, synth_scene)
 from .model import (ModelConfig, ModelParams, Positional, batched_forward,
                     forward, init_params, param_count)
-from .tensor import Parameter, Tape, Tensor, grad_check
+from .tensor import Tape, Tensor, grad_check
 from .train import (AdamW, EvalReport, TrainConfig, evaluate,
                     label_smoothed_ce, metrics_from_confusion)
 

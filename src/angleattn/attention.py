@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,20 +35,6 @@ class ScoreVariant(enum.Enum):
     CROSS_COS_SQ = "c-cs2"
     CROSS_COS = "c-cs"
     CROSS_ADDITIVE = "c-add"
-
-    @property
-    def is_cross(self):
-        return self.value.startswith("c-")
-
-    @property
-    def is_cosine_family(self):
-        return self in (ScoreVariant.COS_SQ, ScoreVariant.COS, ScoreVariant.ABS_COS,
-                        ScoreVariant.TEMP_COS_SQ, ScoreVariant.CROSS_COS_SQ,
-                        ScoreVariant.CROSS_COS)
-
-    @property
-    def needs_additive_params(self):
-        return self in (ScoreVariant.ADDITIVE, ScoreVariant.CROSS_ADDITIVE)
 
     @classmethod
     def from_tag(cls, tag):
@@ -73,11 +60,49 @@ class NormMode(enum.Enum):
             raise ConfigError(f"unknown norm mode {tag!r}; valid tags: {valid}") from None
 
 
-def default_norm_mode(variant):
-    """Cosine-family scores normalize both streams unless overridden."""
-    if variant.is_cosine_family or variant is ScoreVariant.MIXED_COS_SQ_SDP:
-        return NormMode.BOTH
-    return NormMode.NONE
+class VariantSpec(NamedTuple):
+    """How one score variant turns s = q k^T (per head) into raw scores."""
+
+    kernel: Callable | None  # (s, d_h, cfg) -> scores; None: additive, own parameters
+    cosine: bool             # unit-norm rows: default norm_mode both, checked under both
+    mixed: bool = False      # kernel on the first ceil(H/2) heads, sdp on the rest
+    cross: bool = False      # keys and values come from the embedding stream
+
+
+def _plain(s, d_h, cfg):
+    return s
+
+
+def _squared(s, d_h, cfg):
+    return T.square(s)
+
+
+def _absolute(s, d_h, cfg):
+    return T.absolute(s)
+
+
+def _tempered(s, d_h, cfg):
+    return T.scale(T.square(s), 1.0 / cfg.temperature)
+
+
+def _scaled(s, d_h, cfg):
+    return T.scale(s, 1.0 / math.sqrt(d_h))
+
+
+VARIANTS = {
+    ScoreVariant.COS_SQ: VariantSpec(_squared, cosine=True),
+    ScoreVariant.COS: VariantSpec(_plain, cosine=True),
+    ScoreVariant.ABS_COS: VariantSpec(_absolute, cosine=True),
+    ScoreVariant.TEMP_COS_SQ: VariantSpec(_tempered, cosine=True),
+    ScoreVariant.DOT: VariantSpec(_plain, cosine=False),
+    ScoreVariant.SCALED_DOT: VariantSpec(_scaled, cosine=False),
+    ScoreVariant.ADDITIVE: VariantSpec(None, cosine=False),
+    ScoreVariant.MIXED_COS_SQ_SDP: VariantSpec(_squared, cosine=True, mixed=True),
+    ScoreVariant.CROSS_SCALED_DOT: VariantSpec(_scaled, cosine=False, cross=True),
+    ScoreVariant.CROSS_COS_SQ: VariantSpec(_squared, cosine=True, cross=True),
+    ScoreVariant.CROSS_COS: VariantSpec(_plain, cosine=True, cross=True),
+    ScoreVariant.CROSS_ADDITIVE: VariantSpec(None, cosine=False, cross=True),
+}
 
 
 @dataclass
@@ -85,7 +110,7 @@ class AttentionConfig:
     model_dim: int
     heads: int
     variant: ScoreVariant = ScoreVariant.COS_SQ
-    norm_mode: NormMode | None = None  # None -> default for the variant
+    norm_mode: NormMode | None = None  # None: both for cosine variants, else none
     temperature: float = 0.5
     eps: float = 1e-12
 
@@ -107,7 +132,9 @@ class AttentionConfig:
 
     @property
     def resolved_norm_mode(self):
-        return self.norm_mode if self.norm_mode is not None else default_norm_mode(self.variant)
+        if self.norm_mode is not None:
+            return self.norm_mode
+        return NormMode.BOTH if VARIANTS[self.variant].cosine else NormMode.NONE
 
 
 @dataclass
@@ -125,10 +152,6 @@ class AdditiveParams:
             raise DimensionError(
                 f"additive params inconsistent: {self.w_q.shape}, {self.w_k.shape}, "
                 f"{self.w_a.shape}, {self.b_a.shape}")
-
-    @property
-    def hidden_dim(self):
-        return self.w_q.shape[1]
 
 
 @dataclass
@@ -187,17 +210,6 @@ def _check_unit_rows(t, what):
             f"norm_mode=both (max deviation {deviation:.3e})")
 
 
-def _cosine_like(variant, q, k, cfg):
-    s = T.matmul(q, T.transpose(k))
-    if variant in (ScoreVariant.COS, ScoreVariant.CROSS_COS):
-        return s
-    if variant is ScoreVariant.ABS_COS:
-        return T.absolute(s)
-    if variant is ScoreVariant.TEMP_COS_SQ:
-        return T.scale(T.square(s), 1.0 / cfg.temperature)
-    return T.square(s)  # COS_SQ / CROSS_COS_SQ
-
-
 def additive_score(q_i, k_j, params, head=0):
     """w^T tanh(W_q q_i + W_k k_j + b) for one query/key pair of one head."""
     w_q = params.w_q.data[head]
@@ -223,6 +235,22 @@ def _additive_scores(q, k, params):
     return T.reshape(out, out.shape[:-1])
 
 
+def _mixed_split(t, cfg):
+    """The mixed variant's head groups along axis -3: (first ceil(H/2), rest)."""
+    if t.ndim < 3 or t.shape[-3] != cfg.heads:
+        raise DimensionError(
+            f"mixed variant needs a head axis of size {cfg.heads}, got shape {t.shape}")
+    n_cos, axis = (cfg.heads + 1) // 2, t.ndim - 3
+    return T.slice_axis(t, axis, 0, n_cos), T.slice_axis(t, axis, n_cos, cfg.heads)
+
+
+def _kernel_scores(kernel, cosine, q, k, cfg):
+    if cosine and cfg.resolved_norm_mode is NormMode.BOTH:
+        _check_unit_rows(q, "query")
+        _check_unit_rows(k, "key")
+    return kernel(T.matmul(q, T.transpose(k)), q.shape[-1], cfg)
+
+
 def score(variant, q, k, cfg, additive_params=None):
     """Raw (pre-softmax) score matrix for already-normalized inputs.
 
@@ -231,42 +259,16 @@ def score(variant, q, k, cfg, additive_params=None):
     """
     if isinstance(variant, str):
         variant = ScoreVariant.from_tag(variant)
-    mode = cfg.resolved_norm_mode
-    if variant.is_cosine_family and mode is NormMode.BOTH:
-        _check_unit_rows(q, "query")
-        _check_unit_rows(k, "key")
-    if variant.is_cosine_family:
-        return _cosine_like(variant, q, k, cfg)
-    if variant in (ScoreVariant.DOT,):
-        return T.matmul(q, T.transpose(k))
-    if variant in (ScoreVariant.SCALED_DOT, ScoreVariant.CROSS_SCALED_DOT):
-        d_h = q.shape[-1]
-        return T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_h))
-    if variant.needs_additive_params:
+    spec = VARIANTS[variant]
+    if spec.kernel is None:
         if additive_params is None:
             raise ConfigError(f"variant {variant.value} requires additive parameters")
         return _additive_scores(q, k, additive_params)
-    if variant is ScoreVariant.MIXED_COS_SQ_SDP:
-        if q.ndim < 3 or q.shape[-3] != cfg.heads:
-            raise DimensionError(
-                f"mixed variant needs a head axis of size {cfg.heads}, got shape {q.shape}")
-        n_cos = _mixed_cosine_heads(cfg.heads)
-        q_cos = T.slice_axis(q, q.ndim - 3, 0, n_cos)
-        k_cos = T.slice_axis(k, k.ndim - 3, 0, n_cos)
-        if mode is NormMode.BOTH:
-            _check_unit_rows(q_cos, "query")
-            _check_unit_rows(k_cos, "key")
-        s_cos = T.square(T.matmul(q_cos, T.transpose(k_cos)))
-        q_sdp = T.slice_axis(q, q.ndim - 3, n_cos, cfg.heads)
-        k_sdp = T.slice_axis(k, k.ndim - 3, n_cos, cfg.heads)
-        s_sdp = T.scale(T.matmul(q_sdp, T.transpose(k_sdp)), 1.0 / math.sqrt(cfg.head_dim))
-        return T.concat([s_cos, s_sdp], axis=q.ndim - 3)
-    raise ConfigError(f"unhandled variant {variant!r}")
-
-
-def _mixed_cosine_heads(heads):
-    """First ceil(H/2) heads of the mixed variant score with cosine^2."""
-    return (heads + 1) // 2
+    if not spec.mixed:
+        return _kernel_scores(spec.kernel, spec.cosine, q, k, cfg)
+    (q_cos, q_sdp), (k_cos, k_sdp) = _mixed_split(q, cfg), _mixed_split(k, cfg)
+    return T.concat([_kernel_scores(spec.kernel, spec.cosine, q_cos, k_cos, cfg),
+                     _kernel_scores(_scaled, False, q_sdp, k_sdp, cfg)], axis=q.ndim - 3)
 
 
 def attend(scores, v):
@@ -293,16 +295,12 @@ def multi_head_attention(tokens_q, tokens_kv, cfg, params):
     qh = split_heads(q, cfg.heads)
     kh = split_heads(k, cfg.heads)
     vh = split_heads(v, cfg.heads)
-    variant = cfg.variant
-    if variant is ScoreVariant.MIXED_COS_SQ_SDP:
-        axis = qh.ndim - 3
-        n_cos = _mixed_cosine_heads(cfg.heads)
-        q_cos, k_cos = _apply_norm(T.slice_axis(qh, axis, 0, n_cos),
-                                   T.slice_axis(kh, axis, 0, n_cos), cfg)
-        qh = T.concat([q_cos, T.slice_axis(qh, axis, n_cos, cfg.heads)], axis)
-        kh = T.concat([k_cos, T.slice_axis(kh, axis, n_cos, cfg.heads)], axis)
+    if VARIANTS[cfg.variant].mixed:  # only the cosine heads are normalized
+        (q_cos, q_sdp), (k_cos, k_sdp) = _mixed_split(qh, cfg), _mixed_split(kh, cfg)
+        q_cos, k_cos = _apply_norm(q_cos, k_cos, cfg)
+        qh, kh = T.concat([q_cos, q_sdp], qh.ndim - 3), T.concat([k_cos, k_sdp], kh.ndim - 3)
     else:
         qh, kh = _apply_norm(qh, kh, cfg)
-    scores = score(variant, qh, kh, cfg, params.additive)
+    scores = score(cfg.variant, qh, kh, cfg, params.additive)
     out = merge_heads(attend(scores, vh))
     return T.matmul(out, params.w_o)

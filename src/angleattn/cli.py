@@ -10,19 +10,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .attention import AttentionConfig, NormMode, ScoreVariant
-from .data import (HyperCube, LabelMap, SplitSpec, SynthSpec, export_map,
-                   inject_noise, load_cube, load_labels, normalize_bands,
-                   save_cube, save_labels, stratified_split, synth_scene)
-from .errors import AngleAttnError, ConfigError
-from .model import (ModelConfig, ModelParams, Positional, init_params,
-                    load_checkpoint, save_checkpoint)
-from .train import (SWEEP_CSV_HEADER, TrainConfig, _sweep_cell, evaluate,
-                    predict, rows_to_csv, train)
+from .data import (SplitSpec, SynthSpec, export_map, inject_noise, load_cube,
+                   load_labels, normalize_bands, save_cube, save_labels,
+                   stratified_split, synth_scene)
+from .errors import AngleAttnError, ConfigError, FormatError
+from .model import (ModelConfig, Positional, init_params, load_checkpoint,
+                    save_checkpoint)
+from .train import TrainConfig, evaluate, predict, rows_to_csv, sweep, train
 
 # defaults follow the reference training protocol
 CONFIG_DEFAULTS = {
@@ -146,6 +144,9 @@ def cmd_train(args):
 
 def _params_from_checkpoint(path):
     values, manifest = load_checkpoint(path)
+    missing = sorted({"scene_bands", "classes"} - set(manifest["config"]))
+    if missing:
+        raise FormatError(f"checkpoint config in {path} lacks {', '.join(missing)}")
     cfg = dict(CONFIG_DEFAULTS)
     cfg.update(manifest["config"])
     model_cfg = build_model_config(cfg, cfg["scene_bands"], cfg["classes"])
@@ -175,7 +176,7 @@ def cmd_eval(args):
     if args.out:
         row = {"variant": cfg["variant"], "seed": manifest["seed"],
                "epoch_best": manifest["epoch"], "oa": report.oa, "aa": report.aa,
-               "kappa": report.kappa, "train_seconds": 0.0}
+               "kappa": report.kappa, "train_seconds": 0.0, "snr_db": cfg["snr_db"]}
         with open(args.out, "w") as f:
             f.write(rows_to_csv([row]))
     if args.map:
@@ -187,48 +188,25 @@ def cmd_eval(args):
     return 0
 
 
-def _parse_list(text, cast):
-    return [cast(x) for x in text.split(",") if x]
-
-
-def _run_sweep_cell(payload):
-    (variant, seed, snr_db, cfg, cube_values, label_ids) = payload
-    cube = HyperCube(cube_values)
-    if snr_db is not None:
-        cube = inject_noise(cube, snr_db, seed)
-    labels = LabelMap(label_ids)
-    classes = cfg["classes"] or labels.num_classes
-    model_cfg = build_model_config(cfg, cube.bands, classes)
-    tcfg = build_train_config(cfg)
-    split_spec = SplitSpec(train_frac=cfg["train_frac"], val_frac=cfg["val_frac"], seed=seed)
-    row = _sweep_cell(ScoreVariant.from_tag(variant), seed, model_cfg, cube, labels,
-                      split_spec, tcfg)
-    row["snr_db"] = snr_db
-    return row
+def _parse_list(text, cast, flag):
+    try:
+        return [cast(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list, got {text!r}") from None
 
 
 def cmd_sweep(args):
     cfg = resolve_config(args)
-    variants = _parse_list(args.variants, str)
-    seeds = _parse_list(args.seeds, int) if args.seeds else [cfg["seed"]]
-    snrs = _parse_list(args.snr_db_list, float) if args.snr_db_list else [None]
-    if not variants or not seeds:
-        raise ConfigError("sweep needs nonempty --variants and --seeds")
-    for v in variants:
-        ScoreVariant.from_tag(v)  # fail fast on unknown tags
-    _require(cfg, "cube", "labels")
-    cube = normalize_bands(load_cube(cfg["cube"]))
-    labels = load_labels(cfg["labels"])
-    labels.check_pairing(cube)
-    cells = [(v, s, snr, cfg, cube.values, labels.ids)
-             for v in variants for s in seeds for snr in snrs]
-    workers = int(os.environ.get("ANGLEATTN_THREADS", "1"))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_cell, cells))
-    else:
-        rows = [_run_sweep_cell(c) for c in cells]
+    variants = _parse_list(args.variants, str, "--variants")
+    seeds = _parse_list(args.seeds, int, "--seeds") if args.seeds else [cfg["seed"]]
+    snrs = (_parse_list(args.snr_db_list, float, "--snr-db-list") if args.snr_db_list
+            else [cfg["snr_db"]])
+    cube, labels = _load_scene(dict(cfg, snr_db=None))  # noise is added per cell
+    model_cfg = build_model_config(cfg, cube.bands, cfg["classes"] or labels.num_classes)
+    split_spec = SplitSpec(train_frac=cfg["train_frac"], val_frac=cfg["val_frac"],
+                           seed=cfg["seed"])
+    rows = sweep(variants, model_cfg, cube, labels, split_spec, build_train_config(cfg),
+                 seeds=seeds, snr_dbs=snrs)
     csv_text = rows_to_csv(rows)
     if cfg["out"]:
         with open(cfg["out"], "w") as f:

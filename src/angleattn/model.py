@@ -12,13 +12,13 @@ import enum
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .attention import (AdditiveParams, AttentionConfig, AttentionParams,
-                        ScoreVariant, multi_head_attention)
+from .attention import (VARIANTS, AdditiveParams, AttentionConfig, AttentionParams,
+                        multi_head_attention)
 from .errors import ConfigError, DimensionError, FormatError
 from .tensor import Tensor
 
@@ -157,7 +157,7 @@ def init_params(cfg, seed):
     layers = []
     for _ in range(cfg.depth):
         additive = None
-        if cfg.attention.variant.needs_additive_params:
+        if VARIANTS[cfg.attention.variant].kernel is None:  # additive
             d_a = d_h  # hidden width matches the head width
             additive = AdditiveParams(
                 w_q=leaf(np.stack([_glorot(rng, d_h, d_a).T for _ in range(cfg.heads)])),
@@ -189,7 +189,7 @@ def param_count(cfg):
     if cfg.positional is Positional.LEARNABLE:
         total += n * d
     per_layer = 4 * d * d + 4 * d + (d * cfg.mlp_dim + cfg.mlp_dim + cfg.mlp_dim * d + d)
-    if cfg.attention.variant.needs_additive_params:
+    if VARIANTS[cfg.attention.variant].kernel is None:  # additive
         per_layer += cfg.heads * (2 * d_h * d_h + 2 * d_h)
     total += cfg.depth * per_layer
     total += 2 * d + d * k + k
@@ -248,7 +248,7 @@ def encoder_block(tokens, lp, cfg, training=False, rng=None, kv_tokens=None):
 def _forward_tokens(x, params, cfg, training, rng):
     tokens = tokenize_patch(x, params.w_s)
     t0 = add_positions(tokens, cfg.positional, params.pos)
-    cross = cfg.attention.variant.is_cross
+    cross = VARIANTS[cfg.attention.variant].cross
     t = t0
     for lp in params.layers:
         t = encoder_block(t, lp, cfg, training, rng, kv_tokens=t0 if cross else None)
@@ -295,7 +295,20 @@ def load_checkpoint(path):
     if not os.path.exists(manifest_path):
         raise FormatError(f"no manifest.json in {path}")
     with open(manifest_path) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{manifest_path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path} must hold a JSON object")
+    missing = [key for key in ("params", "config", "seed", "epoch") if key not in manifest]
+    if missing:
+        raise FormatError(f"{manifest_path} lacks {', '.join(missing)}")
+    if not isinstance(manifest["params"], list) or not isinstance(manifest["config"], dict):
+        raise FormatError(f"{manifest_path}: params must be a list and config an object")
+    for entry in manifest["params"]:
+        if not isinstance(entry, dict) or not {"name", "shape", "file"} <= set(entry):
+            raise FormatError(f"{manifest_path}: a params entry lacks name, shape or file")
     values = {}
     for entry in manifest["params"]:
         fpath = os.path.join(path, entry["file"])

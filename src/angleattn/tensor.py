@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -83,23 +82,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self.op!r})"
-
-
-@dataclass
-class Parameter:
-    """A named trainable tensor; ``grad`` mirrors the value's shape."""
-
-    name: str
-    value: Tensor
-
-    def __post_init__(self):
-        self.value.requires_grad = True
-
-    @property
-    def grad(self):
-        if self.value.grad is None:
-            return np.zeros_like(self.value.data)
-        return self.value.grad
 
 
 class Tape:
@@ -284,21 +266,6 @@ def clamp_min(a, floor):
     return _make(np.maximum(a.data, floor), (a,), backward_fn, "clamp_min")
 
 
-_ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul}
-_ELEMENTWISE_UNARY = {"square": square, "tanh": tanh, "gelu": gelu}
-
-
-def elementwise(kind, *operands):
-    """Dispatch by name; ``scale`` takes (tensor, scalar)."""
-    if kind in _ELEMENTWISE_BINARY:
-        return _ELEMENTWISE_BINARY[kind](*operands)
-    if kind in _ELEMENTWISE_UNARY:
-        return _ELEMENTWISE_UNARY[kind](*operands)
-    if kind == "scale":
-        return scale(*operands)
-    raise ConfigError(f"unknown elementwise kind {kind!r}")
-
-
 def matmul(a, b):
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul: operands must be at least 2-D, got {a.shape} x {b.shape}")
@@ -465,7 +432,7 @@ def grad_check(f, params, h=1e-5, max_coords=24, rng=None):
     tensors. Up to ``max_coords`` coordinates per tensor are probed.
     """
     rng = rng or np.random.default_rng(0)
-    tensors = [p.value if isinstance(p, Parameter) else p for p in params]
+    tensors = list(params)
     loss = f()
     loss.backward()
     analytic = [np.array(t.grad, copy=True) if t.grad is not None else np.zeros_like(t.data)

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, NormMode, ScoreVariant
-from .data import extract_patch, stratified_split
+from .attention import ScoreVariant
+from .data import extract_patch, inject_noise, stratified_split
 from .errors import ConfigError, EvalError, LabelError, SplitError
-from .model import (ModelConfig, batched_forward, init_params, is_no_decay)
+from .model import batched_forward, init_params, is_no_decay
 from .tensor import Tensor
 
 
@@ -28,6 +31,12 @@ class TrainConfig:
     clip_mode: str = "per_tensor"  # or "global"
 
     def __post_init__(self):
+        if not (isinstance(self.epochs, Integral) and self.epochs >= 0):
+            raise ConfigError(f"epochs must be an integer >= 0, got {self.epochs!r}")
+        if not (isinstance(self.batch_size, Integral) and self.batch_size >= 1):
+            raise ConfigError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        if not (isinstance(self.lr, Real) and math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.clip_mode not in ("per_tensor", "global"):
@@ -199,30 +208,49 @@ def train(cfg, cube, labels, splits, tcfg):
     return params, log, best["epoch"]
 
 
-SWEEP_CSV_HEADER = "variant,seed,epoch_best,oa,aa,kappa,train_seconds"
+SWEEP_CSV_HEADER = "variant,seed,epoch_best,oa,aa,kappa,train_seconds,snr_db"
 
 
-def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None):
-    """Train/evaluate each variant on identical splits; rows in input order."""
-    if not variants:
-        raise ConfigError("sweep needs at least one variant")
-    seeds = list(seeds) if seeds is not None else [tcfg_base.seed]
+def _sweep_workers():
+    """Worker processes for sweep cells: ANGLEATTN_THREADS, default 1 (serial)."""
+    text = os.environ.get("ANGLEATTN_THREADS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise ConfigError(f"ANGLEATTN_THREADS must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None,
+          snr_dbs=(None,)):
+    """Train and evaluate every variant x seed x SNR cell; rows in that order.
+
+    A cell's seed sets its split, initialization, shuffling and noise; an SNR
+    of None adds no noise. ``seeds`` defaults to ``tcfg_base.seed``. Cells
+    run in ``ANGLEATTN_THREADS`` spawned processes when that is above 1, so a
+    calling script must keep its top-level code under ``__name__ == "__main__"``.
+    """
+    seeds = [tcfg_base.seed] if seeds is None else list(seeds)
+    snr_dbs = list(snr_dbs)
+    if not variants or not seeds or not snr_dbs:
+        raise ConfigError("sweep needs at least one variant, one seed and one SNR")
     variants = [ScoreVariant.from_tag(v) if isinstance(v, str) else v for v in variants]
-    rows = []
-    for variant in variants:
-        for seed in seeds:
-            rows.append(_sweep_cell(variant, seed, cfg_base, cube, labels, split_spec, tcfg_base))
-    return rows
+    workers = _sweep_workers()
+    cells = [(v, seed, snr) for v in variants for seed in seeds for snr in snr_dbs]
+    run = partial(_sweep_cell, cfg_base=cfg_base, cube=cube, labels=labels,
+                  split_spec=split_spec, tcfg_base=tcfg_base)
+    if workers == 1:
+        return [run(*cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps pay for these
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells)),
+                             mp_context=get_context("spawn")) as pool:
+        return list(pool.map(run, *zip(*cells)))
 
 
-def _sweep_cell(variant, seed, cfg_base, cube, labels, split_spec, tcfg_base):
-    from dataclasses import replace
-
-    attn = replace(cfg_base.attention, variant=variant,
-                   norm_mode=cfg_base.attention.norm_mode)
-    cfg = replace(cfg_base, attention=attn)
-    spec = replace(split_spec, seed=seed)
-    splits = stratified_split(labels, spec)
+def _sweep_cell(variant, seed, snr_db, cfg_base, cube, labels, split_spec, tcfg_base):
+    cube = inject_noise(cube, snr_db, seed)
+    cfg = replace(cfg_base, attention=replace(cfg_base.attention, variant=variant))
+    splits = stratified_split(labels, replace(split_spec, seed=seed))
     tcfg = replace(tcfg_base, seed=seed)
     start = time.perf_counter()
     params, _, best_epoch = train(cfg, cube, labels, splits, tcfg)
@@ -230,12 +258,15 @@ def _sweep_cell(variant, seed, cfg_base, cube, labels, split_spec, tcfg_base):
     report = evaluate(params, cfg, cube, labels, splits[2])
     return {"variant": variant.value, "seed": seed, "epoch_best": best_epoch,
             "oa": report.oa, "aa": report.aa, "kappa": report.kappa,
-            "train_seconds": elapsed}
+            "train_seconds": elapsed, "snr_db": snr_db}
 
 
 def rows_to_csv(rows):
+    """CSV text under SWEEP_CSV_HEADER; snr_db is empty when no noise was added."""
     lines = [SWEEP_CSV_HEADER]
     for r in rows:
+        snr = "" if r["snr_db"] is None else r["snr_db"]
         lines.append(f"{r['variant']},{r['seed']},{r['epoch_best']},"
-                     f"{r['oa']:.6f},{r['aa']:.6f},{r['kappa']:.6f},{r['train_seconds']:.3f}")
+                     f"{r['oa']:.6f},{r['aa']:.6f},{r['kappa']:.6f},{r['train_seconds']:.3f},"
+                     f"{snr}")
     return "\n".join(lines) + "\n"

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angleattn import tensor as T
-from angleattn.attention import (AdditiveParams, AttentionConfig, AttentionParams,
-                                 NormMode, ScoreVariant, additive_score, attend,
-                                 default_norm_mode, merge_heads,
+from angleattn.attention import (VARIANTS, AdditiveParams, AttentionConfig,
+                                 AttentionParams, NormMode, ScoreVariant,
+                                 additive_score, attend, merge_heads,
                                  multi_head_attention, project_qkv, score,
                                  split_heads)
 from angleattn.errors import ConfigError, ContractError, DimensionError
@@ -59,8 +59,18 @@ class TestVariantRegistry:
             NormMode.from_tag("most")
 
     def test_default_norm_mode(self):
-        assert default_norm_mode(ScoreVariant.COS_SQ) is NormMode.BOTH
-        assert default_norm_mode(ScoreVariant.DOT) is NormMode.NONE
+        assert AttentionConfig(8, 2, variant="cs2").resolved_norm_mode is NormMode.BOTH
+        assert AttentionConfig(8, 2, variant="dp").resolved_norm_mode is NormMode.NONE
+
+    def test_one_table_row_per_variant(self):
+        assert list(VARIANTS) == list(ScoreVariant)
+        assert [t for t in ALL_TAGS if VARIANTS[ScoreVariant(t)].cross] == \
+            ["c-sdp", "c-cs2", "c-cs", "c-add"]
+        assert [t for t in ALL_TAGS if VARIANTS[ScoreVariant(t)].kernel is None] == \
+            ["add", "c-add"]
+        assert [t for t in ALL_TAGS if VARIANTS[ScoreVariant(t)].mixed] == ["msa-cs2"]
+        both = [t for t in ALL_TAGS if cfg_for(t).resolved_norm_mode is NormMode.BOTH]
+        assert both == ["cs2", "cs", "abscs", "tempcs2", "msa-cs2", "c-cs2", "c-cs"]
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -207,6 +217,19 @@ class TestScore:
         sdp_part = np.matmul(raw[2:], np.swapaxes(raw[2:], -1, -2)) / math.sqrt(dh)
         np.testing.assert_allclose(out[:2], cos_part, atol=1e-12)
         np.testing.assert_allclose(out[2:], sdp_part, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [2, 3, 4])
+    def test_mixed_matches_numpy_oracle(self, heads):
+        # concat(cos^2, q k^T / sqrt(d_h)) over a ceil(H/2) / floor(H/2) head split
+        rng = np.random.default_rng(heads)
+        n, d_h, n_cos = 5, 3, (heads + 1) // 2
+        q, k = rng.normal(size=(2, heads, n, d_h)), rng.normal(size=(2, heads, n, d_h))
+        for x in (q, k):
+            x[:, :n_cos] /= np.linalg.norm(x[:, :n_cos], axis=-1, keepdims=True)
+        out = score("msa-cs2", Tensor(q), Tensor(k), cfg_for("msa-cs2", 3 * heads, heads)).data
+        qk = q @ np.swapaxes(k, -1, -2)
+        expect = np.concatenate([qk[:, :n_cos] ** 2, qk[:, n_cos:] / math.sqrt(d_h)], axis=1)
+        np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 class TestAdditiveScore:

@@ -151,6 +151,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: config file") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--epochs", "-1"),
+                                            ("--lr", "nan"), ("--lr", "0")])
+    def test_bad_train_settings_exit_2(self, scene_dir, tmp_path, capsys, flag, value):
+        assert run_train(scene_dir, str(tmp_path / "ckpt"), [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEval:
     def test_prints_metrics(self, scene_dir, tmp_path, capsys):
@@ -179,6 +186,31 @@ class TestEval:
     def test_missing_checkpoint(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1
 
+    @pytest.mark.parametrize("damage", [
+        lambda m: "{not json", lambda m: "[]", lambda m: {k: m[k] for k in m if k != "params"},
+        lambda m: {k: m[k] for k in m if k != "config"},
+        lambda m: {k: m[k] for k in m if k != "seed"},
+        lambda m: dict(m, params=[{"name": "w_s", "shape": [8, 8]}]),
+        lambda m: dict(m, config={k: v for k, v in m["config"].items() if k != "scene_bands"})])
+    def test_malformed_manifest_exits_1(self, scene_dir, tmp_path, capsys, damage):
+        ckpt = str(tmp_path / "ckpt")
+        assert run_train(scene_dir, ckpt) == 0
+        path = os.path.join(ckpt, "manifest.json")
+        bad = damage(json.load(open(path)))
+        with open(path, "w") as f:
+            f.write(bad if isinstance(bad, str) else json.dumps(bad))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ckpt in err and err.count("\n") == 1
+
+    def test_out_row_carries_snr(self, scene_dir, tmp_path):
+        ckpt, out = str(tmp_path / "ckpt"), str(tmp_path / "row.csv")
+        assert run_train(scene_dir, ckpt, ["--snr-db", "25"]) == 0
+        assert main(["eval", "--checkpoint", ckpt, "--out", out]) == 0
+        header, row = open(out).read().splitlines()
+        assert header == SWEEP_CSV_HEADER and row.split(",")[-1] == "25.0"
+
     def test_eval_reproducible(self, scene_dir, tmp_path, capsys):
         ckpt = str(tmp_path / "ckpt")
         assert run_train(scene_dir, ckpt) == 0
@@ -190,10 +222,10 @@ class TestEval:
 
 
 class TestSweep:
-    def run_sweep(self, scene_dir, out, variants, seeds=None, snrs=None):
+    def run_sweep(self, scene_dir, out, variants, seeds=None, snrs=None, extra=()):
         argv = ["sweep", "--cube", os.path.join(scene_dir, "scene.npy"),
                 "--labels", os.path.join(scene_dir, "labels.npy"),
-                "--out", out, "--variants", variants] + FAST
+                "--out", out, "--variants", variants] + FAST + list(extra)
         if seeds:
             argv += ["--seeds", seeds]
         if snrs:
@@ -206,6 +238,26 @@ class TestSweep:
         lines = open(out).read().splitlines()
         assert lines[0] == SWEEP_CSV_HEADER
         assert len(lines) == 1 + 2 * 2 * 2
+        cells = [tuple(line.split(",")[i] for i in (0, 1, 7)) for line in lines[1:]]
+        assert cells == [(v, s, snr) for v in ("cs2", "dp") for s in ("0", "1")
+                         for snr in ("20.0", "10.0")]
+
+    def test_snr_db_flag_is_one_snr_axis(self, scene_dir, tmp_path):
+        flag, axis, clean = (str(tmp_path / n) for n in ("f.csv", "a.csv", "c.csv"))
+        assert self.run_sweep(scene_dir, flag, "cs2", "0", extra=["--snr-db", "5"]) == 0
+        assert self.run_sweep(scene_dir, axis, "cs2", "0", "5") == 0
+        assert self.run_sweep(scene_dir, clean, "cs2", "0") == 0
+        flag_rows, axis_rows, clean_rows = (strip_time(p) for p in (flag, axis, clean))
+        assert flag_rows == axis_rows
+        assert flag_rows[1].endswith(",5.0") and clean_rows[1].endswith(",")
+        # the noisy cell trains on other data, so the model and its scores differ
+        assert flag_rows[1].split(",")[3:6] != clean_rows[1].split(",")[3:6]
+
+    def test_bad_worker_count_exits_2(self, scene_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ANGLEATTN_THREADS", "abc")
+        assert self.run_sweep(scene_dir, str(tmp_path / "r.csv"), "cs2", "0") == 2
+        err = capsys.readouterr().err
+        assert "ANGLEATTN_THREADS" in err and err.count("\n") == 1
 
     def test_no_snr_axis(self, scene_dir, tmp_path):
         out = str(tmp_path / "rows.csv")
@@ -220,17 +272,25 @@ class TestSweep:
     def test_unknown_variant_exits_2(self, scene_dir, tmp_path):
         assert self.run_sweep(scene_dir, str(tmp_path / "r.csv"), "cs2,bogus") == 2
 
+    @pytest.mark.parametrize("seeds,snrs", [("a", None), (",", None), ("0", "x"), ("0", ",")])
+    def test_bad_axis_exits_2(self, scene_dir, tmp_path, capsys, seeds, snrs):
+        assert self.run_sweep(scene_dir, str(tmp_path / "r.csv"), "cs2", seeds, snrs) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_parallel_matches_serial(self, scene_dir, tmp_path, monkeypatch):
         serial, parallel = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
         monkeypatch.setenv("ANGLEATTN_THREADS", "1")
         assert self.run_sweep(scene_dir, serial, "cs2,dp", "0") == 0
         monkeypatch.setenv("ANGLEATTN_THREADS", "2")
         assert self.run_sweep(scene_dir, parallel, "cs2,dp", "0") == 0
-
-        def strip_time(path):
-            return [line.rsplit(",", 1)[0] for line in open(path).read().splitlines()]
-
         assert strip_time(serial) == strip_time(parallel)
+
+
+def strip_time(path):
+    """CSV lines without the train_seconds column (index 6)."""
+    return [",".join(f for i, f in enumerate(line.split(",")) if i != 6)
+            for line in open(path).read().splitlines()]
 
 
 class TestUsageErrors:

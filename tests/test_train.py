@@ -1,18 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig
-from angleattn.data import (HyperCube, SplitSpec, SynthSpec, extract_patch, normalize_bands,
-                            stratified_split, synth_scene)
+from angleattn.data import (HyperCube, SplitSpec, SynthSpec, extract_patch, inject_noise,
+                            normalize_bands, stratified_split, synth_scene)
 from angleattn.errors import ConfigError, EvalError, LabelError
 from angleattn.model import ModelConfig, batched_forward, init_params
 from angleattn.tensor import Tensor
 from angleattn.train import (AdamW, TrainConfig, clip_gradients, evaluate,
-                             label_smoothed_ce, metrics_from_confusion, predict, sweep,
-                             train)
+                             label_smoothed_ce, metrics_from_confusion, predict,
+                             rows_to_csv, sweep, train)
 
 
 def tiny_scene(seed=0, snr=None):
@@ -26,6 +27,20 @@ def tiny_model(variant="cs2"):
     attn = AttentionConfig(model_dim=8, heads=2, variant=variant)
     return ModelConfig(bands=8, num_classes=3, patch_size=3, model_dim=8, depth=1,
                        heads=2, mlp_dim=16, dropout_rate=0.1, attention=attn)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"batch_size": 0}, {"batch_size": -3}, {"batch_size": 2.5}, {"epochs": -1},
+        {"epochs": 1.5}, {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")},
+        {"lr": float("inf")}, {"lr": "0.1"}])
+    def test_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
+
+    def test_accepts_edges(self):
+        TrainConfig(epochs=0, batch_size=1, lr=1e-12)
+        TrainConfig(epochs=np.int64(2), batch_size=np.int64(4), lr=1)
 
 
 class TestLabelSmoothedCE:
@@ -309,4 +324,34 @@ class TestSweep:
         cube, labels = tiny_scene()
         with pytest.raises(ConfigError):
             sweep([], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
+                  TrainConfig(epochs=1, seed=0))
+
+    @pytest.mark.parametrize("axis", [{"seeds": []}, {"snr_dbs": []}])
+    def test_empty_axis(self, axis):
+        cube, labels = tiny_scene()
+        with pytest.raises(ConfigError):
+            sweep(["cs2"], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
+                  TrainConfig(epochs=1, seed=0), **axis)
+
+    def test_snr_axis(self):
+        cube, labels = tiny_scene()
+        cfg = tiny_model()
+        spec = SplitSpec(0.1, 0.1, seed=0)
+        tcfg = TrainConfig(epochs=1, batch_size=32, seed=0)
+        rows = sweep(["cs2"], cfg, cube, labels, spec, tcfg, seeds=[3], snr_dbs=[0.0, 40.0])
+        assert [(r["seed"], r["snr_db"]) for r in rows] == [(3, 0.0), (3, 40.0)]
+        # a cell adds noise with its own seed, then trains as train() does
+        noisy = inject_noise(cube, 0.0, 3)
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=3))
+        params, _, _ = train(cfg, noisy, labels, splits, replace(tcfg, seed=3))
+        assert rows[0]["oa"] == evaluate(params, cfg, noisy, labels, splits[2]).oa
+        assert [r["snr_db"] for r in sweep(["cs2"], cfg, cube, labels, spec, tcfg)] == [None]
+        assert rows_to_csv(rows).splitlines()[1].endswith(",0.0")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_worker_count(self, monkeypatch, value):
+        monkeypatch.setenv("ANGLEATTN_THREADS", value)
+        cube, labels = tiny_scene()
+        with pytest.raises(ConfigError, match="ANGLEATTN_THREADS"):
+            sweep(["cs2"], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
                   TrainConfig(epochs=1, seed=0))
