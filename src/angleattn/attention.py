@@ -60,47 +60,42 @@ class NormMode(enum.Enum):
             raise ConfigError(f"unknown norm mode {tag!r}; valid tags: {valid}") from None
 
 
+class Kernel(NamedTuple):
+    """Elementwise map from s = q k^T (per head) to raw scores, in numpy."""
+
+    forward: Callable   # (s, d_h, cfg) -> scores
+    backward: Callable  # (s, g, d_h, cfg) -> dL/ds, given g = dL/dscores
+
+
 class VariantSpec(NamedTuple):
     """How one score variant turns s = q k^T (per head) into raw scores."""
 
-    kernel: Callable | None  # (s, d_h, cfg) -> scores; None: additive, own parameters
+    kernel: Kernel | None    # None: additive, with its own parameters
     cosine: bool             # unit-norm rows: default norm_mode both, checked under both
     mixed: bool = False      # kernel on the first ceil(H/2) heads, sdp on the rest
     cross: bool = False      # keys and values come from the embedding stream
 
 
-def _plain(s, d_h, cfg):
-    return s
-
-
-def _squared(s, d_h, cfg):
-    return T.square(s)
-
-
-def _absolute(s, d_h, cfg):
-    return T.absolute(s)
-
-
-def _tempered(s, d_h, cfg):
-    return T.scale(T.square(s), 1.0 / cfg.temperature)
-
-
-def _scaled(s, d_h, cfg):
-    return T.scale(s, 1.0 / math.sqrt(d_h))
-
+_PLAIN = Kernel(lambda s, d_h, cfg: s, lambda s, g, d_h, cfg: g)
+_SQUARED = Kernel(lambda s, d_h, cfg: s * s, lambda s, g, d_h, cfg: 2.0 * s * g)
+_ABSOLUTE = Kernel(lambda s, d_h, cfg: np.abs(s), lambda s, g, d_h, cfg: np.sign(s) * g)
+_TEMPERED = Kernel(lambda s, d_h, cfg: s * s * (1.0 / cfg.temperature),
+                   lambda s, g, d_h, cfg: 2.0 * s * (g * (1.0 / cfg.temperature)))
+_SCALED = Kernel(lambda s, d_h, cfg: s * (1.0 / math.sqrt(d_h)),
+                 lambda s, g, d_h, cfg: g * (1.0 / math.sqrt(d_h)))
 
 VARIANTS = {
-    ScoreVariant.COS_SQ: VariantSpec(_squared, cosine=True),
-    ScoreVariant.COS: VariantSpec(_plain, cosine=True),
-    ScoreVariant.ABS_COS: VariantSpec(_absolute, cosine=True),
-    ScoreVariant.TEMP_COS_SQ: VariantSpec(_tempered, cosine=True),
-    ScoreVariant.DOT: VariantSpec(_plain, cosine=False),
-    ScoreVariant.SCALED_DOT: VariantSpec(_scaled, cosine=False),
+    ScoreVariant.COS_SQ: VariantSpec(_SQUARED, cosine=True),
+    ScoreVariant.COS: VariantSpec(_PLAIN, cosine=True),
+    ScoreVariant.ABS_COS: VariantSpec(_ABSOLUTE, cosine=True),
+    ScoreVariant.TEMP_COS_SQ: VariantSpec(_TEMPERED, cosine=True),
+    ScoreVariant.DOT: VariantSpec(_PLAIN, cosine=False),
+    ScoreVariant.SCALED_DOT: VariantSpec(_SCALED, cosine=False),
     ScoreVariant.ADDITIVE: VariantSpec(None, cosine=False),
-    ScoreVariant.MIXED_COS_SQ_SDP: VariantSpec(_squared, cosine=True, mixed=True),
-    ScoreVariant.CROSS_SCALED_DOT: VariantSpec(_scaled, cosine=False, cross=True),
-    ScoreVariant.CROSS_COS_SQ: VariantSpec(_squared, cosine=True, cross=True),
-    ScoreVariant.CROSS_COS: VariantSpec(_plain, cosine=True, cross=True),
+    ScoreVariant.MIXED_COS_SQ_SDP: VariantSpec(_SQUARED, cosine=True, mixed=True),
+    ScoreVariant.CROSS_SCALED_DOT: VariantSpec(_SCALED, cosine=False, cross=True),
+    ScoreVariant.CROSS_COS_SQ: VariantSpec(_SQUARED, cosine=True, cross=True),
+    ScoreVariant.CROSS_COS: VariantSpec(_PLAIN, cosine=True, cross=True),
     ScoreVariant.CROSS_ADDITIVE: VariantSpec(None, cosine=False, cross=True),
 }
 
@@ -199,10 +194,10 @@ def merge_heads(m):
 _UNIT_NORM_TOL = 1e-6 + 1e-5
 
 
-def _check_unit_rows(t, what):
+def _check_unit_rows(x, what):
     """Rows must be unit-norm, or exactly zero: l2_normalize_rows maps a zero
     row (e.g. a no-data pixel) to zero by its eps rule."""
-    norms = np.linalg.norm(t.data, axis=-1)
+    norms = np.linalg.norm(x, axis=-1)
     deviation = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0)).max(initial=0.0)
     if not deviation <= _UNIT_NORM_TOL:  # also catches NaN
         raise ContractError(
@@ -220,6 +215,8 @@ def additive_score(q_i, k_j, params, head=0):
     return float(params.w_a.data[head] @ hidden)
 
 
+# -- composed reference: score() and attend() as separate tape ops -----------
+
 def _additive_scores(q, k, params):
     """Vectorized additive scores over (..., H, N, d_h) inputs -> (..., H, N, N)."""
     h, d_a, _ = params.w_q.shape
@@ -235,20 +232,26 @@ def _additive_scores(q, k, params):
     return T.reshape(out, out.shape[:-1])
 
 
+def _check_head_axis(shape, cfg):
+    if len(shape) < 3 or shape[-3] != cfg.heads:
+        raise DimensionError(
+            f"mixed variant needs a head axis of size {cfg.heads}, got shape {shape}")
+
+
 def _mixed_split(t, cfg):
     """The mixed variant's head groups along axis -3: (first ceil(H/2), rest)."""
-    if t.ndim < 3 or t.shape[-3] != cfg.heads:
-        raise DimensionError(
-            f"mixed variant needs a head axis of size {cfg.heads}, got shape {t.shape}")
+    _check_head_axis(t.shape, cfg)
     n_cos, axis = (cfg.heads + 1) // 2, t.ndim - 3
     return T.slice_axis(t, axis, 0, n_cos), T.slice_axis(t, axis, n_cos, cfg.heads)
 
 
 def _kernel_scores(kernel, cosine, q, k, cfg):
     if cosine and cfg.resolved_norm_mode is NormMode.BOTH:
-        _check_unit_rows(q, "query")
-        _check_unit_rows(k, "key")
-    return kernel(T.matmul(q, T.transpose(k)), q.shape[-1], cfg)
+        _check_unit_rows(q.data, "query")
+        _check_unit_rows(k.data, "key")
+    s, d_h = T.matmul(q, T.transpose(k)), q.shape[-1]
+    return T.custom(kernel.forward(s.data, d_h, cfg), (s,),
+                    lambda g: (kernel.backward(s.data, g, d_h, cfg),), "score_kernel")
 
 
 def score(variant, q, k, cfg, additive_params=None):
@@ -256,6 +259,8 @@ def score(variant, q, k, cfg, additive_params=None):
 
     ``q`` and ``k`` carry trailing (N, d_h) axes; any leading batch/head
     axes broadcast. The mixed variant expects a head axis at position -3.
+    The model does not call this: ``attention_node`` fuses it with the
+    normalisation and ``attend``, and this composed form is its reference.
     """
     if isinstance(variant, str):
         variant = ScoreVariant.from_tag(variant)
@@ -268,7 +273,7 @@ def score(variant, q, k, cfg, additive_params=None):
         return _kernel_scores(spec.kernel, spec.cosine, q, k, cfg)
     (q_cos, q_sdp), (k_cos, k_sdp) = _mixed_split(q, cfg), _mixed_split(k, cfg)
     return T.concat([_kernel_scores(spec.kernel, spec.cosine, q_cos, k_cos, cfg),
-                     _kernel_scores(_scaled, False, q_sdp, k_sdp, cfg)], axis=q.ndim - 3)
+                     _kernel_scores(_SCALED, False, q_sdp, k_sdp, cfg)], axis=q.ndim - 3)
 
 
 def attend(scores, v):
@@ -276,31 +281,190 @@ def attend(scores, v):
     return T.matmul(T.softmax_rows(scores), v)
 
 
-def _apply_norm(q, k, cfg):
-    mode = cfg.resolved_norm_mode
-    if mode in (NormMode.BOTH, NormMode.QUERY_ONLY):
-        q = T.l2_normalize_rows(q, cfg.eps)
-    if mode in (NormMode.BOTH, NormMode.KEY_ONLY):
-        k = T.l2_normalize_rows(k, cfg.eps)
-    return q, k
+# -- the fused node: normalise, score, softmax and attend as one tape op -----
+
+# bytes of the largest per-chunk array (scores, or the additive hidden tensor);
+# the sweep that chose it is in CHANGES.md
+CHUNK_BUDGET = 2 << 20
+
+
+def _chunks(q, bytes_per_sample):
+    """Slices of the leading sample axis; a 3-D (one-sample) input is one chunk."""
+    if q.ndim < 4:
+        return [slice(None)]
+    step = max(1, CHUNK_BUDGET // bytes_per_sample)
+    return [slice(lo, lo + step) for lo in range(0, q.shape[0], step)]
+
+
+class _Chunk:
+    """One chunk's forward state, recomputed in backward: normalised rows and
+    raw scores (and the additive hidden tensor).
+
+    Each step repeats the composed path's numpy expression on the same
+    operand layout, so the q k^T variants stay bit-identical to it.
+    """
+
+    def __init__(self, q, k, cfg, additive):
+        self.cfg, self.spec, self.additive = cfg, VARIANTS[cfg.variant], additive
+        self.n_cos = (cfg.heads + 1) // 2 if self.spec.mixed else None
+        mode = cfg.resolved_norm_mode
+        self.q, self.q_norm = self._normalize(q, mode in (NormMode.BOTH, NormMode.QUERY_ONLY))
+        self.k, self.k_norm = self._normalize(k, mode in (NormMode.BOTH, NormMode.KEY_ONLY))
+        if self.spec.cosine and mode is NormMode.BOTH:
+            cos = slice(None) if self.n_cos is None else np.s_[..., :self.n_cos, :, :]
+            _check_unit_rows(self.q[cos], "query")
+            _check_unit_rows(self.k[cos], "key")
+        if additive is None:
+            self.k_t = np.ascontiguousarray(np.swapaxes(self.k, -1, -2))
+            self.s = np.matmul(self.q, self.k_t)
+            return
+        w_q, w_k, w_a, b_a = additive
+        h, d_a, _ = w_q.shape
+        self.w_q_t = np.ascontiguousarray(np.swapaxes(w_q, -1, -2))
+        self.w_k_t = np.ascontiguousarray(np.swapaxes(w_k, -1, -2))
+        hidden = (np.matmul(self.q, self.w_q_t)[..., :, None, :]
+                  + np.matmul(self.k, self.w_k_t)[..., None, :, :])
+        hidden += b_a.reshape(h, 1, 1, d_a)
+        self.hidden = np.tanh(hidden, out=hidden)  # (..., H, N, N, d_a)
+        self.w = w_a.reshape(h, 1, d_a, 1)
+        out = np.matmul(self.hidden, self.w)
+        self.s = out.reshape(out.shape[:-1])
+
+    def _normalize(self, x, on):
+        """l2_normalize_rows' forward; the mixed variant's cosine heads only."""
+        if not on:
+            return x, None
+        part = x if self.n_cos is None else np.ascontiguousarray(x[..., :self.n_cos, :, :])
+        y, active, denom = T._l2_rows_fwd(part, self.cfg.eps)
+        if self.n_cos is not None:
+            y = np.concatenate([y, x[..., self.n_cos:, :, :]], axis=-3)
+        return y, (part, active, denom)
+
+    def _normalize_bwd(self, g, saved):
+        if saved is None:
+            return g
+        part, active, denom = saved
+        if self.n_cos is None:
+            return T._l2_rows_bwd(g, part, active, denom)
+        g_cos = np.ascontiguousarray(g[..., :self.n_cos, :, :])
+        return np.concatenate([T._l2_rows_bwd(g_cos, part, active, denom),
+                               g[..., self.n_cos:, :, :]], axis=-3)
+
+    def _kernel(self, direction, *arrays):
+        """The row's kernel forward or backward; the mixed variant runs sdp on
+        its last floor(H/2) heads, as score() does."""
+        d_h = self.q.shape[-1]
+        if self.n_cos is None:
+            return getattr(self.spec.kernel, direction)(*arrays, d_h, self.cfg)
+        groups = ((self.spec.kernel, np.s_[..., :self.n_cos, :, :]),
+                  (_SCALED, np.s_[..., self.n_cos:, :, :]))
+        return np.concatenate(
+            [getattr(kernel, direction)(*(a[heads] for a in arrays), d_h, self.cfg)
+             for kernel, heads in groups], axis=-3)
+
+    def scores(self):
+        return self.s if self.additive is not None else self._kernel("forward", self.s)
+
+    def backward(self, g_scores):
+        """(dL/dq, dL/dk, additive parameter gradients or ()) from dL/dscores."""
+        if self.additive is not None:
+            g_q, g_k, g_params = self._additive_bwd(g_scores)
+        else:
+            g_s = self._kernel("backward", self.s, g_scores)
+            g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2))
+            g_k = np.swapaxes(np.matmul(np.swapaxes(self.q, -1, -2), g_s), -1, -2)
+            if self.n_cos is not None:  # the composed path's head slicing left it C-ordered
+                g_k = np.ascontiguousarray(g_k)
+            g_params = ()
+        return (self._normalize_bwd(g_q, self.q_norm), self._normalize_bwd(g_k, self.k_norm),
+                g_params)
+
+    def _additive_bwd(self, g_scores):
+        _, _, w_a, b_a = self.additive
+        g4 = g_scores[..., None]
+        g_hidden = np.matmul(g4, np.swapaxes(self.w, -1, -2))
+        g_w_a = T._unbroadcast(np.matmul(np.swapaxes(self.hidden, -1, -2), g4), self.w.shape)
+        g_pre = self.hidden  # tanh backward, in place: (1 - y*y) * g
+        g_pre *= g_pre
+        np.subtract(1.0, g_pre, out=g_pre)
+        g_pre *= g_hidden
+        g_b_a = T._unbroadcast(g_pre, (b_a.shape[0], 1, 1, b_a.shape[1]))
+        g_q, g_w_q = _projection_bwd(self.q, self.w_q_t, g_pre.sum(axis=-2))
+        g_k, g_w_k = _projection_bwd(self.k, self.w_k_t, g_pre.sum(axis=-3))
+        return g_q, g_k, (g_w_q, g_w_k, g_w_a.reshape(w_a.shape), g_b_a.reshape(b_a.shape))
+
+
+def _projection_bwd(rows, w_t, g):
+    """Backward of rows @ w_t: (d rows, d w) with d w in w's (H, d_a, d_h) layout."""
+    g_w_t = T._unbroadcast(np.matmul(np.swapaxes(rows, -1, -2), g), w_t.shape)
+    return np.matmul(g, np.swapaxes(w_t, -1, -2)), np.swapaxes(g_w_t, -1, -2)
+
+
+def _place(full, sl, part, shape):
+    """Write one chunk's gradient into the batch's, keeping the chunk's memory
+    layout: the composed path hands the key gradient on transposed, and the
+    layout decides how the projection matmuls round."""
+    if sl == slice(None):
+        return part
+    if full is None:
+        full = np.empty_like(part, shape=shape)
+    full[sl] = part
+    return full
+
+
+def attention_node(q, k, v, cfg, additive=None):
+    """softmax(scores(normalised q, normalised k)) v as one tape node.
+
+    ``q``, ``k``, ``v`` are split-head (..., H, N, d_h) tensors; the output
+    has v's shape. The node walks the leading sample axis in chunks whose
+    largest array (the scores, or the additive hidden tensor) fits
+    CHUNK_BUDGET. It keeps its inputs and each chunk's softmax probabilities;
+    backward recomputes the rest one chunk at a time, so no (N, N, d_a)
+    tensor outlives its chunk.
+    """
+    spec = VARIANTS[cfg.variant]
+    if spec.mixed:
+        _check_head_axis(q.shape, cfg)
+    parents, arrays = (q, k, v), None
+    per_sample = 8 * q.shape[-2] * k.shape[-2] * math.prod(q.shape[1:-2])
+    if spec.kernel is None:
+        if additive is None:
+            raise ConfigError(f"variant {cfg.variant.value} requires additive parameters")
+        parents += (additive.w_q, additive.w_k, additive.w_a, additive.b_a)
+        arrays = tuple(t.data for t in parents[3:])
+        per_sample *= arrays[0].shape[1]  # d_a
+    chunks = _chunks(q.data, per_sample)
+    out = np.empty(q.shape[:-1] + v.shape[-1:])
+    kept = [] if T.grad_enabled() else None
+    for sl in chunks:
+        s = _Chunk(q.data[sl], k.data[sl], cfg, arrays).scores()
+        p = T._softmax_fwd(s, out=s)
+        np.matmul(p, v.data[sl], out=out[sl])
+        if kept is not None:
+            kept.append(p)
+
+    def grads_fn(g):
+        g_qkv, g_params = [None, None, None], ()
+        for sl, p in zip(chunks, kept):
+            g_v = np.matmul(np.swapaxes(p, -1, -2), g[sl])
+            g_scores = T._softmax_bwd(p, np.matmul(g[sl], np.swapaxes(v.data[sl], -1, -2)))
+            g_q, g_k, chunk_params = _Chunk(q.data[sl], k.data[sl], cfg, arrays).backward(g_scores)
+            g_qkv = [_place(full, sl, part, t.shape)
+                     for full, part, t in zip(g_qkv, (g_q, g_k, g_v), (q, k, v))]
+            g_params = chunk_params if not g_params else tuple(
+                a + b for a, b in zip(g_params, chunk_params))
+        return (*g_qkv, *g_params)
+
+    return T.custom(out, parents, grads_fn, "attention")
 
 
 def multi_head_attention(tokens_q, tokens_kv, cfg, params):
-    """Full pipeline: project, split heads, normalize, score, attend, merge.
+    """Project, split heads, run the fused attention node, merge heads, project.
 
     ``tokens_q``/``tokens_kv`` are (..., N, D); non-cross variants pass the
     same tensor for both. Output has the input shape.
     """
     q, k, v = project_qkv(tokens_q, tokens_kv, params)
-    qh = split_heads(q, cfg.heads)
-    kh = split_heads(k, cfg.heads)
-    vh = split_heads(v, cfg.heads)
-    if VARIANTS[cfg.variant].mixed:  # only the cosine heads are normalized
-        (q_cos, q_sdp), (k_cos, k_sdp) = _mixed_split(qh, cfg), _mixed_split(kh, cfg)
-        q_cos, k_cos = _apply_norm(q_cos, k_cos, cfg)
-        qh, kh = T.concat([q_cos, q_sdp], qh.ndim - 3), T.concat([k_cos, k_sdp], kh.ndim - 3)
-    else:
-        qh, kh = _apply_norm(qh, kh, cfg)
-    scores = score(cfg.variant, qh, kh, cfg, params.additive)
-    out = merge_heads(attend(scores, vh))
-    return T.matmul(out, params.w_o)
+    heads = [split_heads(m, cfg.heads) for m in (q, k, v)]
+    out = attention_node(*heads, cfg, params.additive)
+    return T.matmul(merge_heads(out), params.w_o)

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,6 +35,38 @@ CONFIG_DEFAULTS = {
     "height": 64, "width": 64, "bands": 32, "sites": 24,
     "gain_lo": 0.5, "gain_hi": 1.5,
 }
+
+
+# value types of the CONFIG_DEFAULTS keys; every other key is a tag or a path
+_INT_KEYS = {"patch", "dim", "depth", "heads", "mlp_dim", "epochs", "batch", "seed",
+             "classes", "height", "width", "bands", "sites"}
+_REAL_KEYS = {"dropout", "temperature", "lr", "wd", "clip", "smoothing", "train_frac",
+              "val_frac", "snr_db", "gain_lo", "gain_hi"}
+_NULLABLE_KEYS = {"classes", "snr_db"}
+
+
+def _type_error(key, val):
+    """What is wrong with ``val`` as the value of ``key``, or None."""
+    if key in _INT_KEYS or key in _REAL_KEYS:
+        if val is None and key in _NULLABLE_KEYS:
+            return None
+        if key in _INT_KEYS:
+            ok, want = isinstance(val, Integral) and not isinstance(val, bool), "an integer"
+        else:
+            ok = isinstance(val, Real) and not isinstance(val, bool) and math.isfinite(val)
+            want = "a finite number"
+        return None if ok else f"{key} must be {want}, got {val!r}"
+    if val is None or isinstance(val, str):
+        return None
+    return f"{key} must be a string or null, got {val!r}"
+
+
+def _check_config_types(cfg, where, error=ConfigError):
+    """Raise ``error`` for the first CONFIG_DEFAULTS value of the wrong type."""
+    for key in CONFIG_DEFAULTS:
+        problem = _type_error(key, cfg[key])
+        if problem:
+            raise error(f"{where}: {problem}")
 
 
 def load_config_file(path):
@@ -59,6 +93,7 @@ def resolve_config(args):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    _check_config_types(cfg, "config")
     return cfg
 
 
@@ -149,6 +184,11 @@ def _params_from_checkpoint(path):
         raise FormatError(f"checkpoint config in {path} lacks {', '.join(missing)}")
     cfg = dict(CONFIG_DEFAULTS)
     cfg.update(manifest["config"])
+    where = f"checkpoint config in {path}"
+    _check_config_types(cfg, where, FormatError)
+    for key in ("scene_bands", "classes"):
+        if not isinstance(cfg[key], Integral) or isinstance(cfg[key], bool):
+            raise FormatError(f"{where}: {key} must be an integer, got {cfg[key]!r}")
     model_cfg = build_model_config(cfg, cfg["scene_bands"], cfg["classes"])
     params = init_params(model_cfg, manifest["seed"])
     names = {name for name, _ in params.named_parameters()}

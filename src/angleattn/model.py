@@ -277,16 +277,24 @@ def batched_forward(batch, params, cfg, training=False, rng=None):
 
 
 def save_checkpoint(path, params, config_dict, seed, epoch):
-    """One NPY raster per parameter plus a manifest.json."""
+    """One NPY raster per parameter plus a manifest.json, written last.
+
+    Any old manifest is removed first and the new one lands by rename, so a
+    save that stops part-way leaves a directory load_checkpoint refuses.
+    """
     os.makedirs(path, exist_ok=True)
+    manifest_path = os.path.join(path, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     entries = []
     for name, t in params.named_parameters():
         fname = name.replace(".", "_") + ".npy"
         np.save(os.path.join(path, fname), t.data)
         entries.append({"name": name, "shape": list(t.shape), "file": fname})
     manifest = {"params": entries, "config": config_dict, "seed": seed, "epoch": epoch}
-    with open(os.path.join(path, "manifest.json"), "w") as f:
+    with open(manifest_path + ".tmp", "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
+    os.replace(manifest_path + ".tmp", manifest_path)
 
 
 def load_checkpoint(path):

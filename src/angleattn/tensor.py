@@ -157,6 +157,11 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def grad_enabled():
+    """False inside a ``no_grad()`` block, where ops keep nothing for backward."""
+    return _grad_enabled.get()
+
+
 def _make(data, parents, backward_fn, op):
     if _grad_enabled.get() and any(p.requires_grad or p.parents for p in parents):
         return Tensor(data, requires_grad=any(p.requires_grad for p in parents),
@@ -218,13 +223,6 @@ def square(a):
         _accumulate(a, 2.0 * a.data * g)
 
     return _make(a.data * a.data, (a,), backward_fn, "square")
-
-
-def absolute(a):
-    def backward_fn(g):
-        _accumulate(a, np.sign(a.data) * g)
-
-    return _make(np.abs(a.data), (a,), backward_fn, "abs")
 
 
 def tanh(a):
@@ -357,34 +355,68 @@ def reduce_mean(a, axis=None):
     return scale(sum_axis(a, axis), 1.0 / a.shape[axis])
 
 
-def softmax_rows(x):
-    """Row-wise softmax along the last axis, max-shifted for stability."""
-    row_max = x.data.max(axis=-1, keepdims=True)
+# numpy bodies of softmax_rows and l2_normalize_rows, shared with the fused
+# attention node so that both compute the same expressions
+
+def _softmax_fwd(x, out=None):
+    row_max = x.max(axis=-1, keepdims=True)
     if np.isnan(row_max).any():  # max propagates NaN from anywhere in its row
         raise NumericError("softmax_rows: NaN input")
-    y = x.data - row_max
+    y = np.subtract(x, row_max, out=out)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_bwd(y, g):
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - inner)
+
+
+def _l2_rows_fwd(x, eps):
+    """(rows, active, denom): below eps the denominator is constant."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    denom = np.maximum(norms, eps)
+    return x / denom, norms >= eps, denom
+
+
+def _l2_rows_bwd(g, x, active, denom):
+    inner = (g * x).sum(axis=-1, keepdims=True)
+    return g / denom - active * x * inner / denom**3
+
+
+def softmax_rows(x):
+    """Row-wise softmax along the last axis, max-shifted for stability."""
+    y = _softmax_fwd(x.data)
 
     def backward_fn(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, y * (g - inner))
+        _accumulate(x, _softmax_bwd(y, g))
 
     return _make(y, (x,), backward_fn, "softmax_rows")
 
 
 def l2_normalize_rows(x, eps=1e-12):
     """Divide each last-axis row by max(||row||_2, eps)."""
-    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
-    denom = np.maximum(norms, eps)
-    y = x.data / denom
-    active = norms >= eps  # below eps the denominator is constant
+    y, active, denom = _l2_rows_fwd(x.data, eps)
 
     def backward_fn(g):
-        inner = (g * x.data).sum(axis=-1, keepdims=True)
-        _accumulate(x, g / denom - active * x.data * inner / denom**3)
+        _accumulate(x, _l2_rows_bwd(g, x.data, active, denom))
 
     return _make(y, (x,), backward_fn, "l2_normalize_rows")
+
+
+def custom(data, parents, grads_fn, op):
+    """A node whose arithmetic lives outside this module.
+
+    ``grads_fn(g)`` returns one gradient per parent, each of its parent's
+    shape, or None for a parent it does not reach.
+    """
+    def backward_fn(g):
+        for parent, grad in zip(parents, grads_fn(g)):
+            if grad is not None:
+                _accumulate(parent, grad)
+
+    return _make(data, tuple(parents), backward_fn, op)
 
 
 def layer_norm(x, scale_t, shift_t, eps=1e-5):

@@ -85,7 +85,11 @@ def clip_gradients(named_params, clip_norm, mode="per_tensor"):
 
 
 class AdamW:
-    """Decoupled weight decay; decay skips layer norms and biases."""
+    """Decoupled weight decay; decay skips layer norms and biases.
+
+    ``step`` updates each parameter's ``data`` array and its moments in
+    place, so arrays shared with the parameters see the update.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -105,12 +109,17 @@ class AdamW:
         bc2 = 1.0 - self.beta2 ** self.t
         for name, tensor in self.named_params:
             g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            # same roundings as the out-of-place expressions; keeping the
+            # buffers stops each step's new arrays from pinning the heap
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            tensor.data = tensor.data - self.lr * update
+            tensor.data -= self.lr * update
             if self.weight_decay and not is_no_decay(name):
-                tensor.data = tensor.data - self.lr * self.weight_decay * tensor.data
+                tensor.data -= self.lr * self.weight_decay * tensor.data
 
 
 def metrics_from_confusion(confusion):
@@ -167,6 +176,21 @@ def evaluate(params, cfg, cube, labels, test_indices, batch_size=256):
     return EvalReport(confusion=confusion, oa=oa, aa=aa, kappa=kappa, per_class_acc=per_class)
 
 
+def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
+    """One optimiser step on one batch; returns its loss.
+
+    The step's graph and intermediate gradients die when it returns, so the
+    training loop never holds two graphs at once.
+    """
+    params.zero_grads()
+    probs = batched_forward(batch, params, cfg, training=True, rng=rng)
+    loss = label_smoothed_ce(probs, targets, tcfg.label_smoothing)
+    loss.backward()
+    clip_gradients(opt.named_params, tcfg.clip_norm, tcfg.clip_mode)
+    opt.step()
+    return loss.item()
+
+
 def train(cfg, cube, labels, splits, tcfg):
     """Run the training protocol; returns (best params, per-epoch log).
 
@@ -190,15 +214,8 @@ def train(cfg, cube, labels, splits, tcfg):
         losses = []
         for lo in range(0, len(order), tcfg.batch_size):
             sel = train_idx[order[lo:lo + tcfg.batch_size]]
-            batch = _gather_batch(cube, sel, cfg.patch_size)
-            targets = flat_labels[sel] - 1
-            params.zero_grads()
-            probs = batched_forward(batch, params, cfg, training=True, rng=dropout_rng)
-            loss = label_smoothed_ce(probs, targets, tcfg.label_smoothing)
-            loss.backward()
-            clip_gradients(named, tcfg.clip_norm, tcfg.clip_mode)
-            opt.step()
-            losses.append(loss.item())
+            losses.append(_train_step(params, cfg, tcfg, opt, _gather_batch(
+                cube, sel, cfg.patch_size), flat_labels[sel] - 1, dropout_rng))
         val_report = evaluate(params, cfg, cube, labels, val_idx)
         entry = {"epoch": epoch, "loss": float(np.mean(losses)), "val_oa": val_report.oa}
         log.append(entry)

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angleattn import attention
+from angleattn import model as M
 from angleattn import tensor as T
 from angleattn.attention import (VARIANTS, AdditiveParams, AttentionConfig,
                                  AttentionParams, NormMode, ScoreVariant,
-                                 additive_score, attend, merge_heads,
+                                 additive_score, attend, attention_node, merge_heads,
                                  multi_head_attention, project_qkv, score,
                                  split_heads)
-from angleattn.errors import ConfigError, ContractError, DimensionError
-from angleattn.tensor import Tensor, grad_check
+from angleattn.errors import ConfigError, ContractError, DimensionError, NumericError
+from angleattn.tensor import Tape, Tensor, grad_check
+from angleattn.train import label_smoothed_ce
 
 ALL_TAGS = ["cs2", "cs", "abscs", "tempcs2", "dp", "sdp", "add", "msa-cs2",
             "c-sdp", "c-cs2", "c-cs", "c-add"]
@@ -421,3 +424,178 @@ def test_unit_norm_collapse():
     np.testing.assert_array_equal(cos, dp)
     sdp = score("sdp", q, k, cfg_for("sdp")).data
     np.testing.assert_allclose(sdp, cos / 2.0, atol=1e-15)
+
+
+# -- the fused node against the composed reference ---------------------------
+
+def composed_attention(tokens_q, tokens_kv, cfg, params):
+    """The reference pipeline: normalise, then score(), then attend(), as tape ops."""
+    q, k, v = project_qkv(tokens_q, tokens_kv, params)
+    qh, kh, vh = (split_heads(m, cfg.heads) for m in (q, k, v))
+    mode = cfg.resolved_norm_mode
+
+    def normalize(x):
+        if not VARIANTS[cfg.variant].mixed:
+            return T.l2_normalize_rows(x, cfg.eps)
+        n_cos, axis = (cfg.heads + 1) // 2, x.ndim - 3
+        return T.concat([T.l2_normalize_rows(T.slice_axis(x, axis, 0, n_cos), cfg.eps),
+                         T.slice_axis(x, axis, n_cos, cfg.heads)], axis)
+
+    if mode in (NormMode.BOTH, NormMode.QUERY_ONLY):
+        qh = normalize(qh)
+    if mode in (NormMode.BOTH, NormMode.KEY_ONLY):
+        kh = normalize(kh)
+    out = attend(score(cfg.variant, qh, kh, cfg, params.additive), vh)
+    return T.matmul(merge_heads(out), params.w_o)
+
+
+def model_outputs(cfg, x, targets):
+    """no_grad probabilities, then one training step's loss and every gradient."""
+    params = M.init_params(cfg, 3)
+    with T.no_grad():
+        out = {"probs": M.batched_forward(x, params, cfg).data}
+    probs = M.batched_forward(x, params, cfg, training=True, rng=np.random.default_rng(1))
+    loss = label_smoothed_ce(probs, targets, 0.05)
+    loss.backward()
+    out["loss"] = loss.data
+    out.update((name, t.grad) for name, t in params.named_parameters())
+    return out
+
+
+def oracle_batch():
+    # 25 tokens and head widths 12-24: big enough that a wrong operand layout
+    # changes how numpy sums and how BLAS rounds
+    x = np.random.default_rng(0).normal(size=(5, 5, 5, 6))
+    x[1, 1, 1] = 0.0  # one zero (no-data) pixel
+    x[3] = 0.0        # an all-zero patch
+    return x, np.array([0, 1, 2, 1, 0])
+
+
+@pytest.mark.parametrize("budget", [None, 1])  # default chunks, and 1-sample chunks
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_node_matches_composed_oracle(tag, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(attention, "CHUNK_BUDGET", budget)
+    x, targets = oracle_batch()
+    additive = VARIANTS[ScoreVariant(tag)].kernel is None
+    for norm_mode in (None, "none", "query", "key", "both"):
+        for heads in (2, 3, 4):
+            for positional in ("learnable", "none"):
+                attn = AttentionConfig(model_dim=48, heads=heads, variant=tag, norm_mode=norm_mode)
+                cfg = M.ModelConfig(bands=6, num_classes=3, patch_size=5, model_dim=48, depth=2,
+                                    heads=heads, mlp_dim=16, dropout_rate=0.1, attention=attn,
+                                    positional=positional)
+                fused = model_outputs(cfg, x, targets)
+                with monkeypatch.context() as m:
+                    m.setattr(M, "multi_head_attention", composed_attention)
+                    reference = model_outputs(cfg, x, targets)
+                case = f"{tag} {norm_mode} H={heads} {positional}"
+                assert fused.keys() == reference.keys(), case
+                for name, want in reference.items():
+                    if additive:
+                        np.testing.assert_allclose(fused[name], want, rtol=1e-12, atol=1e-15,
+                                                   err_msg=f"{case} {name}")
+                    else:
+                        np.testing.assert_array_equal(fused[name], want, err_msg=f"{case} {name}")
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_node_grad_check_over_chunks(tag, monkeypatch):
+    monkeypatch.setattr(attention, "CHUNK_BUDGET", 1)
+    rng = np.random.default_rng(40)
+    q, k, v = (Tensor(rng.normal(size=(3, 2, 4, 3)), requires_grad=True) for _ in range(3))
+    params = rand_params(6, 2, seed=41, additive=True)
+    add = params.additive
+    add.w_q, add.w_k = (Tensor(rng.normal(scale=0.5, size=(2, 5, 3)), requires_grad=True)
+                        for _ in range(2))
+    add.w_a, add.b_a = (Tensor(rng.normal(scale=0.5, size=(2, 5)), requires_grad=True)
+                        for _ in range(2))
+    cfg = cfg_for(tag, dim=6, heads=2)
+
+    def f():
+        return T.sum_all(T.square(attention_node(q, k, v, cfg, add)))
+
+    tensors = [q, k, v]
+    if VARIANTS[cfg.variant].kernel is None:
+        tensors += [add.w_q, add.w_k, add.w_a, add.b_a]
+    assert grad_check(f, tensors, max_coords=8) <= 1e-4
+
+
+def node_and_oracle_errors(tag, q, k, v, norm_mode=None):
+    cfg = cfg_for(tag, dim=q.shape[-3] * q.shape[-1], heads=q.shape[-3], norm_mode=norm_mode)
+    errors = []
+    for run in (lambda: attention_node(q, k, v, cfg),
+                lambda: attend(score(tag, T.l2_normalize_rows(q, cfg.eps),
+                                     T.l2_normalize_rows(k, cfg.eps), cfg), v)):
+        with pytest.raises(Exception) as info:
+            run()
+        errors.append(info.type)
+    return errors
+
+
+def test_node_raises_what_the_composed_path_raises():
+    rng = np.random.default_rng(42)
+    q, k, v = (rng.normal(size=(2, 2, 4, 3)) for _ in range(3))
+    tiny = q.copy()
+    tiny[1, 0, 2] = 1e-13  # nonzero, with norm below eps: not unit after normalising
+    assert node_and_oracle_errors("cs2", Tensor(tiny), Tensor(k), Tensor(v)) == \
+        [ContractError, ContractError]
+    assert node_and_oracle_errors("msa-cs2", Tensor(tiny), Tensor(k), Tensor(v)) == \
+        [ContractError, ContractError]
+    nan = q.copy()
+    nan[1, 1, 3, 0] = np.nan
+    assert node_and_oracle_errors("dp", Tensor(nan), Tensor(k), Tensor(v), "both") == \
+        [NumericError, NumericError]
+    assert node_and_oracle_errors("cs2", Tensor(nan), Tensor(k), Tensor(v)) == \
+        [ContractError, ContractError]
+
+
+def test_node_rejects_missing_additive_params_and_bad_heads():
+    q = Tensor(np.zeros((2, 4, 3)))
+    with pytest.raises(ConfigError):
+        attention_node(q, q, q, cfg_for("add", dim=6, heads=2))
+    with pytest.raises(DimensionError):
+        attention_node(q, q, q, cfg_for("msa-cs2", dim=12, heads=4))
+
+
+def _held_arrays(obj, depth=3):
+    """Arrays an object keeps alive: itself, or those in lists/tuples and closures."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item, depth)
+    elif depth and getattr(obj, "__closure__", None):
+        for cell in obj.__closure__:
+            yield from _held_arrays(cell.cell_contents, depth - 1)
+
+
+def largest_held_per_sample(cfg, batch):
+    params = M.init_params(cfg, 0)
+    x = np.random.default_rng(0).normal(size=(batch, cfg.patch_size, cfg.patch_size, cfg.bands))
+    probs = M.batched_forward(x, params, cfg, training=True, rng=np.random.default_rng(1))
+    nodes = Tape.trace(probs).nodes
+    held = [a.size for n in nodes for a in _held_arrays([n.data, n.backward_fn])]
+    return max(held) / batch, nodes
+
+
+def test_additive_training_graph_holds_no_hidden_tensor(monkeypatch):
+    cfg = M.ModelConfig(bands=4, num_classes=3, patch_size=4, model_dim=16, depth=2, heads=2,
+                        mlp_dim=8, attention=AttentionConfig(16, 2, variant="add"))
+    n, d_a = cfg.tokens, cfg.attention.head_dim
+    largest, nodes = largest_held_per_sample(cfg, batch=6)
+    assert largest < n * n * d_a
+    assert [nd.op for nd in nodes].count("attention") == cfg.depth
+    # the guard sees the composed path's (B, H, N, N, d_a) tensors
+    monkeypatch.setattr(M, "multi_head_attention", composed_attention)
+    assert largest_held_per_sample(cfg, batch=6)[0] >= n * n * d_a
+
+
+def test_one_attention_node_per_layer():
+    cfg = M.ModelConfig(bands=4, num_classes=3, patch_size=3, model_dim=8, depth=3, heads=2,
+                        mlp_dim=8, attention=AttentionConfig(8, 2, variant="msa-cs2"))
+    _, nodes = largest_held_per_sample(cfg, batch=2)
+    ops = [nd.op for nd in nodes]
+    assert ops.count("attention") == 3
+    assert ops.count("softmax_rows") == 1  # the classifier's; attention's is in the node
+    assert "l2_normalize_rows" not in ops and "concat" not in ops

@@ -151,6 +151,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: config file") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc", [{"dim": "x"}, {"heads": 2.5}, {"epochs": True},
+                                     {"lr": "0.1"}, {"dropout": None}, {"variant": 2},
+                                     {"clip_mode": ["a"]}, {"snr_db": "loud"}])
+    def test_wrong_config_type_exits_2(self, scene_dir, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["train", "--config", str(cfg_path),
+                     "--cube", os.path.join(scene_dir, "scene.npy"),
+                     "--labels", os.path.join(scene_dir, "labels.npy"),
+                     "--out", str(tmp_path / "ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        key = next(iter(doc))
+        assert err.startswith(f"error: config: {key} must be") and err.count("\n") == 1
+
+    def test_nullable_config_values_accepted(self, scene_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"snr_db": None, "classes": None, "norm_mode": None}))
+        assert run_train(scene_dir, str(tmp_path / "ckpt"), ["--config", str(cfg_path)]) == 0
+
     @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--epochs", "-1"),
                                             ("--lr", "nan"), ("--lr", "0")])
     def test_bad_train_settings_exit_2(self, scene_dir, tmp_path, capsys, flag, value):
@@ -203,6 +223,22 @@ class TestEval:
         assert main(["eval", "--checkpoint", ckpt]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ckpt in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value", [("heads", "x"), ("dim", 8.5), ("lr", None),
+                                           ("scene_bands", "8"), ("classes", None)])
+    def test_wrong_manifest_config_type_exits_1(self, scene_dir, tmp_path, capsys, key, value):
+        ckpt = str(tmp_path / "ckpt")
+        assert run_train(scene_dir, ckpt) == 0
+        path = os.path.join(ckpt, "manifest.json")
+        manifest = json.load(open(path))
+        manifest["config"][key] = value
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint config in {ckpt}: {key} must be")
+        assert err.count("\n") == 1
 
     def test_out_row_carries_snr(self, scene_dir, tmp_path):
         ckpt, out = str(tmp_path / "ckpt"), str(tmp_path / "row.csv")

@@ -252,6 +252,30 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="w_c"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("older", [False, True])
+    def test_interrupted_save_does_not_load(self, tmp_path, monkeypatch, older):
+        from angleattn.errors import FormatError
+        params = init_params(toy_config(), 30)
+        path = str(tmp_path / "ckpt")
+        if older:  # a full checkpoint from an earlier save is already there
+            save_checkpoint(path, init_params(toy_config(), 31), {}, seed=31, epoch=1)
+            load_checkpoint(path)
+        real_save, calls = np.save, []
+
+        def failing_save(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, params, {}, seed=30, epoch=2)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        with pytest.raises(FormatError, match="no manifest"):
+            load_checkpoint(path)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 2), st.integers(1, 2),

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from angleattn import tensor as T
+from angleattn import train as train_module
 from angleattn.attention import AttentionConfig
 from angleattn.data import (HyperCube, SplitSpec, SynthSpec, extract_patch, inject_noise,
                             normalize_bands, stratified_split, synth_scene)
@@ -133,6 +135,32 @@ class TestAdamW:
         opt.step()
         assert s.data[0] == 2.0
 
+    def test_in_place_matches_out_of_place(self):
+        # the step updates parameter and moment buffers in place, bit for bit
+        # as the out-of-place expressions would
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        opt = AdamW([("w", w), ("mlp_b1", b)], lr=0.01, weight_decay=0.1)
+        buffers = [w.data, b.data, opt.m["w"], opt.v["w"]]
+        ref = {"w": w.data.copy(), "mlp_b1": b.data.copy()}
+        m = {name: np.zeros_like(x) for name, x in ref.items()}
+        v = {name: np.zeros_like(x) for name, x in ref.items()}
+        for step in range(1, 4):
+            w.grad, b.grad = rng.normal(size=(3, 4)), rng.normal(size=4)
+            opt.step()
+            for name, g in (("w", w.grad), ("mlp_b1", b.grad)):
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                update = (m[name] / (1.0 - 0.9 ** step)) / (
+                    np.sqrt(v[name] / (1.0 - 0.999 ** step)) + 1e-8)
+                ref[name] = ref[name] - 0.01 * update
+                if name == "w":  # biases skip decay
+                    ref[name] = ref[name] - 0.01 * 0.1 * ref[name]
+        np.testing.assert_array_equal(w.data, ref["w"])
+        np.testing.assert_array_equal(b.data, ref["mlp_b1"])
+        assert all(a is c for a, c in zip(buffers, [w.data, b.data, opt.m["w"], opt.v["w"]]))
+
     def test_quadratic_monotone_descent(self):
         # f(x) = 0.5 x^2: loss must fall over the first 10 small-lr steps
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -240,6 +268,21 @@ class TestTrainLoop:
         params_b, _, _ = train(cfg, cube, labels, splits, tcfg)
         for (_, a), (_, b) in zip(params_a.named_parameters(), params_b.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_no_graph_outlives_its_step(self, monkeypatch):
+        # every forward, training step or validation, starts with no earlier
+        # step's graph alive, so the loop never holds two graphs at once
+        alive = []
+
+        def counting_forward(*args, **kwargs):
+            alive.append(sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o.parents))
+            return batched_forward(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "batched_forward", counting_forward)
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        train(tiny_model(), cube, labels, splits, TrainConfig(epochs=2, batch_size=16, seed=0))
+        assert len(alive) >= 6 and max(alive) == 0
 
 
 class TestEvaluate:
