@@ -3,8 +3,12 @@
 Values are numpy arrays; every operation that participates in a gradient
 computation records its inputs and a backward closure on the produced
 tensor. Calling ``backward()`` on a scalar builds a topologically ordered
-tape over the reachable graph and accumulates gradients into every node.
-Inside a ``no_grad()`` block no graph is recorded at all.
+tape over the reachable graph and walks it in reverse. Gradients are kept
+on leaves only (parameters and inputs): an interior node's ``grad`` is
+released once its backward closure has passed it on, so a step holds about
+one frontier of gradients at a time. The graph itself stays intact. A
+gradient array may be shared between nodes, so nothing writes into one in
+place. Inside a ``no_grad()`` block no graph is recorded at all.
 """
 
 from __future__ import annotations
@@ -55,30 +59,10 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Populate ``grad`` on every node reachable from this scalar."""
+        """Populate ``grad`` on every leaf reachable from this scalar."""
         if self.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         Tape.trace(self).backward(self)
-
-    # arithmetic sugar; the named functions below do the work
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self.op!r})"
@@ -116,15 +100,17 @@ class Tape:
         for node in reversed(self.nodes):
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+            if node.parents:  # passed on: only leaves keep their gradient
+                node.grad = None
 
 
 def _accumulate(node, g):
+    # a gradient may be shared between nodes (add hands one array to both
+    # operands), so it is never modified in place and can be kept as given;
+    # any other layout is copied dense, keeping its axis order, because the
+    # layout decides how later matmuls round
     if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64, copy=True)
+        node.grad = g if g.flags.c_contiguous or g.flags.f_contiguous else np.array(g)
     else:
         node.grad = node.grad + g
 
@@ -185,17 +171,6 @@ def add(a, b):
         _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), backward_fn, "add")
-
-
-def sub(a, b):
-    _check_broadcast(a, b, "sub")
-    out_data = a.data - b.data
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_data, (a, b), backward_fn, "sub")
 
 
 def mul(a, b):

@@ -14,7 +14,8 @@ import numpy as np
 from . import tensor as T
 from .attention import ScoreVariant
 from .data import extract_patch, inject_noise, stratified_split
-from .errors import ConfigError, EvalError, LabelError, SplitError
+from .errors import (ConfigError, ContractError, EvalError, LabelError, NumericError,
+                     SplitError)
 from .model import batched_forward, init_params, is_no_decay
 from .tensor import Tensor
 
@@ -66,7 +67,10 @@ def label_smoothed_ce(probs, targets, smoothing):
 
 
 def clip_gradients(named_params, clip_norm, mode="per_tensor"):
-    """Scale gradients so no tensor norm (or the global norm) exceeds clip_norm."""
+    """Scale gradients so no tensor norm (or the global norm) exceeds clip_norm.
+
+    Returns the global gradient norm before clipping.
+    """
     if mode == "global":
         total = np.sqrt(sum(float((t.grad ** 2).sum())
                             for _, t in named_params if t.grad is not None))
@@ -75,13 +79,16 @@ def clip_gradients(named_params, clip_norm, mode="per_tensor"):
             for _, t in named_params:
                 if t.grad is not None:
                     t.grad = t.grad * factor
-        return
+        return float(total)
+    squares = 0.0
     for _, t in named_params:
         if t.grad is None:
             continue
         norm = float(np.sqrt((t.grad ** 2).sum()))
+        squares += norm * norm
         if norm > clip_norm:
             t.grad = t.grad * (clip_norm / norm)
+    return math.sqrt(squares)
 
 
 class AdamW:
@@ -180,13 +187,18 @@ def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
     """One optimiser step on one batch; returns its loss.
 
     The step's graph and intermediate gradients die when it returns, so the
-    training loop never holds two graphs at once.
+    training loop never holds two graphs at once. A non-finite loss or
+    gradient norm raises NumericError before the parameters change.
     """
     params.zero_grads()
     probs = batched_forward(batch, params, cfg, training=True, rng=rng)
     loss = label_smoothed_ce(probs, targets, tcfg.label_smoothing)
+    if not math.isfinite(loss.item()):
+        raise NumericError(f"non-finite loss {loss.item()}")
     loss.backward()
-    clip_gradients(opt.named_params, tcfg.clip_norm, tcfg.clip_mode)
+    norm = clip_gradients(opt.named_params, tcfg.clip_norm, tcfg.clip_mode)
+    if not math.isfinite(norm):
+        raise NumericError(f"non-finite gradient norm {norm}")
     opt.step()
     return loss.item()
 
@@ -209,18 +221,28 @@ def train(cfg, cube, labels, splits, tcfg):
     dropout_rng = np.random.default_rng(tcfg.seed + 2)
     log = []
     best = {"val_oa": -1.0, "epoch": 0, "values": params.copy_values()}
-    for epoch in range(tcfg.epochs):
-        order = shuffle_rng.permutation(len(train_idx))
-        losses = []
-        for lo in range(0, len(order), tcfg.batch_size):
-            sel = train_idx[order[lo:lo + tcfg.batch_size]]
-            losses.append(_train_step(params, cfg, tcfg, opt, _gather_batch(
-                cube, sel, cfg.patch_size), flat_labels[sel] - 1, dropout_rng))
-        val_report = evaluate(params, cfg, cube, labels, val_idx)
-        entry = {"epoch": epoch, "loss": float(np.mean(losses)), "val_oa": val_report.oa}
-        log.append(entry)
-        if val_report.oa > best["val_oa"]:
-            best = {"val_oa": val_report.oa, "epoch": epoch, "values": params.copy_values()}
+    # numpy's floating-point warnings stay off stderr: a run that diverges
+    # ends in one error naming the epoch and step (or validation) instead
+    with np.errstate(all="ignore"):
+        try:
+            for epoch in range(tcfg.epochs):
+                order = shuffle_rng.permutation(len(train_idx))
+                losses = []
+                for step, lo in enumerate(range(0, len(order), tcfg.batch_size)):
+                    where = f"epoch {epoch} step {step}"
+                    sel = train_idx[order[lo:lo + tcfg.batch_size]]
+                    losses.append(_train_step(params, cfg, tcfg, opt, _gather_batch(
+                        cube, sel, cfg.patch_size), flat_labels[sel] - 1, dropout_rng))
+                where = f"epoch {epoch} validation"
+                val_report = evaluate(params, cfg, cube, labels, val_idx)
+                log.append({"epoch": epoch, "loss": float(np.mean(losses)),
+                            "val_oa": val_report.oa})
+                if val_report.oa > best["val_oa"]:
+                    best = {"val_oa": val_report.oa, "epoch": epoch,
+                            "values": params.copy_values()}
+        # NaN rows reach the cosine variants' unit-row check as a ContractError
+        except (NumericError, ContractError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
     params.load_values(best["values"])
     return params, log, best["epoch"]
 

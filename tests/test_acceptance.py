@@ -282,14 +282,15 @@ def _benchmark_scene():
 
 def benchmark_oa(variant, seed, snr_db=20.0, norm_mode=None):
     """Train the small reference model on the shared scene; returns test OA."""
-    key = (variant, seed, snr_db, norm_mode)
+    attn = AttentionConfig(model_dim=32, heads=2, variant=variant,
+                           norm_mode=NormMode.from_tag(norm_mode) if norm_mode else None)
+    # keyed by the mode the config resolves to: for cs2, None and "both" are one run
+    key = (variant, seed, snr_db, attn.resolved_norm_mode)
     if key in _RUN_CACHE:
         return _RUN_CACHE[key]
     cube, labels = _benchmark_scene()
     noisy = inject_noise(cube, snr_db, seed) if snr_db is not None else cube
     splits = stratified_split(labels, SplitSpec(0.05, 0.05, seed=seed))
-    attn = AttentionConfig(model_dim=32, heads=2, variant=variant,
-                           norm_mode=NormMode.from_tag(norm_mode) if norm_mode else None)
     cfg = ModelConfig(bands=32, num_classes=8, patch_size=8, model_dim=32, depth=2,
                       heads=2, mlp_dim=64, dropout_rate=0.1, attention=attn)
     tcfg = TrainConfig(epochs=20, batch_size=128, seed=seed)

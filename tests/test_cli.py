@@ -1,5 +1,8 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +180,27 @@ class TestTrain:
         assert run_train(scene_dir, str(tmp_path / "ckpt"), [flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestDivergence:
+    def test_names_epoch_and_step_without_warnings(self, scene_dir, tmp_path):
+        # a subprocess, so that numpy's RuntimeWarnings would reach its stderr
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        argv = ["train", "--cube", os.path.join(scene_dir, "scene.npy"),
+                "--labels", os.path.join(scene_dir, "labels.npy"),
+                "--patch", "5", "--dim", "8", "--depth", "1", "--heads", "2",
+                "--mlp-dim", "16", "--epochs", "3", "--batch", "32",
+                "--train-frac", "0.1", "--val-frac", "0.1", "--seed", "9",
+                "--out", str(tmp_path / "ckpt"), "--lr", "1e300", "--clip", "1e308",
+                "--variant", "dp"]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from angleattn.cli import main; "
+             "sys.exit(main(sys.argv[1:]))"] + argv,
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert re.fullmatch(r"error: epoch \d+ step \d+: .+\n", done.stderr), done.stderr
 
 
 class TestEval:

@@ -265,13 +265,37 @@ class TestTapeAndDeterminism:
                 assert position[id(parent)] < position[id(node)]
 
     def test_grad_buffers_match_shapes(self):
+        # leaves keep their gradient; an interior node releases its own once
+        # backward has passed it on, and the graph stays traceable
         x = rand((2, 3), 23)
-        y = T.sum_all(T.tanh(x))
+        y = T.sum_all(T.tanh(T.matmul(x, T.transpose(x))))
         y.backward()
         tape = T.Tape.trace(y)
+        assert len(tape.nodes) == 5
         for node in tape.nodes:
-            assert node.grad is not None
-            assert node.grad.shape == node.data.shape
+            if node.parents:
+                assert node.grad is None
+            else:
+                assert node.grad.shape == node.data.shape
+
+    def test_backward_again_after_release(self):
+        x = rand((3, 4), 24)
+        y = T.sum_all(T.square(T.gelu(x)))
+        y.backward()
+        first = x.grad
+        y.backward()
+        np.testing.assert_array_equal(x.grad, first)
+
+    def test_dense_gradients_kept_strided_views_copied(self):
+        # add hands one array to both operands, and it is stored as given;
+        # concat hands each operand a strided slice, which is copied dense
+        a, b = rand((2, 3), 25), rand((2, 3), 26)
+        T.sum_all(T.square(T.add(a, b))).backward()
+        assert np.shares_memory(a.grad, b.grad)
+        c, d = rand((2, 3), 27), rand((2, 2), 28)
+        T.sum_all(T.square(T.concat([c, d], axis=1))).backward()
+        assert c.grad.flags.c_contiguous and d.grad.flags.c_contiguous
+        assert c.grad.base is None and d.grad.base is None
 
     def test_fixed_seed_bit_identical(self):
         def pipeline():

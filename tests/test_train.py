@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from angleattn import attention as attention_module
 from angleattn import tensor as T
 from angleattn import train as train_module
-from angleattn.attention import AttentionConfig
+from angleattn.attention import VARIANTS, AttentionConfig
 from angleattn.data import (HyperCube, SplitSpec, SynthSpec, extract_patch, inject_noise,
                             normalize_bands, stratified_split, synth_scene)
-from angleattn.errors import ConfigError, EvalError, LabelError
+from angleattn.errors import ConfigError, EvalError, LabelError, NumericError
 from angleattn.model import ModelConfig, batched_forward, init_params
 from angleattn.tensor import Tensor
 from angleattn.train import (AdamW, TrainConfig, clip_gradients, evaluate,
@@ -104,6 +105,13 @@ class TestClipGradients:
         clip_gradients([("a", a), ("b", b)], 1.0, mode="global")
         total = math.sqrt(float(a.grad[0]**2 + b.grad[0]**2))
         assert abs(total - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["per_tensor", "global"])
+    def test_returns_norm_before_clipping(self, mode):
+        a = Tensor(np.zeros(2), requires_grad=True)
+        b = Tensor(np.zeros(1), requires_grad=True)
+        a.grad, b.grad = np.array([3.0, 4.0]), np.array([12.0])
+        assert clip_gradients([("a", a), ("b", b)], 1.0, mode=mode) == 13.0
 
 
 class TestAdamW:
@@ -283,6 +291,88 @@ class TestTrainLoop:
         splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
         train(tiny_model(), cube, labels, splits, TrainConfig(epochs=2, batch_size=16, seed=0))
         assert len(alive) >= 6 and max(alive) == 0
+
+    @pytest.mark.parametrize("target, value, message", [
+        ("label_smoothed_ce", lambda *a: Tensor(np.array(np.nan)), "non-finite loss nan"),
+        ("clip_gradients", lambda *a: math.inf, "non-finite gradient norm inf")])
+    def test_divergence_names_epoch_and_step(self, monkeypatch, target, value, message):
+        monkeypatch.setattr(train_module, target, value)
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        with pytest.raises(NumericError, match=f"^epoch 0 step 0: {message}$"):
+            train(tiny_model(), cube, labels, splits, TrainConfig(epochs=2, batch_size=16))
+
+    def test_nan_in_validation_names_epoch(self, monkeypatch):
+        # a step that leaves non-finite parameters is caught by the next forward
+        def poison(opt):
+            for _, t in opt.named_params:
+                t.data[...] = np.nan
+
+        monkeypatch.setattr(train_module.AdamW, "step", poison)
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        with pytest.raises(NumericError, match="^epoch 0 step 1: softmax_rows: NaN input$"):
+            train(tiny_model("dp"), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
+        with pytest.raises(NumericError, match="^epoch 0 validation: softmax_rows: NaN input$"):
+            train(tiny_model("dp"), cube, labels, splits, TrainConfig(epochs=1, batch_size=1000))
+
+
+class TestGradientTape:
+    @pytest.mark.parametrize("variant", [v.value for v in VARIANTS])
+    def test_step_never_writes_into_a_gradient(self, monkeypatch, variant):
+        # the tape keeps gradients as given and shares them between nodes,
+        # so every stored gradient is made read-only: a write into one raises
+        accumulate = T._accumulate
+
+        def read_only(node, g):
+            accumulate(node, g)
+            node.grad.flags.writeable = False
+
+        monkeypatch.setattr(T, "_accumulate", read_only)
+        cfg = tiny_model(variant)
+        params = init_params(cfg, 0)
+        named = params.named_parameters()
+        opt = AdamW(named, lr=1e-3, weight_decay=1e-2)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 3, 3, 8))
+        for budget in (attention_module.CHUNK_BUDGET, 1):  # one chunk, then one per sample
+            monkeypatch.setattr(attention_module, "CHUNK_BUDGET", budget)
+            for mode in ("per_tensor", "global"):
+                params.zero_grads()
+                probs = batched_forward(x, params, cfg, training=True, rng=rng)
+                label_smoothed_ce(probs, np.array([0, 1, 2, 0]), 0.05).backward()
+                assert not any(t.grad.flags.writeable for _, t in named)
+                clip_gradients(named, 1e-3, mode)  # small enough to fire
+                opt.step()
+
+    def test_interior_gradients_released_during_backward(self, monkeypatch):
+        # benchmark config, batch 128: interior gradients alive at one time
+        # during backward; keeping all of them until the step ends held 114 MiB
+        attn = AttentionConfig(model_dim=32, heads=2, variant="cs2")
+        cfg = ModelConfig(bands=32, num_classes=8, patch_size=8, model_dim=32, depth=2,
+                          heads=2, mlp_dim=64, dropout_rate=0.1, attention=attn)
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        probs = batched_forward(rng.normal(size=(128, 8, 8, 32)), params, cfg,
+                                training=True, rng=rng)
+        loss = label_smoothed_ce(probs, rng.integers(0, 8, size=128), 0.05)
+        interior = [n for n in T.Tape.trace(loss).nodes if n.parents]
+        accumulate, peak = T._accumulate, [0]
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        def measuring(node, g):
+            accumulate(node, g)
+            held = {id(b): b.nbytes for b in (owner(n.grad) for n in interior
+                                              if n.grad is not None)}
+            peak[0] = max(peak[0], sum(held.values()))
+
+        monkeypatch.setattr(T, "_accumulate", measuring)
+        loss.backward()
+        assert len(interior) > 50 and 0 < peak[0] <= 16 << 20
 
 
 class TestEvaluate:
