@@ -2,8 +2,8 @@
 
 from . import attention, cli, data, model, tensor, train
 from .attention import (AdditiveParams, AttentionConfig, AttentionParams,
-                        NormMode, ScoreVariant, attend, attention_node,
-                        multi_head_attention, score, split_heads)
+                        NormMode, ScoreVariant, attention_node,
+                        multi_head_attention, split_heads)
 from .data import (HyperCube, LabelMap, SplitSpec, SynthSpec, export_map,
                    extract_patch, inject_noise, load_cube, load_labels,
                    normalize_bands, stratified_split, synth_scene)

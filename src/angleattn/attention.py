@@ -4,8 +4,8 @@ The principal score projects queries and keys onto the unit hypersphere
 and squares the resulting cosine similarity, so attention depends only on
 angular alignment. Ten further variants (plain cosine, |cosine|,
 temperature-scaled cosine^2, dot-product, scaled dot-product, additive,
-a per-head cosine^2 / scaled-dot mix, and four cross-stream forms) share
-the same pipeline.
+a per-head cosine^2 / scaled-dot mix, and four cross-stream forms) all
+run through one fused tape node, ``attention_node``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,15 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
+
+
+def _lookup_tag(cls, tag, what):
+    """The member of enum ``cls`` tagged ``tag``; ConfigError listing the valid tags if none."""
+    try:
+        return cls(tag)
+    except ValueError:
+        valid = ", ".join(m.value for m in cls)
+        raise ConfigError(f"unknown {what} {tag!r}; valid tags: {valid}") from None
 
 
 class ScoreVariant(enum.Enum):
@@ -38,11 +47,7 @@ class ScoreVariant(enum.Enum):
 
     @classmethod
     def from_tag(cls, tag):
-        try:
-            return cls(tag)
-        except ValueError:
-            valid = ", ".join(v.value for v in cls)
-            raise ConfigError(f"unknown score variant {tag!r}; valid tags: {valid}") from None
+        return _lookup_tag(cls, tag, "score variant")
 
 
 class NormMode(enum.Enum):
@@ -53,11 +58,7 @@ class NormMode(enum.Enum):
 
     @classmethod
     def from_tag(cls, tag):
-        try:
-            return cls(tag)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ConfigError(f"unknown norm mode {tag!r}; valid tags: {valid}") from None
+        return _lookup_tag(cls, tag, "norm mode")
 
 
 class Kernel(NamedTuple):
@@ -205,80 +206,10 @@ def _check_unit_rows(x, what):
             f"norm_mode=both (max deviation {deviation:.3e})")
 
 
-def additive_score(q_i, k_j, params, head=0):
-    """w^T tanh(W_q q_i + W_k k_j + b) for one query/key pair of one head."""
-    w_q = params.w_q.data[head]
-    w_k = params.w_k.data[head]
-    hidden = np.tanh(w_q @ np.asarray(q_i, dtype=np.float64)
-                     + w_k @ np.asarray(k_j, dtype=np.float64)
-                     + params.b_a.data[head])
-    return float(params.w_a.data[head] @ hidden)
-
-
-# -- composed reference: score() and attend() as separate tape ops -----------
-
-def _additive_scores(q, k, params):
-    """Vectorized additive scores over (..., H, N, d_h) inputs -> (..., H, N, N)."""
-    h, d_a, _ = params.w_q.shape
-    n = q.shape[-2]
-    qp = T.matmul(q, T.transpose(params.w_q))  # (..., H, N, d_a)
-    kp = T.matmul(k, T.transpose(params.w_k))
-    qp = T.reshape(qp, qp.shape[:-2] + (n, 1, d_a))
-    kp = T.reshape(kp, kp.shape[:-2] + (1, n, d_a))
-    bias = T.reshape(params.b_a, (h, 1, 1, d_a))
-    hidden = T.tanh(T.add(T.add(qp, kp), bias))  # (..., H, N, N, d_a)
-    w = T.reshape(params.w_a, (h, 1, d_a, 1))
-    out = T.matmul(hidden, w)  # (..., H, N, N, 1)
-    return T.reshape(out, out.shape[:-1])
-
-
 def _check_head_axis(shape, cfg):
     if len(shape) < 3 or shape[-3] != cfg.heads:
         raise DimensionError(
             f"mixed variant needs a head axis of size {cfg.heads}, got shape {shape}")
-
-
-def _mixed_split(t, cfg):
-    """The mixed variant's head groups along axis -3: (first ceil(H/2), rest)."""
-    _check_head_axis(t.shape, cfg)
-    n_cos, axis = (cfg.heads + 1) // 2, t.ndim - 3
-    return T.slice_axis(t, axis, 0, n_cos), T.slice_axis(t, axis, n_cos, cfg.heads)
-
-
-def _kernel_scores(kernel, cosine, q, k, cfg):
-    if cosine and cfg.resolved_norm_mode is NormMode.BOTH:
-        _check_unit_rows(q.data, "query")
-        _check_unit_rows(k.data, "key")
-    s, d_h = T.matmul(q, T.transpose(k)), q.shape[-1]
-    return T.custom(kernel.forward(s.data, d_h, cfg), (s,),
-                    lambda g: (kernel.backward(s.data, g, d_h, cfg),), "score_kernel")
-
-
-def score(variant, q, k, cfg, additive_params=None):
-    """Raw (pre-softmax) score matrix for already-normalized inputs.
-
-    ``q`` and ``k`` carry trailing (N, d_h) axes; any leading batch/head
-    axes broadcast. The mixed variant expects a head axis at position -3.
-    The model does not call this: ``attention_node`` fuses it with the
-    normalisation and ``attend``, and this composed form is its reference.
-    """
-    if isinstance(variant, str):
-        variant = ScoreVariant.from_tag(variant)
-    spec = VARIANTS[variant]
-    if spec.kernel is None:
-        if additive_params is None:
-            raise ConfigError(f"variant {variant.value} requires additive parameters")
-        return _additive_scores(q, k, additive_params)
-    if not spec.mixed:
-        return _kernel_scores(spec.kernel, spec.cosine, q, k, cfg)
-    (q_cos, q_sdp), (k_cos, k_sdp) = _mixed_split(q, cfg), _mixed_split(k, cfg)
-    return T.concat([_kernel_scores(spec.kernel, spec.cosine, q_cos, k_cos, cfg),
-                     _kernel_scores(_SCALED, False, q_sdp, k_sdp, cfg)], axis=q.ndim - 3)
-
-
-def attend(scores, v):
-    """softmax over keys, then weighted sum of values."""
-    return T.matmul(T.softmax_rows(scores), v)
 
 
 # -- the fused node: normalise, score, softmax and attend as one tape op -----
@@ -300,7 +231,7 @@ class _Chunk:
     """One chunk's forward state, recomputed in backward: normalised rows and
     raw scores (and the additive hidden tensor).
 
-    Each step repeats the composed path's numpy expression on the same
+    Each step repeats the composed reference's numpy expression on the same
     operand layout, so the q k^T variants stay bit-identical to it.
     """
 
@@ -352,7 +283,7 @@ class _Chunk:
 
     def _kernel(self, direction, *arrays):
         """The row's kernel forward or backward; the mixed variant runs sdp on
-        its last floor(H/2) heads, as score() does."""
+        its last floor(H/2) heads."""
         d_h = self.q.shape[-1]
         if self.n_cos is None:
             return getattr(self.spec.kernel, direction)(*arrays, d_h, self.cfg)
@@ -373,7 +304,7 @@ class _Chunk:
             g_s = self._kernel("backward", self.s, g_scores)
             g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2))
             g_k = np.swapaxes(np.matmul(np.swapaxes(self.q, -1, -2), g_s), -1, -2)
-            if self.n_cos is not None:  # the composed path's head slicing left it C-ordered
+            if self.n_cos is not None:  # the reference's head slicing leaves it C-ordered
                 g_k = np.ascontiguousarray(g_k)
             g_params = ()
         return (self._normalize_bwd(g_q, self.q_norm), self._normalize_bwd(g_k, self.k_norm),
@@ -402,8 +333,8 @@ def _projection_bwd(rows, w_t, g):
 
 def _place(full, sl, part, shape):
     """Write one chunk's gradient into the batch's, keeping the chunk's memory
-    layout: the composed path hands the key gradient on transposed, and the
-    layout decides how the projection matmuls round."""
+    layout: the composed reference hands the key gradient on transposed, and
+    the layout decides how the projection matmuls round."""
     if sl == slice(None):
         return part
     if full is None:
@@ -416,11 +347,13 @@ def attention_node(q, k, v, cfg, additive=None):
     """softmax(scores(normalised q, normalised k)) v as one tape node.
 
     ``q``, ``k``, ``v`` are split-head (..., H, N, d_h) tensors; the output
-    has v's shape. The node walks the leading sample axis in chunks whose
-    largest array (the scores, or the additive hidden tensor) fits
-    CHUNK_BUDGET. It keeps its inputs and each chunk's softmax probabilities;
-    backward recomputes the rest one chunk at a time, so no (N, N, d_a)
-    tensor outlives its chunk.
+    has v's shape, so with v the identity it is the attention rows. For the
+    q k^T variants it is bit for bit the composed normalise -> score ->
+    attend reference in ``tests/oracle.py``. The node walks the leading
+    sample axis in chunks whose largest array (the scores, or the additive
+    hidden tensor) fits CHUNK_BUDGET. It keeps its inputs and each chunk's
+    softmax probabilities; backward recomputes the rest one chunk at a time,
+    so no (N, N, d_a) tensor outlives its chunk.
     """
     spec = VARIANTS[cfg.variant]
     if spec.mixed:

@@ -255,34 +255,25 @@ def cmd_sweep(args):
     return 0
 
 
+_SYNTH_KEYS = ("height", "width", "bands", "sites", "gain_lo", "gain_hi")
+_HELP = {
+    "cube": "input cube (.npy, <f4, HxWxC)", "labels": "input labels (.npy, <u2, HxW)",
+    "out": "output path", "norm_mode": "none, query, key, or both",
+    "variant": "score variant tag (cs2, cs, abscs, tempcs2, dp, sdp, add, msa-cs2, "
+               "c-sdp, c-cs2, c-cs, c-add)",
+}
+
+
+def _add_flags(p, keys):
+    """One --flag per config key (``mlp_dim`` -> ``--mlp-dim``), typed as the key's value."""
+    for key in keys:
+        kind = int if key in _INT_KEYS else float if key in _REAL_KEYS else None
+        p.add_argument("--" + key.replace("_", "-"), type=kind, help=_HELP.get(key))
+
+
 def _add_common_flags(p):
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--cube", help="input cube (.npy, <f4, HxWxC)")
-    p.add_argument("--labels", help="input labels (.npy, <u2, HxW)")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--variant", help="score variant tag (cs2, cs, abscs, tempcs2, dp, "
-                                     "sdp, add, msa-cs2, c-sdp, c-cs2, c-cs, c-add)")
-    p.add_argument("--norm-mode", dest="norm_mode", help="none, query, key, or both")
-    p.add_argument("--patch", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--mlp-dim", dest="mlp_dim", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--positional")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--wd", type=float)
-    p.add_argument("--clip", type=float)
-    p.add_argument("--clip-mode", dest="clip_mode")
-    p.add_argument("--smoothing", type=float)
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.add_argument("--val-frac", dest="val_frac", type=float)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--classes", type=int)
+    _add_flags(p, [key for key in CONFIG_DEFAULTS if key not in _SYNTH_KEYS])
 
 
 def build_parser():
@@ -292,12 +283,7 @@ def build_parser():
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled scene")
     _add_common_flags(p_synth)
-    p_synth.add_argument("--height", type=int)
-    p_synth.add_argument("--width", type=int)
-    p_synth.add_argument("--bands", type=int)
-    p_synth.add_argument("--sites", type=int)
-    p_synth.add_argument("--gain-lo", dest="gain_lo", type=float)
-    p_synth.add_argument("--gain-hi", dest="gain_hi", type=float)
+    _add_flags(p_synth, _SYNTH_KEYS)
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="train a model on a cube + label raster")

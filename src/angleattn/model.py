@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (VARIANTS, AdditiveParams, AttentionConfig, AttentionParams,
-                        multi_head_attention)
+                        _lookup_tag, multi_head_attention)
 from .errors import ConfigError, DimensionError, FormatError
 from .tensor import Tensor
 
@@ -30,11 +30,7 @@ class Positional(enum.Enum):
 
     @classmethod
     def from_tag(cls, tag):
-        try:
-            return cls(tag)
-        except ValueError:
-            valid = ", ".join(p.value for p in cls)
-            raise ConfigError(f"unknown positional mode {tag!r}; valid: {valid}") from None
+        return _lookup_tag(cls, tag, "positional mode")
 
 
 @dataclass

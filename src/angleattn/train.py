@@ -38,6 +38,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if not (isinstance(self.lr, Real) and math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not (isinstance(self.clip_norm, Real) and self.clip_norm > 0):  # also NaN
+            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm!r}")
+        if not (isinstance(self.weight_decay, Real) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.clip_mode not in ("per_tensor", "global"):
@@ -188,7 +192,8 @@ def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
 
     The step's graph and intermediate gradients die when it returns, so the
     training loop never holds two graphs at once. A non-finite loss or
-    gradient norm raises NumericError before the parameters change.
+    gradient norm raises NumericError before the parameters change, and a
+    non-finite parameter after the update raises it naming the parameter.
     """
     params.zero_grads()
     probs = batched_forward(batch, params, cfg, training=True, rng=rng)
@@ -200,6 +205,9 @@ def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
     if not math.isfinite(norm):
         raise NumericError(f"non-finite gradient norm {norm}")
     opt.step()
+    for name, t in opt.named_params:
+        if not np.isfinite(t.data).all():
+            raise NumericError(f"non-finite values in {name} after the update")
     return loss.item()
 
 

