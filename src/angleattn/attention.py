@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, check_int, check_real
 from .tensor import Tensor
 
 
@@ -111,16 +111,15 @@ class AttentionConfig:
     eps: float = 1e-12
 
     def __post_init__(self):
-        if isinstance(self.variant, str):
-            self.variant = ScoreVariant.from_tag(self.variant)
-        if isinstance(self.norm_mode, str):
+        self.variant = ScoreVariant.from_tag(self.variant)
+        if self.norm_mode is not None:
             self.norm_mode = NormMode.from_tag(self.norm_mode)
-        if self.model_dim <= 0 or self.heads <= 0:
-            raise ConfigError(f"model_dim and heads must be positive, got {self.model_dim}, {self.heads}")
+        check_int("model_dim", self.model_dim, 1)
+        check_int("heads", self.heads, 1)
         if self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        for name in ("temperature", "eps"):
+            check_real(name, getattr(self, name), lambda v: 0 < v < math.inf, "finite and > 0")
 
     @property
     def head_dim(self):
@@ -351,9 +350,10 @@ def attention_node(q, k, v, cfg, additive=None):
     q k^T variants it is bit for bit the composed normalise -> score ->
     attend reference in ``tests/oracle.py``. The node walks the leading
     sample axis in chunks whose largest array (the scores, or the additive
-    hidden tensor) fits CHUNK_BUDGET. It keeps its inputs and each chunk's
-    softmax probabilities; backward recomputes the rest one chunk at a time,
-    so no (N, N, d_a) tensor outlives its chunk.
+    hidden tensor) fits CHUNK_BUDGET. When the node is recorded on the tape
+    it keeps its inputs and each chunk's softmax probabilities; backward
+    recomputes the rest one chunk at a time, so no (N, N, d_a) tensor
+    outlives its chunk.
     """
     spec = VARIANTS[cfg.variant]
     if spec.mixed:
@@ -368,7 +368,7 @@ def attention_node(q, k, v, cfg, additive=None):
         per_sample *= arrays[0].shape[1]  # d_a
     chunks = _chunks(q.data, per_sample)
     out = np.empty(q.shape[:-1] + v.shape[-1:])
-    kept = [] if T.grad_enabled() else None
+    kept = [] if T._tracks(parents) else None
     for sl in chunks:
         s = _Chunk(q.data[sl], k.data[sl], cfg, arrays).scores()
         p = T._softmax_fwd(s, out=s)
@@ -376,7 +376,7 @@ def attention_node(q, k, v, cfg, additive=None):
         if kept is not None:
             kept.append(p)
 
-    def grads_fn(g):
+    def backward_fn(g):
         g_qkv, g_params = [None, None, None], ()
         for sl, p in zip(chunks, kept):
             g_v = np.matmul(np.swapaxes(p, -1, -2), g[sl])
@@ -388,7 +388,7 @@ def attention_node(q, k, v, cfg, additive=None):
                 a + b for a, b in zip(g_params, chunk_params))
         return (*g_qkv, *g_params)
 
-    return T.custom(out, parents, grads_fn, "attention")
+    return T._make(out, parents, backward_fn, "attention")
 
 
 def multi_head_attention(tokens_q, tokens_kv, cfg, params):

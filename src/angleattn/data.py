@@ -9,11 +9,13 @@ PPM (P6) images.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, NumericError, SplitError
+from .errors import (ConfigError, DimensionError, FormatError, NumericError, SplitError,
+                     check_int, check_real)
 
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -72,8 +74,9 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.train_frac < 1 and 0 < self.val_frac < 1):
-            raise ConfigError("split fractions must lie in (0, 1)")
+        for name in ("train_frac", "val_frac"):
+            check_real(name, getattr(self, name), lambda v: 0 < v < 1, "in (0, 1)")
+        check_int("seed", self.seed, 0)
         if self.train_frac + self.val_frac >= 1:
             raise ConfigError("train_frac + val_frac must be < 1")
 
@@ -91,13 +94,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.gain_lo <= self.gain_hi:
-            raise ConfigError(f"need 0 < gain_lo <= gain_hi, got [{self.gain_lo}, {self.gain_hi}]")
-        if self.classes > self.sites:
-            raise ConfigError(f"{self.classes} classes need at least that many Voronoi sites, "
-                              f"got {self.sites}")
-        if self.classes < 2:
-            raise ConfigError("need at least 2 classes")
+        for name in ("height", "width", "bands"):
+            check_int(name, getattr(self, name), 1)
+        check_int("classes", self.classes, 2)
+        check_int("sites", self.sites, self.classes)  # one Voronoi site per class at least
+        check_int("seed", self.seed, 0)
+        check_real("gain_lo", self.gain_lo, lambda v: 0 < v < math.inf, "finite and > 0")
+        check_real("gain_hi", self.gain_hi, lambda v: self.gain_lo <= v < math.inf,
+                   f"finite and >= gain_lo {self.gain_lo}")
+        if self.snr_db is not None:
+            check_real("snr_db", self.snr_db, lambda v: not math.isnan(v), "a number or None")
 
 
 def _read_npy(path, expected_descr, expected_ndim):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type and range checks
+that the config dataclasses raise ConfigError from."""
+
+from numbers import Integral, Real
 
 
 class AngleAttnError(Exception):
@@ -35,3 +38,16 @@ class LabelError(AngleAttnError, ValueError):
 
 class EvalError(AngleAttnError, ValueError):
     """Evaluation was requested on an empty or malformed sample set."""
+
+
+def check_int(name, value, low):
+    """Raise ConfigError unless ``value`` is an integer >= ``low``; a bool is not one."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name, value, ok, want):
+    """Raise ConfigError unless ``value`` is a real number, not a bool, that ``ok``
+    accepts; ``want`` says in words what ``ok`` accepts. NaN fails every comparison."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and ok(value)):
+        raise ConfigError(f"{name} must be {want}, got {value!r}")

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .attention import (VARIANTS, AdditiveParams, AttentionConfig, AttentionParams,
                         _lookup_tag, multi_head_attention)
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, check_int, check_real
 from .tensor import Tensor
 
 
@@ -47,16 +47,14 @@ class ModelConfig:
     positional: Positional = Positional.LEARNABLE
 
     def __post_init__(self):
-        if isinstance(self.positional, str):
-            self.positional = Positional.from_tag(self.positional)
+        self.positional = Positional.from_tag(self.positional)
+        for name in ("bands", "num_classes", "patch_size", "model_dim", "depth", "heads", "mlp_dim"):
+            check_int(name, getattr(self, name), 1)
+        check_real("dropout_rate", self.dropout_rate, lambda v: 0 <= v < 1, "in [0, 1)")
         if self.attention is None:
             self.attention = AttentionConfig(model_dim=self.model_dim, heads=self.heads)
         if self.attention.model_dim != self.model_dim or self.attention.heads != self.heads:
             raise ConfigError("attention config disagrees with model dims")
-        if min(self.bands, self.num_classes, self.patch_size, self.depth, self.mlp_dim) <= 0:
-            raise ConfigError("all model extents must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def tokens(self):

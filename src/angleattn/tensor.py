@@ -1,14 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Values are numpy arrays; every operation that participates in a gradient
-computation records its inputs and a backward closure on the produced
-tensor. Calling ``backward()`` on a scalar builds a topologically ordered
-tape over the reachable graph and walks it in reverse. Gradients are kept
-on leaves only (parameters and inputs): an interior node's ``grad`` is
-released once its backward closure has passed it on, so a step holds about
-one frontier of gradients at a time. The graph itself stays intact. A
-gradient array may be shared between nodes, so nothing writes into one in
-place. Inside a ``no_grad()`` block no graph is recorded at all.
+Values are numpy arrays. An operation with an input that ``requires_grad``
+records its inputs and a backward closure on its output, which then
+requires a gradient too. Calling ``backward()`` on a scalar builds a
+topologically ordered tape over the reachable graph and walks it in
+reverse. Each closure returns one gradient, or None, per parent, possibly
+in the output's broadcast shape; the tape alone stores them, reduced to
+each parent's shape, and only on parents that require a gradient. Leaves
+keep their gradient; an interior node's ``grad`` is released once its
+closure has passed it on, so a step holds about one frontier of gradients
+at a time. The graph itself stays intact. A gradient array may be shared
+between nodes, so nothing writes into one in place. Inside a
+``no_grad()`` block no graph is recorded at all.
 """
 
 from __future__ import annotations
@@ -99,7 +102,10 @@ class Tape:
         root.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
             if node.backward_fn is not None and node.grad is not None:
-                node.backward_fn(node.grad)
+                for parent, g in zip(node.parents, node.backward_fn(node.grad)):
+                    if g is not None and parent.requires_grad:
+                        _accumulate(parent, _unbroadcast(g, parent.shape))
+                g = None  # else the last gradient lives on through the next closure
             if node.parents:  # passed on: only leaves keep their gradient
                 node.grad = None
 
@@ -117,6 +123,8 @@ def _accumulate(node, g):
 
 def _unbroadcast(g, shape):
     """Reduce a broadcast gradient back to the original operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -126,7 +134,7 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-_grad_enabled = contextvars.ContextVar("angleattn_grad_enabled", default=True)
+_recording = contextvars.ContextVar("angleattn_recording", default=True)
 
 
 @contextlib.contextmanager
@@ -136,22 +144,22 @@ def no_grad():
     Intermediates are then freed as soon as the next op has consumed them.
     Nests, and restores the previous mode on exit, also after an exception.
     """
-    token = _grad_enabled.set(False)
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _grad_enabled.reset(token)
+        _recording.reset(token)
 
 
-def grad_enabled():
-    """False inside a ``no_grad()`` block, where ops keep nothing for backward."""
-    return _grad_enabled.get()
+def _tracks(parents):
+    """Whether a node over ``parents`` is recorded: outside ``no_grad()``,
+    when some parent requires a gradient."""
+    return _recording.get() and any(p.requires_grad for p in parents)
 
 
 def _make(data, parents, backward_fn, op):
-    if _grad_enabled.get() and any(p.requires_grad or p.parents for p in parents):
-        return Tensor(data, requires_grad=any(p.requires_grad for p in parents),
-                      parents=parents, backward_fn=backward_fn, op=op)
+    if _tracks(parents):
+        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn, op=op)
     return Tensor(data, op=op)
 
 
@@ -167,8 +175,7 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        return g, g
 
     return _make(out_data, (a, b), backward_fn, "add")
 
@@ -178,8 +185,7 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        return g * b.data, g * a.data
 
     return _make(out_data, (a, b), backward_fn, "mul")
 
@@ -188,14 +194,14 @@ def scale(a, c):
     c = float(c)
 
     def backward_fn(g):
-        _accumulate(a, g * c)
+        return (g * c,)
 
     return _make(a.data * c, (a,), backward_fn, "scale")
 
 
 def square(a):
     def backward_fn(g):
-        _accumulate(a, 2.0 * a.data * g)
+        return (2.0 * a.data * g,)
 
     return _make(a.data * a.data, (a,), backward_fn, "square")
 
@@ -204,7 +210,7 @@ def tanh(a):
     y = np.tanh(a.data)
 
     def backward_fn(g):
-        _accumulate(a, (1.0 - y * y) * g)
+        return ((1.0 - y * y) * g,)
 
     return _make(y, (a,), backward_fn, "tanh")
 
@@ -217,14 +223,14 @@ def gelu(a):
 
     def backward_fn(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        _accumulate(a, (cdf + x * pdf) * g)
+        return ((cdf + x * pdf) * g,)
 
     return _make(y, (a,), backward_fn, "gelu")
 
 
 def log(a):
     def backward_fn(g):
-        _accumulate(a, g / a.data)
+        return (g / a.data,)
 
     return _make(np.log(a.data), (a,), backward_fn, "log")
 
@@ -234,7 +240,7 @@ def clamp_min(a, floor):
     mask = a.data >= floor
 
     def backward_fn(g):
-        _accumulate(a, g * mask)
+        return (g * mask,)
 
     return _make(np.maximum(a.data, floor), (a,), backward_fn, "clamp_min")
 
@@ -250,10 +256,8 @@ def matmul(a, b):
         raise DimensionError(f"matmul: batch extents differ, {a.shape} x {b.shape}") from None
 
     def backward_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        return (np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None,
+                np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None)
 
     return _make(out_data, (a, b), backward_fn, "matmul")
 
@@ -266,14 +270,14 @@ def transpose(a, axes=None):
     inverse = np.argsort(axes)
 
     def backward_fn(g):
-        _accumulate(a, np.transpose(g, inverse))
+        return (np.transpose(g, inverse),)
 
     return _make(np.transpose(a.data, axes), (a,), backward_fn, "transpose")
 
 
 def reshape(a, shape):
     def backward_fn(g):
-        _accumulate(a, g.reshape(a.shape))
+        return (g.reshape(a.shape),)
 
     return _make(a.data.reshape(shape), (a,), backward_fn, "reshape")
 
@@ -286,36 +290,32 @@ def slice_axis(a, axis, start, stop):
     def backward_fn(g):
         full = np.zeros_like(a.data)
         full[index] = g
-        _accumulate(a, full)
+        return (full,)
 
     return _make(a.data[index], (a,), backward_fn, "slice")
 
 
 def concat(tensors, axis):
-    tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    tensors = tuple(tensors)
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(index)])
+        return np.split(g, cuts, axis=axis)
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _make(data, tuple(tensors), backward_fn, "concat")
+    return _make(data, tensors, backward_fn, "concat")
 
 
 def sum_all(a):
     def backward_fn(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return _make(a.data.sum(), (a,), backward_fn, "sum")
 
 
 def sum_axis(a, axis):
     def backward_fn(g):
-        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
     return _make(a.data.sum(axis=axis), (a,), backward_fn, "sum_axis")
 
@@ -365,7 +365,7 @@ def softmax_rows(x):
     y = _softmax_fwd(x.data)
 
     def backward_fn(g):
-        _accumulate(x, _softmax_bwd(y, g))
+        return (_softmax_bwd(y, g),)
 
     return _make(y, (x,), backward_fn, "softmax_rows")
 
@@ -375,23 +375,9 @@ def l2_normalize_rows(x, eps=1e-12):
     y, active, denom = _l2_rows_fwd(x.data, eps)
 
     def backward_fn(g):
-        _accumulate(x, _l2_rows_bwd(g, x.data, active, denom))
+        return (_l2_rows_bwd(g, x.data, active, denom),)
 
     return _make(y, (x,), backward_fn, "l2_normalize_rows")
-
-
-def custom(data, parents, grads_fn, op):
-    """A node whose arithmetic lives outside this module.
-
-    ``grads_fn(g)`` returns one gradient per parent, each of its parent's
-    shape, or None for a parent it does not reach.
-    """
-    def backward_fn(g):
-        for parent, grad in zip(parents, grads_fn(g)):
-            if grad is not None:
-                _accumulate(parent, grad)
-
-    return _make(data, tuple(parents), backward_fn, op)
 
 
 def layer_norm(x, scale_t, shift_t, eps=1e-5):
@@ -408,12 +394,10 @@ def layer_norm(x, scale_t, shift_t, eps=1e-5):
     y = scale_t.data * xhat + shift_t.data
 
     def backward_fn(g):
-        _accumulate(scale_t, (g * xhat).reshape(-1, d).sum(axis=0))
-        _accumulate(shift_t, g.reshape(-1, d).sum(axis=0))
         gh = g * scale_t.data
         gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
                     - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        _accumulate(x, gx)
+        return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
     return _make(y, (x, scale_t, shift_t), backward_fn, "layer_norm")
 
@@ -427,7 +411,7 @@ def dropout(x, rate, training, rng):
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
 
     def backward_fn(g):
-        _accumulate(x, g * keep)
+        return (g * keep,)
 
     return _make(x.data * keep, (x,), backward_fn, "dropout")
 

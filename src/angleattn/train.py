@@ -7,7 +7,6 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from . import tensor as T
 from .attention import ScoreVariant
 from .data import extract_patch, inject_noise, stratified_split
 from .errors import (ConfigError, ContractError, EvalError, LabelError, NumericError,
-                     SplitError)
+                     SplitError, check_int, check_real)
 from .model import batched_forward, init_params, is_no_decay
 from .tensor import Tensor
 
@@ -32,18 +31,13 @@ class TrainConfig:
     clip_mode: str = "per_tensor"  # or "global"
 
     def __post_init__(self):
-        if not (isinstance(self.epochs, Integral) and self.epochs >= 0):
-            raise ConfigError(f"epochs must be an integer >= 0, got {self.epochs!r}")
-        if not (isinstance(self.batch_size, Integral) and self.batch_size >= 1):
-            raise ConfigError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not (isinstance(self.lr, Real) and math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not (isinstance(self.clip_norm, Real) and self.clip_norm > 0):  # also NaN
-            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm!r}")
-        if not (isinstance(self.weight_decay, Real) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
+        check_real("lr", self.lr, lambda v: 0 < v < math.inf, "finite and > 0")
+        check_real("clip_norm", self.clip_norm, lambda v: v > 0, "> 0")
+        check_real("weight_decay", self.weight_decay, lambda v: v >= 0, ">= 0")
+        check_real("label_smoothing", self.label_smoothing, lambda v: 0 <= v < 1, "in [0, 1)")
         if self.clip_mode not in ("per_tensor", "global"):
             raise ConfigError(f"clip_mode must be per_tensor or global, got {self.clip_mode!r}")
 

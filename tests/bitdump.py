@@ -1,0 +1,110 @@
+"""Bit-identity harness: dump a grid of model outputs, compare two dumps.
+
+    PYTHONPATH=src python tests/bitdump.py dump OUT.npz [--variants cs2,dp]
+    PYTHONPATH=src python tests/bitdump.py compare A.npz B.npz
+
+``dump`` writes, for every variant x norm mode {default, none, query, key,
+both} x heads {2, 3, 4} x positional {learnable, sinusoidal, none} x
+``CHUNK_BUDGET`` {default, 1}, the ``no_grad`` probabilities, one training
+step's loss and every parameter gradient on a small batch with a zero
+pixel and an all-zero patch. ``compare`` lists the arrays whose bytes,
+dtype or shape differ, or that only one dump holds, and exits 1 if any do.
+To check that a change keeps outputs bit for bit, dump with each
+checkout's ``src`` on ``PYTHONPATH`` and compare the two files.
+"""
+
+import argparse
+import itertools
+import sys
+
+import numpy as np
+
+from angleattn import attention
+from angleattn import model as M
+from angleattn import tensor as T
+from angleattn.attention import AttentionConfig, ScoreVariant
+from angleattn.train import label_smoothed_ce
+
+NORM_MODES = (None, "none", "query", "key", "both")
+HEADS = (2, 3, 4)
+POSITIONAL = ("learnable", "sinusoidal", "none")
+BUDGETS = (None, 1)  # the default chunking, and one sample per chunk
+
+
+def oracle_batch():
+    # 25 tokens and head widths 12-24: big enough that a wrong operand layout
+    # changes how numpy sums and how BLAS rounds
+    x = np.random.default_rng(0).normal(size=(5, 5, 5, 6))
+    x[1, 1, 1] = 0.0  # one zero (no-data) pixel
+    x[3] = 0.0        # an all-zero patch
+    return x, np.array([0, 1, 2, 1, 0])
+
+
+def model_outputs(cfg, x, targets):
+    """no_grad probabilities, then one training step's loss and every gradient."""
+    params = M.init_params(cfg, 3)
+    with T.no_grad():
+        out = {"probs": M.batched_forward(x, params, cfg).data}
+    probs = M.batched_forward(x, params, cfg, training=True, rng=np.random.default_rng(1))
+    loss = label_smoothed_ce(probs, targets, 0.05)
+    loss.backward()
+    out["loss"] = loss.data
+    out.update((name, t.grad) for name, t in params.named_parameters())
+    return out
+
+
+def dump(tags):
+    """{key: array} over the grid for the given variant tags."""
+    x, targets = oracle_batch()
+    arrays, default_budget = {}, attention.CHUNK_BUDGET
+    try:
+        for budget, tag, norm_mode, heads, positional in itertools.product(
+                BUDGETS, tags, NORM_MODES, HEADS, POSITIONAL):
+            attention.CHUNK_BUDGET = default_budget if budget is None else budget
+            attn = AttentionConfig(model_dim=48, heads=heads, variant=tag, norm_mode=norm_mode)
+            cfg = M.ModelConfig(bands=6, num_classes=3, patch_size=5, model_dim=48, depth=2,
+                                heads=heads, mlp_dim=16, dropout_rate=0.1, attention=attn,
+                                positional=positional)
+            case = (f"{tag}:{norm_mode or 'default'}:H{heads}:{positional}:"
+                    f"budget={budget or 'default'}")
+            for name, value in model_outputs(cfg, x, targets).items():
+                arrays[f"{case}:{name}"] = value
+    finally:
+        attention.CHUNK_BUDGET = default_budget
+    return arrays
+
+
+def differing(a, b):
+    """Sorted keys whose arrays are not the same bytes, dtype and shape."""
+    return sorted(key for key in a.keys() | b.keys()
+                  if key not in a or key not in b or a[key].dtype != b[key].dtype
+                  or a[key].shape != b[key].shape or a[key].tobytes() != b[key].tobytes())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p_dump = sub.add_parser("dump", help="write the grid's outputs to an .npz file")
+    p_dump.add_argument("out")
+    p_dump.add_argument("--variants", default=",".join(v.value for v in ScoreVariant),
+                        help="comma-separated variant tags (default: all 12)")
+    p_compare = sub.add_parser("compare", help="list the arrays that differ between two dumps")
+    p_compare.add_argument("a")
+    p_compare.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.mode == "dump":
+        arrays = dump(args.variants.split(","))
+        np.savez(args.out, **arrays)
+        print(f"wrote {len(arrays)} arrays to {args.out}")
+        return 0
+    with np.load(args.a) as fa, np.load(args.b) as fb:
+        a, b = dict(fa), dict(fb)
+    diff = differing(a, b)
+    for key in diff:
+        print(f"differs: {key}")
+    print(f"{len(diff)} of {len(a.keys() | b.keys())} arrays differ")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

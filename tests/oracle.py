@@ -46,7 +46,7 @@ def _kernel_scores(kernel, cosine, q, k, cfg):
         _check_unit_rows(q.data, "query")
         _check_unit_rows(k.data, "key")
     s, d_h = T.matmul(q, T.transpose(k)), q.shape[-1]
-    return T.custom(kernel.forward(s.data, d_h, cfg), (s,),
+    return T._make(kernel.forward(s.data, d_h, cfg), (s,),
                     lambda g: (kernel.backward(s.data, g, d_h, cfg),), "score_kernel")
 
 

@@ -14,7 +14,7 @@ from angleattn.attention import (VARIANTS, AdditiveParams, AttentionConfig,
                                  split_heads)
 from angleattn.errors import ConfigError, ContractError, DimensionError, NumericError
 from angleattn.tensor import Tape, Tensor, grad_check
-from angleattn.train import label_smoothed_ce
+from bitdump import model_outputs, oracle_batch
 from oracle import additive_score, attend, composed_attention, normalise, score
 
 ALL_TAGS = ["cs2", "cs", "abscs", "tempcs2", "dp", "sdp", "add", "msa-cs2",
@@ -387,28 +387,7 @@ def test_unit_norm_collapse():
 
 
 # -- the fused node against the composed reference in oracle.py -------------
-
-def model_outputs(cfg, x, targets):
-    """no_grad probabilities, then one training step's loss and every gradient."""
-    params = M.init_params(cfg, 3)
-    with T.no_grad():
-        out = {"probs": M.batched_forward(x, params, cfg).data}
-    probs = M.batched_forward(x, params, cfg, training=True, rng=np.random.default_rng(1))
-    loss = label_smoothed_ce(probs, targets, 0.05)
-    loss.backward()
-    out["loss"] = loss.data
-    out.update((name, t.grad) for name, t in params.named_parameters())
-    return out
-
-
-def oracle_batch():
-    # 25 tokens and head widths 12-24: big enough that a wrong operand layout
-    # changes how numpy sums and how BLAS rounds
-    x = np.random.default_rng(0).normal(size=(5, 5, 5, 6))
-    x[1, 1, 1] = 0.0  # one zero (no-data) pixel
-    x[3] = 0.0        # an all-zero patch
-    return x, np.array([0, 1, 2, 1, 0])
-
+# (batch and outputs as in the bit-identity harness, bitdump.py)
 
 @pytest.mark.parametrize("budget", [None, 1])  # default chunks, and 1-sample chunks
 @pytest.mark.parametrize("tag", ALL_TAGS)

@@ -1,0 +1,23 @@
+"""The bit-identity harness in bitdump.py: both modes on one variant."""
+
+import numpy as np
+
+import bitdump
+
+
+def test_dump_then_compare_reports_a_changed_array(tmp_path, capsys):
+    a, b = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+    assert bitdump.main(["dump", a, "--variants", "dp"]) == 0
+    with np.load(a) as f:
+        arrays = dict(f)
+    # 5 norm modes x 3 head counts x 3 positional modes x 2 chunk budgets
+    assert len({key.rsplit(":", 1)[0] for key in arrays}) == 90
+    assert bitdump.main(["compare", a, a]) == 0
+    key = "dp:both:H3:sinusoidal:budget=1:w_c"
+    arrays[key] = arrays[key].copy()
+    arrays[key].flat[0] = np.nextafter(arrays[key].flat[0], np.inf)  # one ulp
+    np.savez(b, **arrays)
+    capsys.readouterr()
+    assert bitdump.main(["compare", a, b]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"differs: {key}",
+                                                    f"1 of {len(arrays)} arrays differ"]

@@ -61,6 +61,15 @@ class TestSynth:
                      "--classes", "8", "--sites", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--bands", "0"), ("--height", "-3"),
+                                            ("--height", "0"), ("--width", "0")])
+    def test_degenerate_extent_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_out(self):
         assert main(["synth", "--seed", "0"] + SCENE) == 2
 

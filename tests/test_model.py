@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig, ScoreVariant
-from angleattn.errors import DimensionError
+from angleattn.data import SplitSpec, SynthSpec
+from angleattn.errors import ConfigError, DimensionError
 from angleattn.model import (ModelConfig, Positional, add_positions, batched_forward,
                              encoder_block, forward, init_params, load_checkpoint,
                              param_count, save_checkpoint, sinusoidal_table, tokenize_patch)
@@ -204,6 +205,32 @@ class TestNoGradForward:
             free = batched_forward(batch, params, cfg)
         assert taped.backward_fn is not None and free.backward_fn is None
         np.testing.assert_array_equal(free.data, taped.data)
+
+
+NAN = float("nan")
+VALID = {AttentionConfig: dict(model_dim=8, heads=2), SynthSpec: {}, SplitSpec: {},
+         ModelConfig: dict(bands=5, num_classes=3, patch_size=3, model_dim=8, heads=2)}
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (AttentionConfig, {"temperature": NAN}), (AttentionConfig, {"temperature": float("inf")}),
+    (AttentionConfig, {"temperature": "0.5"}), (AttentionConfig, {"model_dim": 8.0}),
+    (AttentionConfig, {"heads": True}), (AttentionConfig, {"eps": -1.0}),
+    (AttentionConfig, {"eps": 0.0}), (AttentionConfig, {"variant": 3}),
+    (ModelConfig, {"bands": 32.5}), (ModelConfig, {"patch_size": 8.0}),
+    (ModelConfig, {"num_classes": 0}), (ModelConfig, {"depth": True}),
+    (ModelConfig, {"dropout_rate": "0.1"}), (ModelConfig, {"dropout_rate": NAN}),
+    (ModelConfig, {"positional": 1}),
+    (SynthSpec, {"height": 8.5}), (SynthSpec, {"height": -3}), (SynthSpec, {"width": 0}),
+    (SynthSpec, {"bands": 0}), (SynthSpec, {"classes": 1}), (SynthSpec, {"sites": 4}),
+    (SynthSpec, {"seed": 1.5}), (SynthSpec, {"gain_lo": NAN}), (SynthSpec, {"gain_hi": 0.4}),
+    (SynthSpec, {"snr_db": "20"}), (SplitSpec, {"train_frac": "0.1"}),
+    (SplitSpec, {"val_frac": NAN}), (SplitSpec, {"seed": 1.5}), (SplitSpec, {"seed": -1})], ids=lambda v: getattr(v, "__name__", None))
+def test_config_rejects_wrong_type_or_range(cls, kwargs):
+    # each config dataclass checks its own fields, not only the CLI: extents
+    # and seeds are integers (a bool is not one), the rest reals in range
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        cls(**{**VALID[cls], **kwargs})
 
 
 class TestParamCount:

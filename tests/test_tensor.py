@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angleattn import tensor as T
+from angleattn.attention import AttentionConfig
 from angleattn.errors import ConfigError, ContractError, DimensionError, NumericError
+from angleattn.model import ModelConfig, batched_forward, init_params
 from angleattn.tensor import Tensor, grad_check
+from angleattn.train import label_smoothed_ce
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
@@ -296,6 +299,34 @@ class TestTapeAndDeterminism:
         T.sum_all(T.square(T.concat([c, d], axis=1))).backward()
         assert c.grad.flags.c_contiguous and d.grad.flags.c_contiguous
         assert c.grad.base is None and d.grad.base is None
+
+    def test_tape_reduces_broadcast_gradients_and_skips_none(self):
+        # a closure returns one gradient or None per parent, here an
+        # output-shaped one for a (1, 3) parent; the tape reduces and stores it
+        a, b = rand((1, 3), 34), rand((4, 3), 35)
+        out = T._make(a.data + b.data, (a, b), lambda g: (g, None), "test")
+        T.sum_all(out).backward()
+        np.testing.assert_array_equal(a.grad, np.full((1, 3), 4.0))
+        assert b.grad is None
+
+    @pytest.mark.parametrize("positional", ["learnable", "sinusoidal"])
+    def test_only_tensors_that_require_grad_hold_one(self, positional):
+        # benchmark config, batch 128: the flattened input, the label-smoothing
+        # target and the sinusoidal table need no gradient and get none
+        attn = AttentionConfig(model_dim=32, heads=2, variant="cs2")
+        cfg = ModelConfig(bands=32, num_classes=8, patch_size=8, model_dim=32, depth=2,
+                          heads=2, mlp_dim=64, dropout_rate=0.1, attention=attn,
+                          positional=positional)
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        probs = batched_forward(rng.normal(size=(128, 8, 8, 32)), params, cfg,
+                                training=True, rng=rng)
+        loss = label_smoothed_ce(probs, rng.integers(0, 8, size=128), 0.05)
+        loss.backward()
+        held = [(n.op, n.shape) for n in T.Tape.trace(loss).nodes
+                if not n.requires_grad and n.grad is not None]
+        assert held == []
+        assert all(t.grad is not None for _, t in params.named_parameters())
 
     def test_fixed_seed_bit_identical(self):
         def pipeline():

@@ -47,7 +47,8 @@ class TestTrainConfig:
         {"epochs": 1.5}, {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")},
         {"lr": float("inf")}, {"lr": "0.1"}, {"clip_norm": 0.0}, {"clip_norm": -1.0},
         {"clip_norm": float("nan")}, {"clip_norm": "1"}, {"weight_decay": -1e-4},
-        {"weight_decay": float("nan")}])
+        {"weight_decay": float("nan")}, {"seed": 1.5}, {"seed": -1}, {"epochs": True},
+        {"label_smoothing": "0.1"}, {"label_smoothing": 1.0}])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
