@@ -3,7 +3,7 @@
 from . import attention, cli, data, model, tensor, train
 from .attention import (AdditiveParams, AttentionConfig, AttentionParams,
                         NormMode, ScoreVariant, attention_node,
-                        multi_head_attention, split_heads)
+                        multi_head_attention)
 from .data import (HyperCube, LabelMap, SplitSpec, SynthSpec, export_map,
                    extract_patch, inject_noise, load_cube, load_labels,
                    normalize_bands, stratified_split, synth_scene)

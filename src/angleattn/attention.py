@@ -5,7 +5,7 @@ and squares the resulting cosine similarity, so attention depends only on
 angular alignment. Ten further variants (plain cosine, |cosine|,
 temperature-scaled cosine^2, dot-product, scaled dot-product, additive,
 a per-head cosine^2 / scaled-dot mix, and four cross-stream forms) all
-run through one fused tape node, ``attention_node``.
+run through ``attention_node``, one tape node that owns the head split.
 """
 
 from __future__ import annotations
@@ -169,27 +169,6 @@ def project_qkv(tokens_q, tokens_kv, params):
     return q, k, v
 
 
-def split_heads(m, heads):
-    """(..., N, D) -> (..., H, N, D/H); head h owns columns [h*d_h, (h+1)*d_h)."""
-    d = m.shape[-1]
-    if d % heads != 0:
-        raise ConfigError(f"model dim {d} not divisible by {heads} heads")
-    n = m.shape[-2]
-    d_h = d // heads
-    stacked = T.reshape(m, m.shape[:-2] + (n, heads, d_h))
-    axes = list(range(stacked.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return T.transpose(stacked, axes)
-
-
-def merge_heads(m):
-    """Inverse of split_heads: (..., H, N, d_h) -> (..., N, H*d_h)."""
-    h, n, d_h = m.shape[-3:]
-    axes = list(range(m.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return T.reshape(T.transpose(m, axes), m.shape[:-3] + (n, h * d_h))
-
-
 # the tolerance of np.allclose(norms, 1.0, atol=1e-6): atol + rtol * |1.0|
 _UNIT_NORM_TOL = 1e-6 + 1e-5
 
@@ -205,12 +184,6 @@ def _check_unit_rows(x, what):
             f"norm_mode=both (max deviation {deviation:.3e})")
 
 
-def _check_head_axis(shape, cfg):
-    if len(shape) < 3 or shape[-3] != cfg.heads:
-        raise DimensionError(
-            f"mixed variant needs a head axis of size {cfg.heads}, got shape {shape}")
-
-
 # -- the fused node: normalise, score, softmax and attend as one tape op -----
 
 # bytes of the largest per-chunk array (scores, or the additive hidden tensor);
@@ -219,11 +192,17 @@ CHUNK_BUDGET = 2 << 20
 
 
 def _chunks(q, bytes_per_sample):
-    """Slices of the leading sample axis; a 3-D (one-sample) input is one chunk."""
-    if q.ndim < 4:
+    """Slices of the leading sample axis; a 2-D (one-sample) input is one chunk."""
+    if q.ndim < 3:
         return [slice(None)]
     step = max(1, CHUNK_BUDGET // bytes_per_sample)
     return [slice(lo, lo + step) for lo in range(0, q.shape[0], step)]
+
+
+def _heads(x, heads):
+    """(..., N, D) -> a (..., H, N, D/H) view; head h owns columns [h*d_h, (h+1)*d_h)."""
+    n, d = x.shape[-2:]
+    return np.swapaxes(x.reshape(x.shape[:-2] + (n, heads, d // heads)), -2, -3)
 
 
 class _Chunk:
@@ -331,9 +310,10 @@ def _projection_bwd(rows, w_t, g):
 
 
 def _place(full, sl, part, shape):
-    """Write one chunk's gradient into the batch's, keeping the chunk's memory
-    layout: the composed reference hands the key gradient on transposed, and
-    the layout decides how the projection matmuls round."""
+    """Merge one chunk's (..., H, N, d_h) gradient into the batch's (..., N, D),
+    keeping its memory layout: the composed reference hands the key gradient
+    on transposed, and the layout decides how the projection matmuls round."""
+    part = np.swapaxes(part, -2, -3).reshape(part.shape[:-3] + shape[-2:])
     if sl == slice(None):
         return part
     if full is None:
@@ -343,23 +323,24 @@ def _place(full, sl, part, shape):
 
 
 def attention_node(q, k, v, cfg, additive=None):
-    """softmax(scores(normalised q, normalised k)) v as one tape node.
+    """softmax(scores(normalised q, normalised k)) v per head, as one tape node.
 
-    ``q``, ``k``, ``v`` are split-head (..., H, N, d_h) tensors; the output
-    has v's shape, so with v the identity it is the attention rows. For the
-    q k^T variants it is bit for bit the composed normalise -> score ->
-    attend reference in ``tests/oracle.py``. The node walks the leading
-    sample axis in chunks whose largest array (the scores, or the additive
-    hidden tensor) fits CHUNK_BUDGET. When the node is recorded on the tape
-    it keeps its inputs and each chunk's softmax probabilities; backward
-    recomputes the rest one chunk at a time, so no (N, N, d_a) tensor
-    outlives its chunk.
+    ``q``, ``k``, ``v`` are (..., N, D); head h owns columns [h*d_h, (h+1)*d_h)
+    of each, and the (..., N, D_v) output merges the heads back the same way.
+    For the q k^T variants it is bit for bit the composed reference in
+    ``tests/oracle.py``, down to the layout of the gradients it hands on.
+    The node walks the leading sample axis in chunks whose largest array
+    (the scores, or the additive hidden tensor) fits CHUNK_BUDGET. When
+    recorded on the tape it keeps its inputs and each chunk's softmax
+    probabilities; backward recomputes the rest, head copies too, one chunk
+    at a time, so no (N, N, d_a) tensor outlives its chunk.
     """
+    h = cfg.heads
+    if any(t.shape[-1] % h for t in (q, k, v)):
+        raise DimensionError(f"{h} heads do not divide inputs {q.shape}, {k.shape}, {v.shape}")
     spec = VARIANTS[cfg.variant]
-    if spec.mixed:
-        _check_head_axis(q.shape, cfg)
     parents, arrays = (q, k, v), None
-    per_sample = 8 * q.shape[-2] * k.shape[-2] * math.prod(q.shape[1:-2])
+    per_sample = 8 * q.shape[-2] * k.shape[-2] * math.prod(q.shape[1:-2]) * h
     if spec.kernel is None:
         if additive is None:
             raise ConfigError(f"variant {cfg.variant.value} requires additive parameters")
@@ -367,21 +348,28 @@ def attention_node(q, k, v, cfg, additive=None):
         arrays = tuple(t.data for t in parents[3:])
         per_sample *= arrays[0].shape[1]  # d_a
     chunks = _chunks(q.data, per_sample)
+
+    def split(sl):
+        """The chunk's C-ordered (..., H, N, d_h) copies of q, k and v."""
+        return (np.ascontiguousarray(_heads(t.data[sl], h)) for t in (q, k, v))
+
     out = np.empty(q.shape[:-1] + v.shape[-1:])
     kept = [] if T._tracks(parents) else None
     for sl in chunks:
-        s = _Chunk(q.data[sl], k.data[sl], cfg, arrays).scores()
+        q_h, k_h, v_h = split(sl)
+        s = _Chunk(q_h, k_h, cfg, arrays).scores()
         p = T._softmax_fwd(s, out=s)
-        np.matmul(p, v.data[sl], out=out[sl])
+        _heads(out, h)[sl] = np.matmul(p, v_h)
         if kept is not None:
             kept.append(p)
 
     def backward_fn(g):
-        g_qkv, g_params = [None, None, None], ()
+        g_out, g_qkv, g_params = _heads(g, h), [None, None, None], ()
         for sl, p in zip(chunks, kept):
-            g_v = np.matmul(np.swapaxes(p, -1, -2), g[sl])
-            g_scores = T._softmax_bwd(p, np.matmul(g[sl], np.swapaxes(v.data[sl], -1, -2)))
-            g_q, g_k, chunk_params = _Chunk(q.data[sl], k.data[sl], cfg, arrays).backward(g_scores)
+            q_h, k_h, v_h = split(sl)
+            g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl])
+            g_scores = T._softmax_bwd(p, np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2)))
+            g_q, g_k, chunk_params = _Chunk(q_h, k_h, cfg, arrays).backward(g_scores)
             g_qkv = [_place(full, sl, part, t.shape)
                      for full, part, t in zip(g_qkv, (g_q, g_k, g_v), (q, k, v))]
             g_params = chunk_params if not g_params else tuple(
@@ -392,12 +380,11 @@ def attention_node(q, k, v, cfg, additive=None):
 
 
 def multi_head_attention(tokens_q, tokens_kv, cfg, params):
-    """Project, split heads, run the fused attention node, merge heads, project.
+    """Project, run the fused attention node (it splits the heads), project.
 
     ``tokens_q``/``tokens_kv`` are (..., N, D); non-cross variants pass the
     same tensor for both. Output has the input shape.
     """
     q, k, v = project_qkv(tokens_q, tokens_kv, params)
-    heads = [split_heads(m, cfg.heads) for m in (q, k, v)]
-    out = attention_node(*heads, cfg, params.additive)
-    return T.matmul(merge_heads(out), params.w_o)
+    out = attention_node(q, k, v, cfg, params.additive)
+    return T.matmul(out, params.w_o)

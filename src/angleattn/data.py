@@ -215,6 +215,9 @@ def stratified_split(labels, spec):
 
 def inject_noise(cube, snr_db, seed):
     """Additive Gaussian noise at a target SNR relative to the cube's mean power."""
+    check_int("seed", seed, 0)
+    if snr_db is not None:
+        check_real("snr_db", snr_db, lambda v: not math.isnan(v), "a number or None")
     if snr_db is None or np.isinf(snr_db):
         return HyperCube(cube.values.copy())
     v = cube.values.astype(np.float64)

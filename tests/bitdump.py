@@ -7,7 +7,8 @@
 both} x heads {2, 3, 4} x positional {learnable, sinusoidal, none} x
 ``CHUNK_BUDGET`` {default, 1}, the ``no_grad`` probabilities, one training
 step's loss and every parameter gradient on a small batch with a zero
-pixel and an all-zero patch. ``compare`` lists the arrays whose bytes,
+pixel and an all-zero patch, plus the ``no_grad`` single-patch ``forward``
+probabilities of those two patches. ``compare`` lists the arrays whose bytes,
 dtype or shape differ, or that only one dump holds, and exits 1 if any do.
 To check that a change keeps outputs bit for bit, dump with each
 checkout's ``src`` on ``PYTHONPATH`` and compare the two files.
@@ -41,10 +42,13 @@ def oracle_batch():
 
 
 def model_outputs(cfg, x, targets):
-    """no_grad probabilities, then one training step's loss and every gradient."""
+    """no_grad probabilities (batched, and single-patch for the zero-pixel and
+    all-zero patches), then one training step's loss and every gradient."""
     params = M.init_params(cfg, 3)
     with T.no_grad():
-        out = {"probs": M.batched_forward(x, params, cfg).data}
+        out = {"probs": M.batched_forward(x, params, cfg).data,
+               "probs_zero_pixel": M.forward(x[1], params, cfg)[1].data,
+               "probs_zero_patch": M.forward(x[3], params, cfg)[1].data}
     probs = M.batched_forward(x, params, cfg, training=True, rng=np.random.default_rng(1))
     loss = label_smoothed_ce(probs, targets, 0.05)
     loss.backward()

@@ -1,14 +1,41 @@
-"""The composed reference for ``attention.attention_node``: normalise ->
-score -> attend as separate tape ops. The node repeats each numpy expression
-on the same operand layout, so for the ten q k^T variants its outputs and
-gradients equal these bit for bit."""
+"""The composed reference for ``attention.attention_node``: split heads ->
+normalise -> score -> attend -> merge heads as separate tape ops. The node
+repeats each numpy expression on the same operand layout, so for the ten
+q k^T variants its outputs and gradients equal these bit for bit."""
 
 import numpy as np
 
 from angleattn import tensor as T
-from angleattn.attention import (VARIANTS, NormMode, ScoreVariant, _check_head_axis,
-                                 _check_unit_rows, merge_heads, project_qkv, split_heads)
-from angleattn.errors import ConfigError
+from angleattn.attention import (VARIANTS, NormMode, ScoreVariant, _check_unit_rows,
+                                 project_qkv)
+from angleattn.errors import ConfigError, DimensionError
+
+
+def split_heads(m, heads):
+    """(..., N, D) -> (..., H, N, D/H); head h owns columns [h*d_h, (h+1)*d_h)."""
+    d = m.shape[-1]
+    if d % heads != 0:
+        raise ConfigError(f"model dim {d} not divisible by {heads} heads")
+    n = m.shape[-2]
+    d_h = d // heads
+    stacked = T.reshape(m, m.shape[:-2] + (n, heads, d_h))
+    axes = list(range(stacked.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return T.transpose(stacked, axes)
+
+
+def merge_heads(m):
+    """Inverse of split_heads: (..., H, N, d_h) -> (..., N, H*d_h)."""
+    h, n, d_h = m.shape[-3:]
+    axes = list(range(m.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return T.reshape(T.transpose(m, axes), m.shape[:-3] + (n, h * d_h))
+
+
+def _check_head_axis(shape, cfg):
+    if len(shape) < 3 or shape[-3] != cfg.heads:
+        raise DimensionError(
+            f"mixed variant needs a head axis of size {cfg.heads}, got shape {shape}")
 
 
 def additive_score(q_i, k_j, params, head=0):

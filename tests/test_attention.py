@@ -10,12 +10,12 @@ from angleattn import model as M
 from angleattn import tensor as T
 from angleattn.attention import (VARIANTS, AdditiveParams, AttentionConfig,
                                  AttentionParams, NormMode, ScoreVariant, attention_node,
-                                 merge_heads, multi_head_attention, project_qkv,
-                                 split_heads)
+                                 multi_head_attention, project_qkv)
 from angleattn.errors import ConfigError, ContractError, DimensionError, NumericError
 from angleattn.tensor import Tape, Tensor, grad_check
 from bitdump import model_outputs, oracle_batch
-from oracle import additive_score, attend, composed_attention, normalise, score
+from oracle import (additive_score, attend, composed_attention, merge_heads, normalise, score,
+                    split_heads)
 
 ALL_TAGS = ["cs2", "cs", "abscs", "tempcs2", "dp", "sdp", "add", "msa-cs2",
             "c-sdp", "c-cs2", "c-cs", "c-add"]
@@ -130,6 +130,15 @@ class TestSplitHeads:
     def test_indivisible(self):
         with pytest.raises(ConfigError):
             split_heads(Tensor(np.zeros((2, 6))), 4)
+
+    @pytest.mark.parametrize("tag", ["cs2", "dp", "msa-cs2"])
+    def test_node_owns_the_same_split(self, tag):
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.normal(size=(2, 5, 12))) for _ in range(3))
+        cfg = cfg_for(tag, dim=12, heads=3)
+        qh, kh, vh = (split_heads(m, 3) for m in (q, k, v))
+        want = merge_heads(attend(score(tag, *normalise(qh, kh, cfg), cfg), vh))
+        np.testing.assert_array_equal(attention_node(q, k, v, cfg).data, want.data)
 
 
 class TestScore:
@@ -421,7 +430,7 @@ def test_node_matches_composed_oracle(tag, budget, monkeypatch):
 def test_node_grad_check_over_chunks(tag, monkeypatch):
     monkeypatch.setattr(attention, "CHUNK_BUDGET", 1)
     rng = np.random.default_rng(40)
-    q, k, v = (Tensor(rng.normal(size=(3, 2, 4, 3)), requires_grad=True) for _ in range(3))
+    q, k, v = (Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True) for _ in range(3))
     params = rand_params(6, 2, seed=41, additive=True)
     add = params.additive
     add.w_q, add.w_k = (Tensor(rng.normal(scale=0.5, size=(2, 5, 3)), requires_grad=True)
@@ -442,7 +451,7 @@ def test_node_grad_check_over_chunks(tag, monkeypatch):
 def node_and_oracle_errors(tag, q, k, v, norm_mode=None):
     cfg = cfg_for(tag, dim=q.shape[-3] * q.shape[-1], heads=q.shape[-3], norm_mode=norm_mode)
     errors = []
-    for run in (lambda: attention_node(q, k, v, cfg),
+    for run in (lambda: attention_node(*(merge_heads(t) for t in (q, k, v)), cfg),
                 lambda: attend(score(tag, *normalise(q, k, cfg), cfg), v)):
         with pytest.raises(Exception) as info:
             run()
@@ -468,7 +477,7 @@ def test_node_raises_what_the_composed_path_raises():
 
 
 def test_node_rejects_missing_additive_params_and_bad_heads():
-    q = Tensor(np.zeros((2, 4, 3)))
+    q = Tensor(np.zeros((2, 4, 6)))
     with pytest.raises(ConfigError):
         attention_node(q, q, q, cfg_for("add", dim=6, heads=2))
     with pytest.raises(DimensionError):
@@ -512,7 +521,9 @@ def test_one_attention_node_per_layer():
     cfg = M.ModelConfig(bands=4, num_classes=3, patch_size=3, model_dim=8, depth=3, heads=2,
                         mlp_dim=8, attention=AttentionConfig(8, 2, variant="msa-cs2"))
     _, nodes = largest_held_per_sample(cfg, batch=2)
-    ops = [nd.op for nd in nodes]
+    ops = [nd.op for nd in nodes if nd.parents]
     assert ops.count("attention") == 3
     assert ops.count("softmax_rows") == 1  # the classifier's; attention's is in the node
     assert "l2_normalize_rows" not in ops and "concat" not in ops
+    # the node splits and merges the heads itself: the reshapes are the classifier's
+    assert "transpose" not in ops and ops.count("reshape") == 2

@@ -191,6 +191,12 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_seed_with_noise_exits_2(self, scene_dir, tmp_path, capsys):
+        # the noise is drawn before any config is built
+        assert run_train(scene_dir, str(tmp_path / "ckpt"), ["--snr-db", "20", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be") and err.count("\n") == 1
+
 
 class TestDivergence:
     def test_names_epoch_and_step_without_warnings(self, scene_dir, tmp_path):
@@ -342,7 +348,8 @@ class TestSweep:
     def test_unknown_variant_exits_2(self, scene_dir, tmp_path):
         assert self.run_sweep(scene_dir, str(tmp_path / "r.csv"), "cs2,bogus") == 2
 
-    @pytest.mark.parametrize("seeds,snrs", [("a", None), (",", None), ("0", "x"), ("0", ",")])
+    @pytest.mark.parametrize("seeds,snrs", [("a", None), (",", None), ("0", "x"), ("0", ","),
+                                            ("-1", "20"), ("-1", None), ("0", "nan")])
     def test_bad_axis_exits_2(self, scene_dir, tmp_path, capsys, seeds, snrs):
         assert self.run_sweep(scene_dir, str(tmp_path / "r.csv"), "cs2", seeds, snrs) == 2
         err = capsys.readouterr().err

@@ -384,7 +384,7 @@ class TestGradientTape:
 
         monkeypatch.setattr(T, "_accumulate", measuring)
         loss.backward()
-        assert len(interior) > 50 and 0 < peak[0] <= 16 << 20
+        assert len(interior) > 40 and 0 < peak[0] <= 16 << 20
 
 
 class TestEvaluate:
