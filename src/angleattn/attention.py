@@ -66,6 +66,7 @@ class Kernel(NamedTuple):
 
     forward: Callable   # (s, d_h, cfg) -> scores
     backward: Callable  # (s, g, d_h, cfg) -> dL/ds, given g = dL/dscores
+    bound: Callable     # cfg -> largest |score| when every q and k row is unit-norm
 
 
 class VariantSpec(NamedTuple):
@@ -77,13 +78,17 @@ class VariantSpec(NamedTuple):
     cross: bool = False      # keys and values come from the embedding stream
 
 
-_PLAIN = Kernel(lambda s, d_h, cfg: s, lambda s, g, d_h, cfg: g)
-_SQUARED = Kernel(lambda s, d_h, cfg: s * s, lambda s, g, d_h, cfg: 2.0 * s * g)
-_ABSOLUTE = Kernel(lambda s, d_h, cfg: np.abs(s), lambda s, g, d_h, cfg: np.sign(s) * g)
+_PLAIN = Kernel(lambda s, d_h, cfg: s, lambda s, g, d_h, cfg: g, lambda cfg: 1.0)
+_SQUARED = Kernel(lambda s, d_h, cfg: s * s, lambda s, g, d_h, cfg: 2.0 * s * g,
+                  lambda cfg: 1.0)
+_ABSOLUTE = Kernel(lambda s, d_h, cfg: np.abs(s), lambda s, g, d_h, cfg: np.sign(s) * g,
+                   lambda cfg: 1.0)
 _TEMPERED = Kernel(lambda s, d_h, cfg: s * s * (1.0 / cfg.temperature),
-                   lambda s, g, d_h, cfg: 2.0 * s * (g * (1.0 / cfg.temperature)))
+                   lambda s, g, d_h, cfg: 2.0 * s * (g * (1.0 / cfg.temperature)),
+                   lambda cfg: 1.0 / cfg.temperature)
 _SCALED = Kernel(lambda s, d_h, cfg: s * (1.0 / math.sqrt(d_h)),
-                 lambda s, g, d_h, cfg: g * (1.0 / math.sqrt(d_h)))
+                 lambda s, g, d_h, cfg: g * (1.0 / math.sqrt(d_h)),
+                 lambda cfg: 1.0)  # 1/sqrt(d_h) <= 1
 
 VARIANTS = {
     ScoreVariant.COS_SQ: VariantSpec(_SQUARED, cosine=True),
@@ -182,6 +187,26 @@ def _check_unit_rows(x, what):
         raise ContractError(
             f"{what} rows must be unit-norm (or zero) before cosine scoring with "
             f"norm_mode=both (max deviation {deviation:.3e})")
+
+
+# exp of a score up to this size cannot overflow a softmax row: N e^64 (about
+# N * 6e27) stays far below float64's 1.8e308 for any N that fits in memory,
+# and e^-64 (about 1.6e-28) is far above underflow
+_EXP_LIMIT = 64.0
+
+
+def _skips_max_shift(cfg):
+    """Whether the softmax may take exp of the raw scores, with no row-max shift.
+
+    That holds when every q and k row has passed ``_check_unit_rows`` (a
+    cosine variant, not the per-head mix, at resolved norm mode both), so no
+    score exceeds its kernel's bound in size, and that bound is at most
+    ``_EXP_LIMIT``. A NaN or inf row fails the unit-row check before any
+    softmax runs, so the unshifted softmax needs no NaN check of its own.
+    """
+    spec = VARIANTS[cfg.variant]
+    return (spec.cosine and not spec.mixed and cfg.resolved_norm_mode is NormMode.BOTH
+            and spec.kernel.bound(cfg) <= _EXP_LIMIT)
 
 
 # -- the fused node: normalise, score, softmax and attend as one tape op -----
@@ -329,6 +354,11 @@ def attention_node(q, k, v, cfg, additive=None):
     of each, and the (..., N, D_v) output merges the heads back the same way.
     For the q k^T variants it is bit for bit the composed reference in
     ``tests/oracle.py``, down to the layout of the gradients it hands on.
+    The softmax subtracts each row's max before ``exp`` unless
+    ``_skips_max_shift(cfg)``: on checked unit rows a cosine-family score is
+    bounded (cs2, abscs in [0, 1], cs in [-1, 1], tempcs2 in [0, 1/tau]), so
+    ``exp`` cannot overflow while the bound stays at most ``_EXP_LIMIT``, and
+    the shift's max and subtract passes buy nothing.
     The node walks the leading sample axis in chunks whose largest array
     (the scores, or the additive hidden tensor) fits CHUNK_BUDGET. When
     recorded on the tape it keeps its inputs and each chunk's softmax
@@ -355,10 +385,11 @@ def attention_node(q, k, v, cfg, additive=None):
 
     out = np.empty(q.shape[:-1] + v.shape[-1:])
     kept = [] if T._tracks(parents) else None
+    shift = not _skips_max_shift(cfg)
     for sl in chunks:
         q_h, k_h, v_h = split(sl)
         s = _Chunk(q_h, k_h, cfg, arrays).scores()
-        p = T._softmax_fwd(s, out=s)
+        p = T._softmax_fwd(s, out=s, shift=shift)
         _heads(out, h)[sl] = np.matmul(p, v_h)
         if kept is not None:
             kept.append(p)

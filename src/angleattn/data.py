@@ -121,15 +121,22 @@ def _read_npy(path, expected_descr, expected_ndim):
         header = ast.literal_eval(buf[10:header_end].decode("latin1"))
     except Exception:
         raise FormatError(f"{path}: unparseable header at offset 10") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header at offset 10 is a {type(header).__name__}, not a dict")
     descr, fortran, shape = header.get("descr"), header.get("fortran_order"), header.get("shape")
     if descr != expected_descr:
         raise FormatError(f"{path}: dtype {descr!r} at offset 10, expected {expected_descr!r}")
+    if not isinstance(fortran, bool):
+        raise FormatError(f"{path}: fortran_order {fortran!r} at offset 10, expected a bool")
     if fortran:
         raise FormatError(f"{path}: fortran_order payloads unsupported (offset 10)")
-    if len(shape) != expected_ndim or any(s < 1 for s in shape):
-        raise FormatError(f"{path}: shape {shape} at offset 10, expected {expected_ndim}-D")
+    # a bool is an int subclass, so compare types exactly
+    if not (isinstance(shape, tuple) and len(shape) == expected_ndim
+            and all(type(s) is int and s >= 1 for s in shape)):
+        raise FormatError(f"{path}: shape {shape!r} at offset 10, expected {expected_ndim} "
+                          f"ints >= 1")
     itemsize = np.dtype(expected_descr).itemsize
-    expected_bytes = int(np.prod(shape)) * itemsize
+    expected_bytes = math.prod(shape) * itemsize  # exact: np.prod wraps around in int64
     if len(buf) - header_end != expected_bytes:
         raise FormatError(
             f"{path}: payload of {len(buf) - header_end} bytes at offset {header_end} "

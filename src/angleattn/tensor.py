@@ -333,12 +333,18 @@ def reduce_mean(a, axis=None):
 # numpy bodies of softmax_rows and l2_normalize_rows, shared with the fused
 # attention node so that both compute the same expressions
 
-def _softmax_fwd(x, out=None):
-    row_max = x.max(axis=-1, keepdims=True)
-    if np.isnan(row_max).any():  # max propagates NaN from anywhere in its row
-        raise NumericError("softmax_rows: NaN input")
-    y = np.subtract(x, row_max, out=out)
-    np.exp(y, out=y)
+def _softmax_fwd(x, out=None, shift=True):
+    """Softmax along the last axis. With ``shift`` each row's max is subtracted
+    before ``exp``, so no row can overflow, and a NaN input is a NumericError.
+    Without it ``exp`` runs on ``x`` directly and nothing is checked: only for
+    a caller that knows every value is finite and far below exp's overflow,
+    as the attention node knows its cosine scores on checked unit rows are."""
+    if shift:
+        row_max = x.max(axis=-1, keepdims=True)
+        if np.isnan(row_max).any():  # max propagates NaN from anywhere in its row
+            raise NumericError("softmax_rows: NaN input")
+        x = out = np.subtract(x, row_max, out=out)
+    y = np.exp(x, out=out)
     y /= y.sum(axis=-1, keepdims=True)
     return y
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from angleattn import tensor as T
 from angleattn.attention import (VARIANTS, NormMode, ScoreVariant, _check_unit_rows,
-                                 project_qkv)
+                                 _skips_max_shift, project_qkv)
 from angleattn.errors import ConfigError, DimensionError
 
 
@@ -116,14 +116,21 @@ def score(variant, q, k, cfg, additive_params=None):
                      _kernel_scores(sdp, False, q_sdp, k_sdp, cfg)], axis=q.ndim - 3)
 
 
-def attend(scores, v):
-    """softmax over keys, then weighted sum of values."""
-    return T.matmul(T.softmax_rows(scores), v)
+def attend(scores, v, shift=True):
+    """softmax over keys, then weighted sum of values. Without ``shift`` the
+    softmax takes exp of the raw scores, as the node does where
+    ``_skips_max_shift`` holds."""
+    if shift:
+        return T.matmul(T.softmax_rows(scores), v)
+    p = T._softmax_fwd(scores.data, shift=False)
+    probs = T._make(p, (scores,), lambda g: (T._softmax_bwd(p, g),), "softmax_rows")
+    return T.matmul(probs, v)
 
 
 def composed_attention(tokens_q, tokens_kv, cfg, params):
     """``multi_head_attention`` with normalise, score and attend in place of the node."""
     q, k, v = project_qkv(tokens_q, tokens_kv, params)
     qh, kh, vh = (split_heads(m, cfg.heads) for m in (q, k, v))
-    out = attend(score(cfg.variant, *normalise(qh, kh, cfg), cfg, params.additive), vh)
+    out = attend(score(cfg.variant, *normalise(qh, kh, cfg), cfg, params.additive), vh,
+                 shift=not _skips_max_shift(cfg))
     return T.matmul(merge_heads(out), params.w_o)

@@ -137,7 +137,8 @@ class TestSplitHeads:
         q, k, v = (Tensor(rng.normal(size=(2, 5, 12))) for _ in range(3))
         cfg = cfg_for(tag, dim=12, heads=3)
         qh, kh, vh = (split_heads(m, 3) for m in (q, k, v))
-        want = merge_heads(attend(score(tag, *normalise(qh, kh, cfg), cfg), vh))
+        want = merge_heads(attend(score(tag, *normalise(qh, kh, cfg), cfg), vh,
+                                  shift=not attention._skips_max_shift(cfg)))
         np.testing.assert_array_equal(attention_node(q, k, v, cfg).data, want.data)
 
 
@@ -424,6 +425,61 @@ def test_node_matches_composed_oracle(tag, budget, monkeypatch):
                                                    err_msg=f"{case} {name}")
                     else:
                         np.testing.assert_array_equal(fused[name], want, err_msg=f"{case} {name}")
+
+
+# the (variant, norm mode) pairs whose softmax takes exp of the raw scores,
+# written out apart from attention._skips_max_shift; every other pair of the
+# 12 x 5 keeps the row-max shift
+UNSHIFTED = {(tag, mode) for tag in ("cs2", "cs", "abscs", "tempcs2", "c-cs2", "c-cs")
+             for mode in (None, "both")}
+
+
+@pytest.mark.parametrize("norm_mode", [None, "none", "query", "key", "both"])
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_softmax_shift_reach(tag, norm_mode):
+    b, n, d, h = 3, 7, 12, 3
+    rng = np.random.default_rng(9)
+    q, k, v = (rng.normal(scale=3.0, size=(b, n, d)) for _ in range(3))
+    cfg = cfg_for(tag, dim=d, heads=h, norm_mode=norm_mode)
+    additive = rand_params(d, h, additive=True).additive
+    with T.no_grad():
+        got = attention_node(Tensor(q), Tensor(k), Tensor(v), cfg, additive).data
+    q_h, k_h, v_h = (np.ascontiguousarray(np.swapaxes(x.reshape(b, n, h, d // h), 1, 2))
+                     for x in (q, k, v))
+    arrays = None
+    if VARIANTS[cfg.variant].kernel is None:
+        arrays = tuple(t.data for t in (additive.w_q, additive.w_k, additive.w_a, additive.b_a))
+    s = attention._Chunk(q_h, k_h, cfg, arrays).scores()  # normalise, check unit rows, score
+
+    def attend_rows(e):
+        p = e / e.sum(axis=-1, keepdims=True)
+        return np.swapaxes(np.matmul(p, v_h), 1, 2).reshape(b, n, d)
+
+    shifted = attend_rows(np.exp(s - s.max(axis=-1, keepdims=True)))
+    with np.errstate(over="ignore", invalid="ignore"):  # unbounded scores overflow here
+        unshifted = attend_rows(np.exp(s))
+    want, other = (unshifted, shifted) if (tag, norm_mode) in UNSHIFTED else (shifted, unshifted)
+    assert not np.array_equal(want, other)  # the input tells the two forms apart
+    np.testing.assert_array_equal(got, want)
+
+
+def test_overflowing_bound_keeps_the_shift():
+    """tempcs2 at temperature 1e-3 scores parallel rows 1000, where exp
+    overflows: the node keeps the shifted softmax, as the oracle does."""
+    n = 6
+    rng = np.random.default_rng(10)
+    k = rng.normal(size=(2, n, n))
+    q = k * rng.uniform(0.5, 2.0, size=(2, n, 1))  # query row i parallel to key row i
+    v = np.broadcast_to(np.eye(n), (2, n, n))  # so each output row is a probability row
+    cfg = AttentionConfig(model_dim=n, heads=1, variant="tempcs2", temperature=1e-3)
+    with T.no_grad():
+        rows = attention_node(Tensor(q), Tensor(k), Tensor(v), cfg).data
+    assert np.isfinite(rows).all()
+    np.testing.assert_allclose(rows.sum(axis=-1), 1.0, rtol=1e-12)
+    qh, kh, vh = (split_heads(Tensor(x), 1) for x in (q, k, v))
+    want = attend(score("tempcs2", *normalise(qh, kh, cfg), cfg), vh,
+                  shift=not attention._skips_max_shift(cfg))
+    np.testing.assert_array_equal(rows, merge_heads(want).data)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)

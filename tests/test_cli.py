@@ -103,6 +103,16 @@ class TestTrain:
                      "--out", str(tmp_path / "ckpt")] + FAST)
         assert code == 1
 
+    def test_malformed_npy_header_exits_1(self, tmp_path, capsys):
+        header = b"{'descr': '<f4', 'fortran_order': False, 'shape': 5}"
+        bad = tmp_path / "bad.npy"
+        bad.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header)
+        code = main(["train", "--cube", str(bad), "--labels", str(bad),
+                     "--out", str(tmp_path / "ckpt")] + FAST)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: shape 5 at offset 10") and err.count("\n") == 1
+
     def test_unknown_variant(self, scene_dir, tmp_path):
         assert run_train(scene_dir, str(tmp_path / "c"), ["--variant", "bogus"]) == 2
 

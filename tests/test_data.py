@@ -1,13 +1,29 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from angleattn.data import (HyperCube, LabelMap, SplitSpec, SynthSpec, class_color,
                             export_map, extract_patch, inject_noise, load_cube,
                             load_labels, normalize_bands, save_cube, save_labels,
                             stratified_split, synth_scene)
-from angleattn.errors import ConfigError, DimensionError, FormatError, SplitError
+from angleattn.errors import ConfigError, DimensionError, FormatError, NumericError, SplitError
+
+
+def write_npy(path, tail):
+    """An NPY file with valid v1.0 magic and version, then ``tail`` verbatim."""
+    path.write_bytes(b"\x93NUMPY\x01\x00" + tail)
+
+
+def npy_header(text):
+    """The header length field and ``text``, as an NPY v1.0 file holds them."""
+    raw = text.encode("latin1")
+    return len(raw).to_bytes(2, "little") + raw
+
+
+LATIN1 = st.characters(max_codepoint=255)  # the NPY header's encoding
 
 
 def small_cube(seed=0, shape=(6, 7, 3)):
@@ -49,6 +65,49 @@ class TestCubeIO:
             f.write(blob[:-4])
         with pytest.raises(FormatError, match="payload"):
             load_cube(str(path))
+
+    @pytest.mark.parametrize("header", [
+        "[1, 2]",
+        "{'descr': '<f4', 'fortran_order': False}",
+        "{'descr': '<f4', 'fortran_order': False, 'shape': 5}",
+        "{'descr': '<f4', 'fortran_order': False, 'shape': ('a', 'b', 'c')}",
+        "{'descr': '<f4', 'fortran_order': False, 'shape': (True, 2, 2)}",
+        "{'descr': '<f4', 'fortran_order': 0, 'shape': (2, 2, 3)}",
+        # 2**120 elements: a product taken in int64 wraps around to 0
+        "{'descr': '<f4', 'fortran_order': False, 'shape': (1099511627776,) * 3}",
+    ])
+    def test_malformed_header_is_format_error(self, tmp_path, header):
+        path = tmp_path / "bad.npy"
+        write_npy(path, npy_header(header))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*offset 10"):
+            load_cube(str(path))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tail=st.one_of(
+        st.binary(max_size=200),
+        st.builds(lambda header, payload: npy_header(repr(header)) + payload,
+                  st.dictionaries(
+                      st.sampled_from(["descr", "fortran_order", "shape", "x"]),
+                      st.one_of(st.sampled_from(["<f4", "<u2", "<f8"]), st.booleans(),
+                                st.integers(-2, 2 ** 70), st.text(LATIN1, max_size=4), st.none(),
+                                st.tuples(), st.lists(st.integers(0, 3), max_size=4),
+                                st.lists(st.one_of(st.integers(-1, 4), st.booleans()),
+                                         min_size=2, max_size=3).map(tuple))),
+                  st.binary(max_size=48)),
+        st.builds(lambda text, payload: npy_header(text) + payload,
+                  st.text(LATIN1, max_size=80),
+                  st.binary(max_size=16))))
+    def test_fuzzed_header_loads_or_is_format_error(self, tmp_path, tail):
+        path = tmp_path / "fuzz.npy"
+        write_npy(path, tail)
+        for load in (load_cube, load_labels):
+            try:
+                load(str(path))
+            except FormatError:
+                pass
+            except NumericError as exc:  # a well-formed cube whose payload holds NaN or inf
+                assert load is load_cube and str(exc) == "cube contains non-finite values"
 
     def test_pairing_error(self):
         cube = small_cube()
