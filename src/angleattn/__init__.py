@@ -5,8 +5,8 @@ from .attention import (AdditiveParams, AttentionConfig, AttentionParams,
                         NormMode, ScoreVariant, attention_node,
                         multi_head_attention)
 from .data import (HyperCube, LabelMap, SplitSpec, SynthSpec, export_map,
-                   extract_patch, inject_noise, load_cube, load_labels,
-                   normalize_bands, stratified_split, synth_scene)
+                   extract_patch, extract_patches, inject_noise, load_cube,
+                   load_labels, normalize_bands, stratified_split, synth_scene)
 from .model import (ModelConfig, ModelParams, Positional, batched_forward,
                     forward, init_params, param_count)
 from .tensor import Tape, Tensor, grad_check

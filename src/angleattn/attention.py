@@ -62,10 +62,16 @@ class NormMode(enum.Enum):
 
 
 class Kernel(NamedTuple):
-    """Elementwise map from s = q k^T (per head) to raw scores, in numpy."""
+    """Elementwise map from s = q k^T (per head) to raw scores, in numpy.
 
-    forward: Callable   # (s, d_h, cfg) -> scores
-    backward: Callable  # (s, g, d_h, cfg) -> dL/ds, given g = dL/dscores
+    Without ``out`` each map allocates its result, as the composed reference
+    in ``tests/oracle.py`` calls it. With ``out`` (which may be ``s``) the
+    node's in-place form writes the result there; the identity kernel hands
+    back its input instead.
+    """
+
+    forward: Callable   # (s, d_h, cfg, out=None) -> scores
+    backward: Callable  # (s, g, d_h, cfg, out=None) -> dL/ds, given g = dL/dscores
     bound: Callable     # cfg -> largest |score| when every q and k row is unit-norm
 
 
@@ -78,17 +84,28 @@ class VariantSpec(NamedTuple):
     cross: bool = False      # keys and values come from the embedding stream
 
 
-_PLAIN = Kernel(lambda s, d_h, cfg: s, lambda s, g, d_h, cfg: g, lambda cfg: 1.0)
-_SQUARED = Kernel(lambda s, d_h, cfg: s * s, lambda s, g, d_h, cfg: 2.0 * s * g,
-                  lambda cfg: 1.0)
-_ABSOLUTE = Kernel(lambda s, d_h, cfg: np.abs(s), lambda s, g, d_h, cfg: np.sign(s) * g,
-                   lambda cfg: 1.0)
-_TEMPERED = Kernel(lambda s, d_h, cfg: s * s * (1.0 / cfg.temperature),
-                   lambda s, g, d_h, cfg: 2.0 * s * (g * (1.0 / cfg.temperature)),
-                   lambda cfg: 1.0 / cfg.temperature)
-_SCALED = Kernel(lambda s, d_h, cfg: s * (1.0 / math.sqrt(d_h)),
-                 lambda s, g, d_h, cfg: g * (1.0 / math.sqrt(d_h)),
-                 lambda cfg: 1.0)  # 1/sqrt(d_h) <= 1
+# each map keeps the rounding of its plain numpy expression: s * s, 2.0 * s * g,
+# np.sign(s) * g, s * s * (1 / tau), 2.0 * s * (g * (1 / tau)), s * (1 / sqrt d_h)
+_PLAIN = Kernel(lambda s, d_h, cfg, out=None: s, lambda s, g, d_h, cfg, out=None: g,
+                lambda cfg: 1.0)
+_SQUARED = Kernel(
+    lambda s, d_h, cfg, out=None: np.multiply(s, s, out=out),
+    lambda s, g, d_h, cfg, out=None: np.multiply(np.multiply(2.0, s, out=out), g, out=out),
+    lambda cfg: 1.0)
+_ABSOLUTE = Kernel(
+    lambda s, d_h, cfg, out=None: np.abs(s, out=out),
+    lambda s, g, d_h, cfg, out=None: np.multiply(np.sign(s, out=out), g, out=out),
+    lambda cfg: 1.0)
+_TEMPERED = Kernel(
+    lambda s, d_h, cfg, out=None: np.multiply(np.multiply(s, s, out=out),
+                                              1.0 / cfg.temperature, out=out),
+    lambda s, g, d_h, cfg, out=None: np.multiply(np.multiply(2.0, s, out=out),
+                                                 g * (1.0 / cfg.temperature), out=out),
+    lambda cfg: 1.0 / cfg.temperature)
+_SCALED = Kernel(
+    lambda s, d_h, cfg, out=None: np.multiply(s, 1.0 / math.sqrt(d_h), out=out),
+    lambda s, g, d_h, cfg, out=None: np.multiply(g, 1.0 / math.sqrt(d_h), out=out),
+    lambda cfg: 1.0)  # 1/sqrt(d_h) <= 1
 
 VARIANTS = {
     ScoreVariant.COS_SQ: VariantSpec(_SQUARED, cosine=True),
@@ -230,16 +247,31 @@ def _heads(x, heads):
     return np.swapaxes(x.reshape(x.shape[:-2] + (n, heads, d // heads)), -2, -3)
 
 
+class _Scratch(dict):
+    """One node call's scratch arrays, by name. Each is allocated at the first
+    chunk's shape and sliced for the later chunks, which are never larger, so
+    a call allocates each (chunk, H, N, N[, d_a]) temporary once and keeps
+    the working set the same few buffers from chunk to chunk."""
+
+    def __call__(self, name, shape):
+        if name not in self:
+            self[name] = np.empty(shape)
+        return self[name][:shape[0]]
+
+
 class _Chunk:
     """One chunk's forward state, recomputed in backward: normalised rows and
     raw scores (and the additive hidden tensor).
 
     Each step repeats the composed reference's numpy expression on the same
-    operand layout, so the q k^T variants stay bit-identical to it.
+    operand layout, so the q k^T variants stay bit-identical to it. The
+    (..., H, N, N[, d_a]) arrays live in ``scratch`` buffers, which a later
+    chunk of the same call overwrites.
     """
 
-    def __init__(self, q, k, cfg, additive):
+    def __init__(self, q, k, cfg, additive, scratch=None):
         self.cfg, self.spec, self.additive = cfg, VARIANTS[cfg.variant], additive
+        self.scratch = _Scratch() if scratch is None else scratch
         self.n_cos = (cfg.heads + 1) // 2 if self.spec.mixed else None
         mode = cfg.resolved_norm_mode
         self.q, self.q_norm = self._normalize(q, mode in (NormMode.BOTH, NormMode.QUERY_ONLY))
@@ -248,21 +280,21 @@ class _Chunk:
             cos = slice(None) if self.n_cos is None else np.s_[..., :self.n_cos, :, :]
             _check_unit_rows(self.q[cos], "query")
             _check_unit_rows(self.k[cos], "key")
+        self.score_shape = self.q.shape[:-1] + self.k.shape[-2:-1]
         if additive is None:
             self.k_t = np.ascontiguousarray(np.swapaxes(self.k, -1, -2))
-            self.s = np.matmul(self.q, self.k_t)
+            self.s = np.matmul(self.q, self.k_t, out=self.scratch("s", self.score_shape))
             return
         w_q, w_k, w_a, b_a = additive
         h, d_a, _ = w_q.shape
         self.w_q_t = np.ascontiguousarray(np.swapaxes(w_q, -1, -2))
         self.w_k_t = np.ascontiguousarray(np.swapaxes(w_k, -1, -2))
-        hidden = (np.matmul(self.q, self.w_q_t)[..., :, None, :]
-                  + np.matmul(self.k, self.w_k_t)[..., None, :, :])
+        hidden = np.add(np.matmul(self.q, self.w_q_t)[..., :, None, :],
+                        np.matmul(self.k, self.w_k_t)[..., None, :, :],
+                        out=self.scratch("hidden", self.score_shape + (d_a,)))
         hidden += b_a.reshape(h, 1, 1, d_a)
         self.hidden = np.tanh(hidden, out=hidden)  # (..., H, N, N, d_a)
         self.w = w_a.reshape(h, 1, d_a, 1)
-        out = np.matmul(self.hidden, self.w)
-        self.s = out.reshape(out.shape[:-1])
 
     def _normalize(self, x, on):
         """l2_normalize_rows' forward; the mixed variant's cosine heads only."""
@@ -284,27 +316,33 @@ class _Chunk:
         return np.concatenate([T._l2_rows_bwd(g_cos, part, active, denom),
                                g[..., self.n_cos:, :, :]], axis=-3)
 
-    def _kernel(self, direction, *arrays):
-        """The row's kernel forward or backward; the mixed variant runs sdp on
-        its last floor(H/2) heads."""
+    def _kernel(self, direction, *arrays, out):
+        """The row's kernel forward or backward, written into ``out``; the mixed
+        variant runs sdp on its last floor(H/2) heads, each group into its
+        own head slice of ``out`` (both of its kernels write there)."""
         d_h = self.q.shape[-1]
         if self.n_cos is None:
-            return getattr(self.spec.kernel, direction)(*arrays, d_h, self.cfg)
-        groups = ((self.spec.kernel, np.s_[..., :self.n_cos, :, :]),
-                  (_SCALED, np.s_[..., self.n_cos:, :, :]))
-        return np.concatenate(
-            [getattr(kernel, direction)(*(a[heads] for a in arrays), d_h, self.cfg)
-             for kernel, heads in groups], axis=-3)
+            return getattr(self.spec.kernel, direction)(*arrays, d_h, self.cfg, out=out)
+        for kernel, heads in ((self.spec.kernel, np.s_[..., :self.n_cos, :, :]),
+                              (_SCALED, np.s_[..., self.n_cos:, :, :])):
+            getattr(kernel, direction)(*(a[heads] for a in arrays), d_h, self.cfg,
+                                       out=out[heads])
+        return out
 
     def scores(self):
-        return self.s if self.additive is not None else self._kernel("forward", self.s)
+        """The raw scores, written over the chunk's score buffer."""
+        if self.additive is not None:  # backward needs only the hidden tensor
+            s = self.scratch("s", self.score_shape)
+            np.matmul(self.hidden, self.w, out=s.reshape(s.shape + (1,)))
+            return s
+        return self._kernel("forward", self.s, out=self.s)
 
     def backward(self, g_scores):
         """(dL/dq, dL/dk, additive parameter gradients or ()) from dL/dscores."""
         if self.additive is not None:
             g_q, g_k, g_params = self._additive_bwd(g_scores)
         else:
-            g_s = self._kernel("backward", self.s, g_scores)
+            g_s = self._kernel("backward", self.s, g_scores, out=self.s)
             g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2))
             g_k = np.swapaxes(np.matmul(np.swapaxes(self.q, -1, -2), g_s), -1, -2)
             if self.n_cos is not None:  # the reference's head slicing leaves it C-ordered
@@ -316,7 +354,8 @@ class _Chunk:
     def _additive_bwd(self, g_scores):
         _, _, w_a, b_a = self.additive
         g4 = g_scores[..., None]
-        g_hidden = np.matmul(g4, np.swapaxes(self.w, -1, -2))
+        g_hidden = np.matmul(g4, np.swapaxes(self.w, -1, -2),
+                             out=self.scratch("g_hidden", self.hidden.shape))
         g_w_a = T._unbroadcast(np.matmul(np.swapaxes(self.hidden, -1, -2), g4), self.w.shape)
         g_pre = self.hidden  # tanh backward, in place: (1 - y*y) * g
         g_pre *= g_pre
@@ -363,7 +402,10 @@ def attention_node(q, k, v, cfg, additive=None):
     (the scores, or the additive hidden tensor) fits CHUNK_BUDGET. When
     recorded on the tape it keeps its inputs and each chunk's softmax
     probabilities; backward recomputes the rest, head copies too, one chunk
-    at a time, so no (N, N, d_a) tensor outlives its chunk.
+    at a time, so no (N, N, d_a) tensor outlives its chunk. Forward and
+    backward each allocate their (chunk, H, N, N[, d_a]) temporaries once
+    per call and reuse them across chunks (``_Scratch``); under ``no_grad``
+    the softmax too runs in the score buffer.
     """
     h = cfg.heads
     if any(t.shape[-1] % h for t in (q, k, v)):
@@ -386,21 +428,24 @@ def attention_node(q, k, v, cfg, additive=None):
     out = np.empty(q.shape[:-1] + v.shape[-1:])
     kept = [] if T._tracks(parents) else None
     shift = not _skips_max_shift(cfg)
+    scratch = _Scratch()
     for sl in chunks:
         q_h, k_h, v_h = split(sl)
-        s = _Chunk(q_h, k_h, cfg, arrays).scores()
-        p = T._softmax_fwd(s, out=s, shift=shift)
+        s = _Chunk(q_h, k_h, cfg, arrays, scratch).scores()
+        p = T._softmax_fwd(s, out=s if kept is None else np.empty_like(s), shift=shift)
         _heads(out, h)[sl] = np.matmul(p, v_h)
         if kept is not None:
             kept.append(p)
 
     def backward_fn(g):
         g_out, g_qkv, g_params = _heads(g, h), [None, None, None], ()
+        scratch = _Scratch()  # the forward's is gone: only kept probabilities outlive it
         for sl, p in zip(chunks, kept):
             q_h, k_h, v_h = split(sl)
             g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl])
-            g_scores = T._softmax_bwd(p, np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2)))
-            g_q, g_k, chunk_params = _Chunk(q_h, k_h, cfg, arrays).backward(g_scores)
+            g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=scratch("g_p", p.shape))
+            g_scores = T._softmax_bwd(p, g_p, out=scratch("g_scores", p.shape))
+            g_q, g_k, chunk_params = _Chunk(q_h, k_h, cfg, arrays, scratch).backward(g_scores)
             g_qkv = [_place(full, sl, part, t.shape)
                      for full, part, t in zip(g_qkv, (g_q, g_k, g_v), (q, k, v))]
             g_params = chunk_params if not g_params else tuple(

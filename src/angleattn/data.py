@@ -184,10 +184,21 @@ def extract_patch(cube, row, col, patch_size):
     h, w = cube.values.shape[:2]
     if not (0 <= row < h and 0 <= col < w):
         raise DimensionError(f"center ({row}, {col}) outside {h}x{w} image")
-    half = patch_size // 2
-    rows = _reflect_index(np.arange(row - half, row - half + patch_size), h)
-    cols = _reflect_index(np.arange(col - half, col - half + patch_size), w)
-    return cube.values[np.ix_(rows, cols)].astype(np.float64)
+    return extract_patches(cube, [row * w + col], patch_size)[0]
+
+
+def extract_patches(cube, flat_indices, patch_size):
+    """(B, P, P, C) float64 windows centered at flat row-major pixel indices,
+    gathered in one take; borders mirror into the scene."""
+    h, w = cube.values.shape[:2]
+    flat = np.asarray(flat_indices, dtype=np.int64)
+    outside = (flat < 0) | (flat >= h * w)
+    if outside.any():
+        raise DimensionError(f"flat index {flat[outside][0]} outside {h}x{w} image")
+    offsets = np.arange(patch_size) - patch_size // 2
+    rows = _reflect_index(flat[:, None] // w + offsets, h)  # (B, P)
+    cols = _reflect_index(flat[:, None] % w + offsets, w)
+    return cube.values[rows[:, :, None], cols[:, None, :]].astype(np.float64)
 
 
 def _round_half_up(x):

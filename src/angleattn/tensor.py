@@ -349,9 +349,11 @@ def _softmax_fwd(x, out=None, shift=True):
     return y
 
 
-def _softmax_bwd(y, g):
-    inner = (g * y).sum(axis=-1, keepdims=True)
-    return y * (g - inner)
+def _softmax_bwd(y, g, out=None):
+    """y * (g - sum(g * y)) along the last axis; with ``out`` (not ``g``) its
+    two temporaries and the result share that one array."""
+    inner = np.multiply(g, y, out=out).sum(axis=-1, keepdims=True)
+    return np.multiply(y, np.subtract(g, inner, out=out), out=out)
 
 
 def _l2_rows_fwd(x, eps):

@@ -10,9 +10,10 @@ from functools import partial
 
 import numpy as np
 
+from . import attention
 from . import tensor as T
 from .attention import ScoreVariant
-from .data import extract_patch, inject_noise, stratified_split
+from .data import extract_patches, inject_noise, stratified_split
 from .errors import (ConfigError, ContractError, EvalError, LabelError, NumericError,
                      SplitError, check_int, check_real)
 from .model import batched_forward, init_params, is_no_decay
@@ -145,26 +146,31 @@ def metrics_from_confusion(confusion):
     return float(oa), float(aa), float(kappa), per_class
 
 
-def _gather_batch(cube, flat_indices, patch_size):
-    w = cube.values.shape[1]
-    patches = np.stack([extract_patch(cube, idx // w, idx % w, patch_size)
-                        for idx in flat_indices])
-    return patches
+def _predict_block(cfg):
+    """Patches per ``no_grad`` forward in ``predict``: at most as many as keep
+    two copies of the widest activation (tokens x max(model_dim, mlp_dim)
+    float64 per patch) within ``attention.CHUNK_BUDGET``. Each block then
+    allocates the same few arrays of at most 1 MiB, which the heap can hand
+    back block after block instead of faulting in fresh pages."""
+    width = max(cfg.model_dim, cfg.mlp_dim)
+    return max(1, attention.CHUNK_BUDGET // (16 * cfg.tokens * width))
 
 
 def predict(params, cfg, cube, flat_indices, batch_size=256):
     """Predicted class ids (1-based) for the given flat pixel indices.
 
-    Runs under ``no_grad``: no graph is kept, so memory per batch is set by
-    the largest few live intermediates rather than by every op output.
+    Runs under ``no_grad``, so no graph is kept, in blocks of at most
+    ``batch_size`` patches and at most ``_predict_block(cfg)``. Each row of
+    a forward depends on its own patch alone, so the ids do not depend on
+    either bound.
     """
+    block = min(batch_size, _predict_block(cfg))
     preds = np.empty(len(flat_indices), dtype=np.int64)
-    for lo in range(0, len(flat_indices), batch_size):
-        chunk = flat_indices[lo:lo + batch_size]
-        with T.no_grad():
-            probs = batched_forward(_gather_batch(cube, chunk, cfg.patch_size),
-                                    params, cfg, training=False)
-        preds[lo:lo + len(chunk)] = probs.data.argmax(axis=-1) + 1
+    with T.no_grad():
+        for lo in range(0, len(flat_indices), block):
+            patches = extract_patches(cube, flat_indices[lo:lo + block], cfg.patch_size)
+            probs = batched_forward(patches, params, cfg, training=False)
+            preds[lo:lo + len(patches)] = probs.data.argmax(axis=-1) + 1
     return preds
 
 
@@ -233,7 +239,7 @@ def train(cfg, cube, labels, splits, tcfg):
                 for step, lo in enumerate(range(0, len(order), tcfg.batch_size)):
                     where = f"epoch {epoch} step {step}"
                     sel = train_idx[order[lo:lo + tcfg.batch_size]]
-                    losses.append(_train_step(params, cfg, tcfg, opt, _gather_batch(
+                    losses.append(_train_step(params, cfg, tcfg, opt, extract_patches(
                         cube, sel, cfg.patch_size), flat_labels[sel] - 1, dropout_rng))
                 where = f"epoch {epoch} validation"
                 val_report = evaluate(params, cfg, cube, labels, val_idx)

@@ -8,8 +8,11 @@ both} x heads {2, 3, 4} x positional {learnable, sinusoidal, none} x
 ``CHUNK_BUDGET`` {default, 1}, the ``no_grad`` probabilities, one training
 step's loss and every parameter gradient on a small batch with a zero
 pixel and an all-zero patch, plus the ``no_grad`` single-patch ``forward``
-probabilities of those two patches. ``compare`` lists the arrays whose bytes,
-dtype or shape differ, or that only one dump holds, and exits 1 if any do.
+probabilities of those two patches and the probabilities of ``predict``'s
+blocked path (``no_grad`` forwards over blocks of ``train._predict_block``
+patches, and of 1 patch, concatenated). ``compare`` lists the arrays whose
+bytes, dtype or shape differ, or that only one dump holds, and exits 1 if
+any do.
 To check that a change keeps outputs bit for bit, dump with each
 checkout's ``src`` on ``PYTHONPATH`` and compare the two files.
 """
@@ -24,7 +27,7 @@ from angleattn import attention
 from angleattn import model as M
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig, ScoreVariant
-from angleattn.train import label_smoothed_ce
+from angleattn.train import _predict_block, label_smoothed_ce
 
 NORM_MODES = (None, "none", "query", "key", "both")
 HEADS = (2, 3, 4)
@@ -41,14 +44,24 @@ def oracle_batch():
     return x, np.array([0, 1, 2, 1, 0])
 
 
+def blocked_probs(x, params, cfg, block):
+    """``predict``'s path: no_grad forwards over blocks of ``block`` patches."""
+    with T.no_grad():
+        return np.concatenate([M.batched_forward(x[lo:lo + block], params, cfg).data
+                               for lo in range(0, len(x), block)])
+
+
 def model_outputs(cfg, x, targets):
-    """no_grad probabilities (batched, and single-patch for the zero-pixel and
-    all-zero patches), then one training step's loss and every gradient."""
+    """no_grad probabilities (batched, single-patch for the zero-pixel and
+    all-zero patches, and blocked as ``predict`` runs them), then one
+    training step's loss and every gradient."""
     params = M.init_params(cfg, 3)
     with T.no_grad():
         out = {"probs": M.batched_forward(x, params, cfg).data,
                "probs_zero_pixel": M.forward(x[1], params, cfg)[1].data,
                "probs_zero_patch": M.forward(x[3], params, cfg)[1].data}
+    out["probs_block_default"] = blocked_probs(x, params, cfg, _predict_block(cfg))
+    out["probs_block_1"] = blocked_probs(x, params, cfg, 1)
     probs = M.batched_forward(x, params, cfg, training=True, rng=np.random.default_rng(1))
     loss = label_smoothed_ce(probs, targets, 0.05)
     loss.backward()

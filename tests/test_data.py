@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from angleattn.data import (HyperCube, LabelMap, SplitSpec, SynthSpec, class_color,
-                            export_map, extract_patch, inject_noise, load_cube,
-                            load_labels, normalize_bands, save_cube, save_labels,
+                            export_map, extract_patch, extract_patches, inject_noise,
+                            load_cube, load_labels, normalize_bands, save_cube, save_labels,
                             stratified_split, synth_scene)
 from angleattn.errors import ConfigError, DimensionError, FormatError, NumericError, SplitError
 
@@ -162,6 +162,40 @@ class TestExtractPatch:
         cube = HyperCube(np.full((4, 4, 2), 3.5, dtype=np.float32))
         patch = extract_patch(cube, 0, 0, 5)
         assert (patch == 3.5).all()
+
+
+class TestExtractPatches:
+    """The batched gather: one reflect rule for every patch size and border."""
+
+    @staticmethod
+    def padded_patch(cube, row, col, patch_size):
+        """The window cut from a scene mirror-padded by np.pad's reflect mode."""
+        half = patch_size // 2
+        pad = ((half, patch_size - 1 - half),) * 2 + ((0, 0),)
+        padded = np.pad(cube.values, pad, mode="reflect")
+        return padded[row:row + patch_size, col:col + patch_size].astype(np.float64)
+
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (6, 1, 2)])  # and a 1-pixel-wide scene
+    def test_equals_stacked_extract_patch(self, shape):
+        cube = small_cube(4, shape)
+        h, w = shape[:2]
+        flat = np.arange(h * w)
+        for patch_size in range(1, 17):
+            stacked = np.stack([extract_patch(cube, i // w, i % w, patch_size) for i in flat])
+            padded = np.stack([self.padded_patch(cube, i // w, i % w, patch_size) for i in flat])
+            batched = extract_patches(cube, flat, patch_size)
+            assert batched.shape == (h * w, patch_size, patch_size, shape[2])
+            assert batched.dtype == np.float64
+            np.testing.assert_array_equal(batched, stacked, err_msg=f"P={patch_size}")
+            np.testing.assert_array_equal(batched, padded, err_msg=f"P={patch_size}")
+
+    @pytest.mark.parametrize("flat", [[-1], [0, 42], [3, -7, 5]])
+    def test_out_of_image_index(self, flat):
+        with pytest.raises(DimensionError, match="outside 6x7 image"):
+            extract_patches(small_cube(), flat, 3)
+
+    def test_empty_selection(self):
+        assert extract_patches(small_cube(), [], 3).shape == (0, 3, 3, 3)
 
 
 class TestStratifiedSplit:

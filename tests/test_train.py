@@ -9,8 +9,8 @@ from angleattn import attention as attention_module
 from angleattn import tensor as T
 from angleattn import train as train_module
 from angleattn.attention import VARIANTS, AttentionConfig
-from angleattn.data import (HyperCube, SplitSpec, SynthSpec, extract_patch, inject_noise,
-                            normalize_bands, stratified_split, synth_scene)
+from angleattn.data import (HyperCube, SplitSpec, SynthSpec, extract_patch, extract_patches,
+                            inject_noise, normalize_bands, stratified_split, synth_scene)
 from angleattn.errors import ConfigError, EvalError, LabelError, NumericError
 from angleattn.model import ModelConfig, batched_forward, init_params
 from angleattn.tensor import Tensor
@@ -434,6 +434,56 @@ class TestPredict:
 
         tensors = [t for _, t in params.named_parameters()]
         assert T.grad_check(f, tensors, max_coords=2) <= 1e-4
+
+
+ALL_TAGS = [v.value for v in VARIANTS]
+
+
+class TestBlockIndependence:
+    """predict's blocks change no bit: each row of a no_grad forward depends on
+    its own patch alone, whatever the block and the node's chunks around it."""
+
+    @staticmethod
+    def config(variant):
+        # 64 tokens and width 64: a default block of 32 patches, and the
+        # node's default chunks span 32 samples (2 for the additive variants)
+        attn = AttentionConfig(model_dim=16, heads=2, variant=variant)
+        return ModelConfig(bands=8, num_classes=3, patch_size=8, model_dim=16, depth=1,
+                           heads=2, mlp_dim=64, attention=attn)
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_blocked_forward_equals_full_batch(self, tag):
+        cfg = self.config(tag)
+        params = init_params(cfg, 0)
+        x = np.random.default_rng(5).normal(size=(40, 8, 8, 8))
+        block = train_module._predict_block(cfg)
+        assert block == 32
+        with T.no_grad():
+            full = batched_forward(x, params, cfg).data
+            for size in (1, 7, block):
+                blocked = np.concatenate([batched_forward(x[lo:lo + size], params, cfg).data
+                                          for lo in range(0, len(x), size)])
+                np.testing.assert_array_equal(blocked, full, err_msg=f"block {size}")
+
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_predict_ids_do_not_depend_on_batch_size(self, tag):
+        cube, _ = tiny_scene()
+        cfg = replace(self.config(tag), patch_size=3)
+        params = init_params(cfg, 0)
+        flat = np.arange(0, 24 * 24, 7)  # 83 pixels, borders included
+        with T.no_grad():
+            want = batched_forward(extract_patches(cube, flat, 3), params,
+                                   cfg).data.argmax(axis=-1) + 1
+        for batch_size in (1, 7, 256):
+            np.testing.assert_array_equal(predict(params, cfg, cube, flat, batch_size), want,
+                                          err_msg=f"batch_size {batch_size}")
+
+    def test_block_follows_chunk_budget(self, monkeypatch):
+        assert train_module._predict_block(self.config("cs2")) == 32
+        paper = ModelConfig(bands=200, num_classes=8)  # patch 16, dim 64, mlp 128
+        assert train_module._predict_block(paper) == 4
+        monkeypatch.setattr(attention_module, "CHUNK_BUDGET", 1)
+        assert train_module._predict_block(paper) == 1
 
 
 class TestSweep:
