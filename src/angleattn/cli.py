@@ -1,27 +1,26 @@
 """Command-line entry point: synth, train, eval, and sweep subcommands.
 
 Exit codes: 0 success, 1 runtime/data error, 2 usage or configuration
-error. A JSON config file may supply any flag value; explicit flags win.
+error. A JSON config file may supply any config value; explicit flags win.
+Each subcommand parses only the flags it reads; eval reads its config from
+the checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from numbers import Integral, Real
 
 import numpy as np
 
-from .attention import AttentionConfig, NormMode, ScoreVariant
-from .data import (SplitSpec, SynthSpec, export_map, inject_noise, load_cube,
-                   load_labels, normalize_bands, save_cube, save_labels,
+from .attention import AttentionConfig
+from .data import (SplitSpec, SynthSpec, check_snr_db, export_map, inject_noise,
+                   load_cube, load_labels, normalize_bands, save_cube, save_labels,
                    stratified_split, synth_scene)
 from .errors import AngleAttnError, ConfigError, FormatError
-from .model import (ModelConfig, Positional, init_params, load_checkpoint,
-                    save_checkpoint)
+from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .train import TrainConfig, evaluate, predict, rows_to_csv, sweep, train
 
 # defaults follow the reference training protocol
@@ -37,36 +36,15 @@ CONFIG_DEFAULTS = {
 }
 
 
-# value types of the CONFIG_DEFAULTS keys; every other key is a tag or a path
-_INT_KEYS = {"patch", "dim", "depth", "heads", "mlp_dim", "epochs", "batch", "seed",
-             "classes", "height", "width", "bands", "sites"}
-_REAL_KEYS = {"dropout", "temperature", "lr", "wd", "clip", "smoothing", "train_frac",
-              "val_frac", "snr_db", "gain_lo", "gain_hi"}
-_NULLABLE_KEYS = {"classes", "snr_db"}
+_PATH_KEYS = ("cube", "labels", "out")
 
 
-def _type_error(key, val):
-    """What is wrong with ``val`` as the value of ``key``, or None."""
-    if key in _INT_KEYS or key in _REAL_KEYS:
-        if val is None and key in _NULLABLE_KEYS:
-            return None
-        if key in _INT_KEYS:
-            ok, want = isinstance(val, Integral) and not isinstance(val, bool), "an integer"
-        else:
-            ok = isinstance(val, Real) and not isinstance(val, bool) and math.isfinite(val)
-            want = "a finite number"
-        return None if ok else f"{key} must be {want}, got {val!r}"
-    if val is None or isinstance(val, str):
-        return None
-    return f"{key} must be a string or null, got {val!r}"
-
-
-def _check_config_types(cfg, where, error=ConfigError):
-    """Raise ``error`` for the first CONFIG_DEFAULTS value of the wrong type."""
-    for key in CONFIG_DEFAULTS:
-        problem = _type_error(key, cfg[key])
-        if problem:
-            raise error(f"{where}: {problem}")
+def _check_paths(cfg):
+    """The one value rule no config dataclass holds: a path is a string or null.
+    Without it ``{"cube": 5}`` would make ``open`` read file descriptor 5."""
+    for key in _PATH_KEYS:
+        if cfg[key] is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a path string or null, got {cfg[key]!r}")
 
 
 def load_config_file(path):
@@ -93,29 +71,29 @@ def resolve_config(args):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    _check_config_types(cfg, "config")
+    _check_paths(cfg)
     return cfg
 
 
-def build_model_config(cfg, bands, classes):
-    attn = AttentionConfig(
-        model_dim=cfg["dim"], heads=cfg["heads"],
-        variant=ScoreVariant.from_tag(cfg["variant"]),
-        norm_mode=NormMode.from_tag(cfg["norm_mode"]) if cfg["norm_mode"] else None,
-        temperature=cfg["temperature"])
-    return ModelConfig(
+def build_configs(cfg, bands, classes, split_seed):
+    """(ModelConfig, TrainConfig, SplitSpec) from a resolved config; each checks
+    its own values. A checkpoint's split takes its manifest's seed."""
+    check_snr_db(cfg["snr_db"])
+    attn = AttentionConfig(model_dim=cfg["dim"], heads=cfg["heads"], variant=cfg["variant"],
+                           norm_mode=cfg["norm_mode"], temperature=cfg["temperature"])
+    model_cfg = ModelConfig(
         bands=bands, num_classes=classes, patch_size=cfg["patch"],
         model_dim=cfg["dim"], depth=cfg["depth"], heads=cfg["heads"],
         mlp_dim=cfg["mlp_dim"], dropout_rate=cfg["dropout"],
-        attention=attn, positional=Positional.from_tag(cfg["positional"]))
-
-
-def build_train_config(cfg):
-    return TrainConfig(
+        attention=attn, positional=cfg["positional"])
+    tcfg = TrainConfig(
         epochs=cfg["epochs"], batch_size=cfg["batch"], lr=cfg["lr"],
         weight_decay=cfg["wd"], clip_norm=cfg["clip"],
         label_smoothing=cfg["smoothing"], seed=cfg["seed"],
         clip_mode=cfg["clip_mode"])
+    split_spec = SplitSpec(train_frac=cfg["train_frac"], val_frac=cfg["val_frac"],
+                           seed=split_seed)
+    return model_cfg, tcfg, split_spec
 
 
 def _require(cfg, *keys):
@@ -139,7 +117,7 @@ def cmd_synth(args):
     cfg = resolve_config(args)
     _require(cfg, "out")
     spec = SynthSpec(height=cfg["height"], width=cfg["width"], bands=cfg["bands"],
-                     classes=cfg["classes"] or 8, sites=cfg["sites"],
+                     classes=8 if cfg["classes"] is None else cfg["classes"], sites=cfg["sites"],
                      gain_lo=cfg["gain_lo"], gain_hi=cfg["gain_hi"],
                      snr_db=cfg["snr_db"], seed=cfg["seed"])
     cube, labels = synth_scene(spec)
@@ -157,11 +135,8 @@ def cmd_train(args):
     cfg = resolve_config(args)
     _require(cfg, "out")
     cube, labels = _load_scene(cfg)
-    classes = cfg["classes"] or labels.num_classes
-    model_cfg = build_model_config(cfg, cube.bands, classes)
-    tcfg = build_train_config(cfg)
-    split_spec = SplitSpec(train_frac=cfg["train_frac"], val_frac=cfg["val_frac"],
-                           seed=cfg["seed"])
+    classes = labels.num_classes if cfg["classes"] is None else cfg["classes"]
+    model_cfg, tcfg, split_spec = build_configs(cfg, cube.bands, classes, cfg["seed"])
     splits = stratified_split(labels, split_spec)
     params, log, best_epoch = train(model_cfg, cube, labels, splits, tcfg)
     manifest_cfg = dict(cfg)
@@ -184,23 +159,23 @@ def _params_from_checkpoint(path):
         raise FormatError(f"checkpoint config in {path} lacks {', '.join(missing)}")
     cfg = dict(CONFIG_DEFAULTS)
     cfg.update(manifest["config"])
-    where = f"checkpoint config in {path}"
-    _check_config_types(cfg, where, FormatError)
-    for key in ("scene_bands", "classes"):
-        if not isinstance(cfg[key], Integral) or isinstance(cfg[key], bool):
-            raise FormatError(f"{where}: {key} must be an integer, got {cfg[key]!r}")
-    model_cfg = build_model_config(cfg, cfg["scene_bands"], cfg["classes"])
+    try:
+        _check_paths(cfg)
+        model_cfg, _, split_spec = build_configs(cfg, cfg["scene_bands"], cfg["classes"],
+                                                 manifest["seed"])
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint config in {path}: {exc}") from None
     params = init_params(model_cfg, manifest["seed"])
     names = {name for name, _ in params.named_parameters()}
     if names != set(values):
         missing = sorted(names ^ set(values))
         raise ConfigError(f"checkpoint does not match config; mismatched params: {missing}")
     params.load_values(values)
-    return params, model_cfg, cfg, manifest
+    return params, model_cfg, split_spec, cfg, manifest
 
 
 def cmd_eval(args):
-    params, model_cfg, cfg, manifest = _params_from_checkpoint(args.checkpoint)
+    params, model_cfg, split_spec, cfg, manifest = _params_from_checkpoint(args.checkpoint)
     if args.cube:
         cfg["cube"] = args.cube
     if args.labels:
@@ -208,8 +183,6 @@ def cmd_eval(args):
     cube, labels = _load_scene(cfg)
     if cube.bands != model_cfg.bands:
         raise ConfigError(f"cube has {cube.bands} bands, checkpoint expects {model_cfg.bands}")
-    split_spec = SplitSpec(train_frac=cfg["train_frac"], val_frac=cfg["val_frac"],
-                           seed=manifest["seed"])
     _, _, test_idx = stratified_split(labels, split_spec)
     report = evaluate(params, model_cfg, cube, labels, test_idx)
     print(f"OA={100 * report.oa:.2f} AA={100 * report.aa:.2f} kappa={100 * report.kappa:.2f}")
@@ -242,11 +215,9 @@ def cmd_sweep(args):
     snrs = (_parse_list(args.snr_db_list, float, "--snr-db-list") if args.snr_db_list
             else [cfg["snr_db"]])
     cube, labels = _load_scene(dict(cfg, snr_db=None))  # noise is added per cell
-    model_cfg = build_model_config(cfg, cube.bands, cfg["classes"] or labels.num_classes)
-    split_spec = SplitSpec(train_frac=cfg["train_frac"], val_frac=cfg["val_frac"],
-                           seed=cfg["seed"])
-    rows = sweep(variants, model_cfg, cube, labels, split_spec, build_train_config(cfg),
-                 seeds=seeds, snr_dbs=snrs)
+    classes = labels.num_classes if cfg["classes"] is None else cfg["classes"]
+    model_cfg, tcfg, split_spec = build_configs(cfg, cube.bands, classes, cfg["seed"])
+    rows = sweep(variants, model_cfg, cube, labels, split_spec, tcfg, seeds=seeds, snr_dbs=snrs)
     csv_text = rows_to_csv(rows)
     if cfg["out"]:
         with open(cfg["out"], "w") as f:
@@ -255,25 +226,30 @@ def cmd_sweep(args):
     return 0
 
 
-_SYNTH_KEYS = ("height", "width", "bands", "sites", "gain_lo", "gain_hi")
+_SCENE_KEYS = ("height", "width", "bands", "sites", "gain_lo", "gain_hi")  # synth's alone
+_SYNTH_KEYS = ("out", "seed", "classes", "snr_db") + _SCENE_KEYS
+_RUN_KEYS = [key for key in CONFIG_DEFAULTS if key not in _SCENE_KEYS]  # train and sweep
 _HELP = {
     "cube": "input cube (.npy, <f4, HxWxC)", "labels": "input labels (.npy, <u2, HxW)",
     "out": "output path", "norm_mode": "none, query, key, or both",
     "variant": "score variant tag (cs2, cs, abscs, tempcs2, dp, sdp, add, msa-cs2, "
                "c-sdp, c-cs2, c-cs, c-add)",
 }
+# a flag is typed as its default; these two numeric keys default to None
+_NULL_DEFAULT_TYPES = {"classes": int, "snr_db": float}
 
 
 def _add_flags(p, keys):
     """One --flag per config key (``mlp_dim`` -> ``--mlp-dim``), typed as the key's value."""
     for key in keys:
-        kind = int if key in _INT_KEYS else float if key in _REAL_KEYS else None
+        default = CONFIG_DEFAULTS[key]
+        kind = _NULL_DEFAULT_TYPES.get(key) if default is None else type(default)
         p.add_argument("--" + key.replace("_", "-"), type=kind, help=_HELP.get(key))
 
 
-def _add_common_flags(p):
+def _add_config_flags(p, keys):
     p.add_argument("--config", help="JSON config file; flags override its values")
-    _add_flags(p, [key for key in CONFIG_DEFAULTS if key not in _SYNTH_KEYS])
+    _add_flags(p, keys)
 
 
 def build_parser():
@@ -282,23 +258,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled scene")
-    _add_common_flags(p_synth)
-    _add_flags(p_synth, _SYNTH_KEYS)
+    _add_config_flags(p_synth, _SYNTH_KEYS)
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="train a model on a cube + label raster")
-    _add_common_flags(p_train)
+    _add_config_flags(p_train, _RUN_KEYS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on its test split")
-    _add_common_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
+    _add_flags(p_eval, _PATH_KEYS)
     p_eval.add_argument("--map", help="write a PPM classification map here")
     p_eval.add_argument("--map-npy", dest="map_npy", help="also dump predictions as <u2 NPY")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="cross product of variants x seeds [x SNRs]")
-    _add_common_flags(p_sweep)
+    _add_config_flags(p_sweep, _RUN_KEYS)
     p_sweep.add_argument("--variants", required=True, help="comma-separated variant tags")
     p_sweep.add_argument("--seeds", help="comma-separated integer seeds")
     p_sweep.add_argument("--snr-db-list", dest="snr_db_list",

@@ -102,8 +102,7 @@ class SynthSpec:
         check_real("gain_lo", self.gain_lo, lambda v: 0 < v < math.inf, "finite and > 0")
         check_real("gain_hi", self.gain_hi, lambda v: self.gain_lo <= v < math.inf,
                    f"finite and >= gain_lo {self.gain_lo}")
-        if self.snr_db is not None:
-            check_real("snr_db", self.snr_db, lambda v: not math.isnan(v), "a number or None")
+        check_snr_db(self.snr_db)
 
 
 def _read_npy(path, expected_descr, expected_ndim):
@@ -231,12 +230,17 @@ def stratified_split(labels, spec):
             np.sort(np.concatenate(test)))
 
 
+def check_snr_db(snr_db):
+    """Raise ConfigError unless ``snr_db`` is None (no noise) or a finite number of dB."""
+    if snr_db is not None:
+        check_real("snr_db", snr_db, math.isfinite, "a finite number or None")
+
+
 def inject_noise(cube, snr_db, seed):
     """Additive Gaussian noise at a target SNR relative to the cube's mean power."""
     check_int("seed", seed, 0)
-    if snr_db is not None:
-        check_real("snr_db", snr_db, lambda v: not math.isnan(v), "a number or None")
-    if snr_db is None or np.isinf(snr_db):
+    check_snr_db(snr_db)
+    if snr_db is None:
         return HyperCube(cube.values.copy())
     v = cube.values.astype(np.float64)
     signal_power = float(np.mean(v * v))

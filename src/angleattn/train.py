@@ -37,7 +37,8 @@ class TrainConfig:
         check_int("seed", self.seed, 0)
         check_real("lr", self.lr, lambda v: 0 < v < math.inf, "finite and > 0")
         check_real("clip_norm", self.clip_norm, lambda v: v > 0, "> 0")
-        check_real("weight_decay", self.weight_decay, lambda v: v >= 0, ">= 0")
+        check_real("weight_decay", self.weight_decay, lambda v: 0 <= v < math.inf,
+                   "finite and >= 0")
         check_real("label_smoothing", self.label_smoothing, lambda v: 0 <= v < 1, "in [0, 1)")
         if self.clip_mode not in ("per_tensor", "global"):
             raise ConfigError(f"clip_mode must be per_tensor or global, got {self.clip_mode!r}")

@@ -1,11 +1,15 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from angleattn.cli import CONFIG_DEFAULTS, main
 from angleattn.train import SWEEP_CSV_HEADER
@@ -173,20 +177,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: config file") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("doc", [{"dim": "x"}, {"heads": 2.5}, {"epochs": True},
-                                     {"lr": "0.1"}, {"dropout": None}, {"variant": 2},
-                                     {"clip_mode": ["a"]}, {"snr_db": "loud"}])
-    def test_wrong_config_type_exits_2(self, scene_dir, tmp_path, capsys, doc):
+    # each value is refused by the library config that holds it, which names its own field
+    WRONG_CONFIG = [({"dim": "x"}, "model_dim"), ({"heads": 2.5}, "heads"),
+                    ({"epochs": True}, "epochs"), ({"lr": "0.1"}, "lr"),
+                    ({"dropout": None}, "dropout_rate"), ({"variant": 2}, "score variant"),
+                    ({"clip_mode": ["a"]}, "clip_mode"), ({"snr_db": "loud"}, "snr_db"),
+                    ({"cube": 5}, "cube"), ({"out": ["x"]}, "out"),
+                    ({"classes": False}, "num_classes"), ({"classes": 0}, "num_classes")]
+
+    @pytest.mark.parametrize("doc,field", WRONG_CONFIG,
+                             ids=[f"doc{i}" for i in range(len(WRONG_CONFIG))])
+    def test_wrong_config_type_exits_2(self, scene_dir, tmp_path, capsys, doc, field):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
-        code = main(["train", "--config", str(cfg_path),
-                     "--cube", os.path.join(scene_dir, "scene.npy"),
-                     "--labels", os.path.join(scene_dir, "labels.npy"),
-                     "--out", str(tmp_path / "ckpt")])
-        assert code == 2
+        paths = {"cube": os.path.join(scene_dir, "scene.npy"),
+                 "labels": os.path.join(scene_dir, "labels.npy"), "out": str(tmp_path / "ckpt")}
+        flags = [arg for key, path in paths.items() if key not in doc
+                 for arg in ("--" + key, path)]
+        assert main(["train", "--config", str(cfg_path)] + flags) == 2
         err = capsys.readouterr().err
-        key = next(iter(doc))
-        assert err.startswith(f"error: config: {key} must be") and err.count("\n") == 1
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
 
     def test_nullable_config_values_accepted(self, scene_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -195,11 +205,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--epochs", "-1"),
                                             ("--lr", "nan"), ("--lr", "0"), ("--clip", "-1"),
-                                            ("--wd", "-1")])
+                                            ("--wd", "-1"), ("--wd", "inf")])
     def test_bad_train_settings_exit_2(self, scene_dir, tmp_path, capsys, flag, value):
         assert run_train(scene_dir, str(tmp_path / "ckpt"), [flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_clip_inf_turns_clipping_off(self, scene_dir, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        assert run_train(scene_dir, ckpt, ["--clip", "inf"]) == 0
+        manifest = json.load(open(os.path.join(ckpt, "manifest.json")))
+        assert manifest["config"]["clip"] == math.inf
 
     def test_negative_seed_with_noise_exits_2(self, scene_dir, tmp_path, capsys):
         # the noise is drawn before any config is built
@@ -274,9 +290,14 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ckpt in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key,value", [("heads", "x"), ("dim", 8.5), ("lr", None),
-                                           ("scene_bands", "8"), ("classes", None)])
-    def test_wrong_manifest_config_type_exits_1(self, scene_dir, tmp_path, capsys, key, value):
+    WRONG_MANIFEST = [("heads", "x", "heads"), ("dim", 8.5, "model_dim"), ("lr", None, "lr"),
+                      ("scene_bands", "8", "bands"), ("classes", None, "num_classes"),
+                      ("snr_db", "loud", "snr_db"), ("cube", 5, "cube")]
+
+    @pytest.mark.parametrize("key,value,field", WRONG_MANIFEST,
+                             ids=[f"{key}-{value}" for key, value, _ in WRONG_MANIFEST])
+    def test_wrong_manifest_config_type_exits_1(self, scene_dir, tmp_path, capsys,
+                                                key, value, field):
         ckpt = str(tmp_path / "ckpt")
         assert run_train(scene_dir, ckpt) == 0
         path = os.path.join(ckpt, "manifest.json")
@@ -287,7 +308,22 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", ckpt]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: checkpoint config in {ckpt}: {key} must be")
+        assert err.startswith(f"error: checkpoint config in {ckpt}: ") and field in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1, True, None])
+    def test_bad_manifest_seed_exits_1(self, scene_dir, tmp_path, capsys, seed):
+        ckpt = str(tmp_path / "ckpt")
+        assert run_train(scene_dir, ckpt) == 0
+        path = os.path.join(ckpt, "manifest.json")
+        manifest = json.load(open(path))
+        manifest["seed"] = seed
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint config in {ckpt}: seed must be")
         assert err.count("\n") == 1
 
     def test_out_row_carries_snr(self, scene_dir, tmp_path):
@@ -390,3 +426,52 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--frobnicate", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["eval", "--checkpoint", "c", "--snr-db", "5"],
+                                      ["eval", "--checkpoint", "c", "--config", "f.json"],
+                                      ["synth", "--out", "x", "--dim", "8"]])
+    def test_flag_the_subcommand_does_not_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+class TestConfigFile:
+    def test_one_file_drives_synth_and_train(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "height": 24, "width": 24, "bands": 8, "classes": 3, "sites": 6, "seed": 0,
+            "patch": 5, "dim": 8, "depth": 1, "heads": 2, "mlp_dim": 16, "epochs": 1,
+            "batch": 32, "train_frac": 0.1, "val_frac": 0.1}))
+        scene, ckpt = str(tmp_path / "scene"), str(tmp_path / "ckpt")
+        assert main(["synth", "--config", str(cfg_path), "--out", scene]) == 0
+        assert np.load(os.path.join(scene, "scene.npy")).shape == (24, 24, 8)
+        assert main(["train", "--config", str(cfg_path), "--out", ckpt,
+                     "--cube", os.path.join(scene, "scene.npy"),
+                     "--labels", os.path.join(scene, "labels.npy")]) == 0
+        config = json.load(open(os.path.join(ckpt, "manifest.json")))["config"]
+        assert (config["dim"], config["classes"], config["scene_bands"]) == (8, 3, 8)
+
+    # no int above 3, so no drawn extent can allocate much
+    POOL = [None, True, -1, 0, 3, 0.5, math.nan, math.inf, "x", [1]]
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=st.dictionaries(st.sampled_from(list(CONFIG_DEFAULTS)), st.sampled_from(POOL)))
+    def test_any_config_value_ends_in_an_exit_code(self, scene_dir, tmp_path, capsys, doc):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            cfg_path = os.path.join(work, "cfg.json")
+            with open(cfg_path, "w") as f:
+                json.dump(doc, f)
+            for argv in (["train", "--cube", os.path.join(scene_dir, "scene.npy"),
+                          "--labels", os.path.join(scene_dir, "labels.npy"),
+                          "--out", os.path.join(work, "ckpt"), "--epochs", "0"],
+                         ["synth", "--out", os.path.join(work, "scene")]):
+                capsys.readouterr()
+                code = main(argv + ["--config", cfg_path])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2)
+                if code:
+                    assert err.startswith("error: ") and err.count("\n") == 1, err
+                else:
+                    assert err == ""

@@ -269,7 +269,8 @@ class TestInjectNoise:
         assert a.values.shape == cube.values.shape
 
     @pytest.mark.parametrize("snr_db,seed", [(20.0, -1), (None, -1), (20.0, 1.5),
-                                             (float("nan"), 0), ("20", 0)])
+                                             (float("nan"), 0), ("20", 0), (float("inf"), 0),
+                                             (-float("inf"), 0)])
     def test_bad_seed_or_snr_is_config_error(self, snr_db, seed):
         with pytest.raises(ConfigError, match="seed|snr_db"):
             inject_noise(small_cube(4), snr_db, seed)

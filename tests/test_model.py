@@ -225,7 +225,8 @@ VALID = {AttentionConfig: dict(model_dim=8, heads=2), SynthSpec: {}, SplitSpec: 
     (SynthSpec, {"bands": 0}), (SynthSpec, {"classes": 1}), (SynthSpec, {"sites": 4}),
     (SynthSpec, {"seed": 1.5}), (SynthSpec, {"gain_lo": NAN}), (SynthSpec, {"gain_hi": 0.4}),
     (SynthSpec, {"snr_db": "20"}), (SplitSpec, {"train_frac": "0.1"}),
-    (SplitSpec, {"val_frac": NAN}), (SplitSpec, {"seed": 1.5}), (SplitSpec, {"seed": -1})], ids=lambda v: getattr(v, "__name__", None))
+    (SplitSpec, {"val_frac": NAN}), (SplitSpec, {"seed": 1.5}), (SplitSpec, {"seed": -1}),
+    (SynthSpec, {"snr_db": float("inf")}), (SynthSpec, {"snr_db": -float("inf")})], ids=lambda v: getattr(v, "__name__", None))
 def test_config_rejects_wrong_type_or_range(cls, kwargs):
     # each config dataclass checks its own fields, not only the CLI: extents
     # and seeds are integers (a bool is not one), the rest reals in range

@@ -48,7 +48,7 @@ class TestTrainConfig:
         {"lr": float("inf")}, {"lr": "0.1"}, {"clip_norm": 0.0}, {"clip_norm": -1.0},
         {"clip_norm": float("nan")}, {"clip_norm": "1"}, {"weight_decay": -1e-4},
         {"weight_decay": float("nan")}, {"seed": 1.5}, {"seed": -1}, {"epochs": True},
-        {"label_smoothing": "0.1"}, {"label_smoothing": 1.0}])
+        {"label_smoothing": "0.1"}, {"label_smoothing": 1.0}, {"weight_decay": float("inf")}])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
