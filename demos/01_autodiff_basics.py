@@ -14,12 +14,18 @@ from angleattn.tensor import Tensor, grad_check
 rng = np.random.default_rng(0)
 
 # ---------------------------------------------------------------------------
-# forward: y = sum(softmax(tanh(x @ w))^2)
+# forward: p = softmax(gelu(x @ w)), y = sum(p * p)
 # ---------------------------------------------------------------------------
 x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 
-y = T.sum_all(T.square(T.softmax_rows(T.tanh(T.matmul(x, w)))))
+
+def f():
+    p = T.softmax_rows(T.gelu(T.matmul(x, w)))
+    return T.sum_all(T.mul(p, p))
+
+
+y = f()
 print(f"scalar output: {y.item():.6f}")
 
 # ---------------------------------------------------------------------------
@@ -32,9 +38,6 @@ print("grad wrt w:\n", np.round(w.grad, 4))
 # ---------------------------------------------------------------------------
 # trust, but verify: central differences with h=1e-5
 # ---------------------------------------------------------------------------
-def f():
-    return T.sum_all(T.square(T.softmax_rows(T.tanh(T.matmul(x, w)))))
-
 err = grad_check(f, [x, w])
 print(f"max relative error vs finite differences: {err:.2e}")
 assert err < 1e-6

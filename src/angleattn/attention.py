@@ -130,7 +130,6 @@ class AttentionConfig:
     variant: ScoreVariant = ScoreVariant.COS_SQ
     norm_mode: NormMode | None = None  # None: both for cosine variants, else none
     temperature: float = 0.5
-    eps: float = 1e-12
 
     def __post_init__(self):
         self.variant = ScoreVariant.from_tag(self.variant)
@@ -140,8 +139,7 @@ class AttentionConfig:
         check_int("heads", self.heads, 1)
         if self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
-        for name in ("temperature", "eps"):
-            check_real(name, getattr(self, name), lambda v: 0 < v < math.inf, "finite and > 0")
+        check_real("temperature", self.temperature, lambda v: 0 < v < math.inf, "finite and > 0")
 
     @property
     def head_dim(self):
@@ -191,13 +189,15 @@ def project_qkv(tokens_q, tokens_kv, params):
     return q, k, v
 
 
+_NORM_EPS = 1e-12  # a shorter row is divided by this instead of by its norm
+
 # the tolerance of np.allclose(norms, 1.0, atol=1e-6): atol + rtol * |1.0|
 _UNIT_NORM_TOL = 1e-6 + 1e-5
 
 
 def _check_unit_rows(x, what):
-    """Rows must be unit-norm, or exactly zero: l2_normalize_rows maps a zero
-    row (e.g. a no-data pixel) to zero by its eps rule."""
+    """Rows must be unit-norm, or exactly zero: the row normalisation maps a
+    zero row to zero by its ``_NORM_EPS`` rule."""
     norms = np.linalg.norm(x, axis=-1)
     deviation = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0)).max(initial=0.0)
     if not deviation <= _UNIT_NORM_TOL:  # also catches NaN
@@ -297,11 +297,11 @@ class _Chunk:
         self.w = w_a.reshape(h, 1, d_a, 1)
 
     def _normalize(self, x, on):
-        """l2_normalize_rows' forward; the mixed variant's cosine heads only."""
+        """Each row over max(||row||_2, _NORM_EPS); the mixed variant's cosine heads only."""
         if not on:
             return x, None
         part = x if self.n_cos is None else np.ascontiguousarray(x[..., :self.n_cos, :, :])
-        y, active, denom = T._l2_rows_fwd(part, self.cfg.eps)
+        y, active, denom = T._l2_rows_fwd(part, _NORM_EPS)
         if self.n_cos is not None:
             y = np.concatenate([y, x[..., self.n_cos:, :, :]], axis=-3)
         return y, (part, active, denom)

@@ -19,7 +19,7 @@ from .attention import AttentionConfig
 from .data import (SplitSpec, SynthSpec, check_snr_db, export_map, inject_noise,
                    load_cube, load_labels, normalize_bands, save_cube, save_labels,
                    stratified_split, synth_scene)
-from .errors import AngleAttnError, ConfigError, FormatError
+from .errors import AngleAttnError, ConfigError, FormatError, check_int
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .train import TrainConfig, evaluate, predict, rows_to_csv, sweep, train
 
@@ -161,15 +161,18 @@ def _params_from_checkpoint(path):
     cfg.update(manifest["config"])
     try:
         _check_paths(cfg)
+        check_int("epoch", manifest["epoch"], 0)
         model_cfg, _, split_spec = build_configs(cfg, cfg["scene_bands"], cfg["classes"],
                                                  manifest["seed"])
     except ConfigError as exc:
         raise FormatError(f"checkpoint config in {path}: {exc}") from None
     params = init_params(model_cfg, manifest["seed"])
-    names = {name for name, _ in params.named_parameters()}
-    if names != set(values):
-        missing = sorted(names ^ set(values))
-        raise ConfigError(f"checkpoint does not match config; mismatched params: {missing}")
+    want = {name: t.shape for name, t in params.named_parameters()}
+    got = {name: v.shape for name, v in values.items()}
+    mismatched = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+    if mismatched:
+        raise FormatError(f"checkpoint {path} does not match its config; mismatched params: "
+                          f"{', '.join(mismatched[:4])}")
     params.load_values(values)
     return params, model_cfg, split_spec, cfg, manifest
 

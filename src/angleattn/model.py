@@ -309,8 +309,10 @@ def load_checkpoint(path):
     if not isinstance(manifest["params"], list) or not isinstance(manifest["config"], dict):
         raise FormatError(f"{manifest_path}: params must be a list and config an object")
     for entry in manifest["params"]:
-        if not isinstance(entry, dict) or not {"name", "shape", "file"} <= set(entry):
-            raise FormatError(f"{manifest_path}: a params entry lacks name, shape or file")
+        if (not isinstance(entry, dict) or not {"name", "shape", "file"} <= set(entry)
+                or not isinstance(entry["name"], str) or not isinstance(entry["file"], str)):
+            raise FormatError(
+                f"{manifest_path}: a params entry lacks a string name or file, or a shape")
     values = {}
     for entry in manifest["params"]:
         fpath = os.path.join(path, entry["file"])

@@ -199,22 +199,6 @@ def scale(a, c):
     return _make(a.data * c, (a,), backward_fn, "scale")
 
 
-def square(a):
-    def backward_fn(g):
-        return (2.0 * a.data * g,)
-
-    return _make(a.data * a.data, (a,), backward_fn, "square")
-
-
-def tanh(a):
-    y = np.tanh(a.data)
-
-    def backward_fn(g):
-        return ((1.0 - y * y) * g,)
-
-    return _make(y, (a,), backward_fn, "tanh")
-
-
 def gelu(a):
     """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = a.data
@@ -262,48 +246,11 @@ def matmul(a, b):
     return _make(out_data, (a, b), backward_fn, "matmul")
 
 
-def transpose(a, axes=None):
-    if axes is None:
-        axes = list(range(a.ndim))
-        axes[-1], axes[-2] = axes[-2], axes[-1]
-    axes = tuple(axes)
-    inverse = np.argsort(axes)
-
-    def backward_fn(g):
-        return (np.transpose(g, inverse),)
-
-    return _make(np.transpose(a.data, axes), (a,), backward_fn, "transpose")
-
-
 def reshape(a, shape):
     def backward_fn(g):
         return (g.reshape(a.shape),)
 
     return _make(a.data.reshape(shape), (a,), backward_fn, "reshape")
-
-
-def slice_axis(a, axis, start, stop):
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-
-    def backward_fn(g):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
-
-    return _make(a.data[index], (a,), backward_fn, "slice")
-
-
-def concat(tensors, axis):
-    tensors = tuple(tensors)
-    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-
-    def backward_fn(g):
-        return np.split(g, cuts, axis=axis)
-
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _make(data, tensors, backward_fn, "concat")
 
 
 def sum_all(a):
@@ -330,8 +277,9 @@ def reduce_mean(a, axis=None):
     return scale(sum_axis(a, axis), 1.0 / a.shape[axis])
 
 
-# numpy bodies of softmax_rows and l2_normalize_rows, shared with the fused
-# attention node so that both compute the same expressions
+# numpy bodies of softmax_rows and of the attention node's row normalisation;
+# the composed reference in tests/oracle.py builds its nodes on the same
+# bodies, so that both compute the same expressions
 
 def _softmax_fwd(x, out=None, shift=True):
     """Softmax along the last axis. With ``shift`` each row's max is subtracted
@@ -376,16 +324,6 @@ def softmax_rows(x):
         return (_softmax_bwd(y, g),)
 
     return _make(y, (x,), backward_fn, "softmax_rows")
-
-
-def l2_normalize_rows(x, eps=1e-12):
-    """Divide each last-axis row by max(||row||_2, eps)."""
-    y, active, denom = _l2_rows_fwd(x.data, eps)
-
-    def backward_fn(g):
-        return (_l2_rows_bwd(g, x.data, active, denom),)
-
-    return _make(y, (x,), backward_fn, "l2_normalize_rows")
 
 
 def layer_norm(x, scale_t, shift_t, eps=1e-5):

@@ -12,7 +12,8 @@ probabilities of those two patches and the probabilities of ``predict``'s
 blocked path (``no_grad`` forwards over blocks of ``train._predict_block``
 patches, and of 1 patch, concatenated). ``compare`` lists the arrays whose
 bytes, dtype or shape differ, or that only one dump holds, and exits 1 if
-any do.
+any do; for two arrays of one shape it also prints the largest absolute
+and relative difference.
 To check that a change keeps outputs bit for bit, dump with each
 checkout's ``src`` on ``PYTHONPATH`` and compare the two files.
 """
@@ -98,6 +99,16 @@ def differing(a, b):
                   or a[key].shape != b[key].shape or a[key].tobytes() != b[key].tobytes())
 
 
+def magnitudes(a, b):
+    """(max |a - b|, max |a - b| / max(|a|, |b|)) over two same-shape arrays;
+    where both are 0 the relative difference is 0."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    diff = np.abs(a - b)
+    size = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, size, out=np.zeros_like(diff), where=size > 0)
+    return diff.max(initial=0.0), rel.max(initial=0.0)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -118,7 +129,11 @@ def main(argv=None):
         a, b = dict(fa), dict(fb)
     diff = differing(a, b)
     for key in diff:
-        print(f"differs: {key}")
+        if key in a and key in b and a[key].shape == b[key].shape:
+            print("differs: {}: max abs diff {:.3e}, max rel diff {:.3e}".format(
+                key, *magnitudes(a[key], b[key])))
+        else:
+            print(f"differs: {key}")
     print(f"{len(diff)} of {len(a.keys() | b.keys())} arrays differ")
     return 1 if diff else 0
 

@@ -1,14 +1,75 @@
 """The composed reference for ``attention.attention_node``: split heads ->
 normalise -> score -> attend -> merge heads as separate tape ops. The node
 repeats each numpy expression on the same operand layout, so for the ten
-q k^T variants its outputs and gradients equal these bit for bit."""
+q k^T variants its outputs and gradients equal these bit for bit.
+
+The reference's own tape ops (``transpose``, ``slice_axis``, ``concat``,
+``tanh`` and ``l2_normalize_rows``) live here, built on ``tensor._make``:
+no model records them. ``l2_normalize_rows`` runs the row-normalisation
+bodies the node runs."""
 
 import numpy as np
 
 from angleattn import tensor as T
-from angleattn.attention import (VARIANTS, NormMode, ScoreVariant, _check_unit_rows,
+from angleattn.attention import (_NORM_EPS, VARIANTS, NormMode, ScoreVariant, _check_unit_rows,
                                  _skips_max_shift, project_qkv)
 from angleattn.errors import ConfigError, DimensionError
+
+
+def tanh(a):
+    y = np.tanh(a.data)
+
+    def backward_fn(g):
+        return ((1.0 - y * y) * g,)
+
+    return T._make(y, (a,), backward_fn, "tanh")
+
+
+def transpose(a, axes=None):
+    if axes is None:
+        axes = list(range(a.ndim))
+        axes[-1], axes[-2] = axes[-2], axes[-1]
+    axes = tuple(axes)
+    inverse = np.argsort(axes)
+
+    def backward_fn(g):
+        return (np.transpose(g, inverse),)
+
+    return T._make(np.transpose(a.data, axes), (a,), backward_fn, "transpose")
+
+
+def slice_axis(a, axis, start, stop):
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(start, stop)
+    index = tuple(index)
+
+    def backward_fn(g):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        return (full,)
+
+    return T._make(a.data[index], (a,), backward_fn, "slice")
+
+
+def concat(tensors, axis):
+    tensors = tuple(tensors)
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def backward_fn(g):
+        return np.split(g, cuts, axis=axis)
+
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    return T._make(data, tensors, backward_fn, "concat")
+
+
+def l2_normalize_rows(x):
+    """Divide each last-axis row by max(||row||_2, _NORM_EPS)."""
+    y, active, denom = T._l2_rows_fwd(x.data, _NORM_EPS)
+
+    def backward_fn(g):
+        return (T._l2_rows_bwd(g, x.data, active, denom),)
+
+    return T._make(y, (x,), backward_fn, "l2_normalize_rows")
 
 
 def split_heads(m, heads):
@@ -21,7 +82,7 @@ def split_heads(m, heads):
     stacked = T.reshape(m, m.shape[:-2] + (n, heads, d_h))
     axes = list(range(stacked.ndim))
     axes[-3], axes[-2] = axes[-2], axes[-3]
-    return T.transpose(stacked, axes)
+    return transpose(stacked, axes)
 
 
 def merge_heads(m):
@@ -29,7 +90,7 @@ def merge_heads(m):
     h, n, d_h = m.shape[-3:]
     axes = list(range(m.ndim))
     axes[-3], axes[-2] = axes[-2], axes[-3]
-    return T.reshape(T.transpose(m, axes), m.shape[:-3] + (n, h * d_h))
+    return T.reshape(transpose(m, axes), m.shape[:-3] + (n, h * d_h))
 
 
 def _check_head_axis(shape, cfg):
@@ -50,12 +111,12 @@ def _additive_scores(q, k, params):
     """Vectorized additive scores over (..., H, N, d_h) inputs -> (..., H, N, N)."""
     h, d_a, _ = params.w_q.shape
     n = q.shape[-2]
-    qp = T.matmul(q, T.transpose(params.w_q))  # (..., H, N, d_a)
-    kp = T.matmul(k, T.transpose(params.w_k))
+    qp = T.matmul(q, transpose(params.w_q))  # (..., H, N, d_a)
+    kp = T.matmul(k, transpose(params.w_k))
     qp = T.reshape(qp, qp.shape[:-2] + (n, 1, d_a))
     kp = T.reshape(kp, kp.shape[:-2] + (1, n, d_a))
     bias = T.reshape(params.b_a, (h, 1, 1, d_a))
-    hidden = T.tanh(T.add(T.add(qp, kp), bias))  # (..., H, N, N, d_a)
+    hidden = tanh(T.add(T.add(qp, kp), bias))  # (..., H, N, N, d_a)
     w = T.reshape(params.w_a, (h, 1, d_a, 1))
     out = T.matmul(hidden, w)  # (..., H, N, N, 1)
     return T.reshape(out, out.shape[:-1])
@@ -65,14 +126,14 @@ def _mixed_split(t, cfg):
     """The mixed variant's head groups along axis -3: (first ceil(H/2), rest)."""
     _check_head_axis(t.shape, cfg)
     n_cos, axis = (cfg.heads + 1) // 2, t.ndim - 3
-    return T.slice_axis(t, axis, 0, n_cos), T.slice_axis(t, axis, n_cos, cfg.heads)
+    return slice_axis(t, axis, 0, n_cos), slice_axis(t, axis, n_cos, cfg.heads)
 
 
 def _kernel_scores(kernel, cosine, q, k, cfg):
     if cosine and cfg.resolved_norm_mode is NormMode.BOTH:
         _check_unit_rows(q.data, "query")
         _check_unit_rows(k.data, "key")
-    s, d_h = T.matmul(q, T.transpose(k)), q.shape[-1]
+    s, d_h = T.matmul(q, transpose(k)), q.shape[-1]
     return T._make(kernel.forward(s.data, d_h, cfg), (s,),
                     lambda g: (kernel.backward(s.data, g, d_h, cfg),), "score_kernel")
 
@@ -84,9 +145,9 @@ def normalise(q, k, cfg):
 
     def unit(x):
         if not VARIANTS[cfg.variant].mixed:
-            return T.l2_normalize_rows(x, cfg.eps)
+            return l2_normalize_rows(x)
         cos, rest = _mixed_split(x, cfg)
-        return T.concat([T.l2_normalize_rows(cos, cfg.eps), rest], x.ndim - 3)
+        return concat([l2_normalize_rows(cos), rest], x.ndim - 3)
 
     if mode in (NormMode.BOTH, NormMode.QUERY_ONLY):
         q = unit(q)
@@ -112,7 +173,7 @@ def score(variant, q, k, cfg, additive_params=None):
         return _kernel_scores(spec.kernel, spec.cosine, q, k, cfg)
     (q_cos, q_sdp), (k_cos, k_sdp) = _mixed_split(q, cfg), _mixed_split(k, cfg)
     sdp = VARIANTS[ScoreVariant.SCALED_DOT].kernel
-    return T.concat([_kernel_scores(spec.kernel, spec.cosine, q_cos, k_cos, cfg),
+    return concat([_kernel_scores(spec.kernel, spec.cosine, q_cos, k_cos, cfg),
                      _kernel_scores(sdp, False, q_sdp, k_sdp, cfg)], axis=q.ndim - 3)
 
 

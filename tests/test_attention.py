@@ -339,7 +339,8 @@ class TestMultiHeadAttention:
             cfg = cfg_for(tag)
 
             def f():
-                return T.sum_all(T.square(multi_head_attention(tokens, tokens, cfg, params)))
+                y = multi_head_attention(tokens, tokens, cfg, params)
+                return T.sum_all(T.mul(y, y))
 
             tensors = [tokens, params.w_q, params.w_k, params.w_v, params.w_o,
                        params.additive.w_q, params.additive.w_a]
@@ -496,7 +497,8 @@ def test_node_grad_check_over_chunks(tag, monkeypatch):
     cfg = cfg_for(tag, dim=6, heads=2)
 
     def f():
-        return T.sum_all(T.square(attention_node(q, k, v, cfg, add)))
+        y = attention_node(q, k, v, cfg, add)
+        return T.sum_all(T.mul(y, y))
 
     tensors = [q, k, v]
     if VARIANTS[cfg.variant].kernel is None:

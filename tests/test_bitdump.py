@@ -14,10 +14,13 @@ def test_dump_then_compare_reports_a_changed_array(tmp_path, capsys):
     assert len({key.rsplit(":", 1)[0] for key in arrays}) == 90
     assert bitdump.main(["compare", a, a]) == 0
     key = "dp:both:H3:sinusoidal:budget=1:w_c"
+    old = arrays[key].flat[0]
     arrays[key] = arrays[key].copy()
-    arrays[key].flat[0] = np.nextafter(arrays[key].flat[0], np.inf)  # one ulp
+    arrays[key].flat[0] = new = np.nextafter(old, np.inf)  # one ulp
     np.savez(b, **arrays)
     capsys.readouterr()
     assert bitdump.main(["compare", a, b]) == 1
-    assert capsys.readouterr().out.splitlines() == [f"differs: {key}",
-                                                    f"1 of {len(arrays)} arrays differ"]
+    ulp, rel = new - old, (new - old) / max(abs(old), abs(new))
+    assert capsys.readouterr().out.splitlines() == [
+        f"differs: {key}: max abs diff {ulp:.3e}, max rel diff {rel:.3e}",
+        f"1 of {len(arrays)} arrays differ"]

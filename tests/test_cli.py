@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,9 @@ FAST = ["--patch", "5", "--dim", "8", "--depth", "1", "--heads", "2",
 SCENE = ["--height", "24", "--width", "24", "--bands", "8",
          "--classes", "3", "--sites", "6"]
 
+# no int above 3, so no drawn extent can allocate much
+POOL = [None, True, -1, 0, 3, 0.5, math.nan, math.inf, "x", [1]]
+
 
 @pytest.fixture()
 def scene_dir(tmp_path):
@@ -33,6 +37,29 @@ def run_train(scene_dir, ckpt, extra=()):
     return main(["train", "--cube", os.path.join(scene_dir, "scene.npy"),
                  "--labels", os.path.join(scene_dir, "labels.npy"),
                  "--out", ckpt, "--seed", "0"] + FAST + list(extra))
+
+
+@pytest.fixture(scope="module")
+def small_ckpt(tmp_path_factory):
+    """One checkpoint trained at dim 8, mlp_dim 8, 2 heads, depth 1, patch 3;
+    tests edit copies of it."""
+    root = tmp_path_factory.mktemp("small")
+    scene, ckpt = str(root / "scene"), str(root / "ckpt")
+    assert main(["synth", "--out", scene, "--seed", "0"] + SCENE) == 0
+    assert run_train(scene, ckpt, ["--mlp-dim", "8", "--patch", "3"]) == 0
+    return ckpt
+
+
+def edited_copy(ckpt, dst, edit):
+    """A copy of checkpoint ``ckpt`` at ``dst`` whose manifest ``edit`` changed in place."""
+    shutil.copytree(ckpt, dst)
+    path = os.path.join(dst, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    edit(manifest)
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    return str(dst)
 
 
 class TestSynth:
@@ -277,7 +304,8 @@ class TestEval:
         lambda m: {k: m[k] for k in m if k != "config"},
         lambda m: {k: m[k] for k in m if k != "seed"},
         lambda m: dict(m, params=[{"name": "w_s", "shape": [8, 8]}]),
-        lambda m: dict(m, config={k: v for k, v in m["config"].items() if k != "scene_bands"})])
+        lambda m: dict(m, config={k: v for k, v in m["config"].items() if k != "scene_bands"}),
+        lambda m: dict(m, params=[dict(m["params"][0], name=5)] + m["params"][1:])])
     def test_malformed_manifest_exits_1(self, scene_dir, tmp_path, capsys, damage):
         ckpt = str(tmp_path / "ckpt")
         assert run_train(scene_dir, ckpt) == 0
@@ -325,6 +353,42 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint config in {ckpt}: seed must be")
         assert err.count("\n") == 1
+
+    DISAGREEING = [("dim", 16), ("mlp_dim", 4), ("classes", 4), ("patch", 5), ("depth", 3),
+                   ("variant", "add")]
+
+    @pytest.mark.parametrize("key,value", DISAGREEING,
+                             ids=[f"{key}-{value}" for key, value in DISAGREEING])
+    def test_config_that_disagrees_with_params_exits_1(self, small_ckpt, tmp_path, capsys,
+                                                       key, value):
+        # every edit makes a valid config whose parameter shapes or names differ
+        ckpt = edited_copy(small_ckpt, tmp_path / "ckpt",
+                           lambda m: m["config"].update({key: value}))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ckpt in err and err.count("\n") == 1
+
+    FIELDS = [("config", key) for key in [*CONFIG_DEFAULTS, "scene_bands"]] + [
+        (None, "seed"), (None, "epoch")]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(FIELDS), value=st.sampled_from(POOL))
+    def test_any_manifest_value_ends_in_an_exit_code(self, small_ckpt, tmp_path, capsys,
+                                                      field, value):
+        section, key = field
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            ckpt = edited_copy(small_ckpt, os.path.join(work, "ckpt"),
+                               lambda m: (m[section] if section else m).update({key: value}))
+            capsys.readouterr()
+            code = main(["eval", "--checkpoint", ckpt, "--out", os.path.join(work, "row.csv")])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert err == ""
 
     def test_out_row_carries_snr(self, scene_dir, tmp_path):
         ckpt, out = str(tmp_path / "ckpt"), str(tmp_path / "row.csv")
@@ -451,9 +515,6 @@ class TestConfigFile:
                      "--labels", os.path.join(scene, "labels.npy")]) == 0
         config = json.load(open(os.path.join(ckpt, "manifest.json")))["config"]
         assert (config["dim"], config["classes"], config["scene_bands"]) == (8, 3, 8)
-
-    # no int above 3, so no drawn extent can allocate much
-    POOL = [None, True, -1, 0, 3, 0.5, math.nan, math.inf, "x", [1]]
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

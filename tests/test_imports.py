@@ -1,6 +1,8 @@
-"""No package module imports a name it does not use, and no module-level
-``_name`` goes unused in the package: there is no linter in the toolchain.
-``__init__.py`` is skipped by the import scan: its imports are re-exports.
+"""No package module imports a name it does not use, no module-level
+``_name`` goes unused in the package, and every public module-level function
+or class is used in the package or re-exported: there is no linter in the
+toolchain. ``__init__.py`` is skipped by the import scan: its imports are
+re-exports.
 """
 
 import ast
@@ -67,3 +69,42 @@ def test_scan_finds_dead_private_names():
 
 def test_no_dead_private_names():
     assert unreferenced_privates(p.read_text() for p in PACKAGE) == []
+
+
+def unreferenced_publics(sources):
+    """(module, name) of each public module-level function or class that no
+    package module uses: by bare name in its own module, by a relative import
+    (``__init__``'s re-exports among them), or as an attribute of an alias of
+    a package module, as in ``T.gelu``. ``np.tanh`` is not ``T.tanh``."""
+    defined, used = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        used.add((node.module, alias.name))
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add((module, node.id))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                used.add((aliases[node.value.id], node.attr))
+        defined.update((module, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+    return sorted(defined - used)
+
+
+def test_scan_finds_unreferenced_publics():
+    sources = {"a": "def used():\n    pass\n\ndef spare():\n    pass\n\nclass Kept:\n    pass\n",
+               "b": "import numpy as np\nfrom . import a as A\nA.used()\nnp.spare()\n",
+               "__init__": "from .a import Kept\n"}
+    assert unreferenced_publics(sources) == [("a", "spare")]
+
+
+def test_every_public_name_is_used_or_exported():
+    assert unreferenced_publics({p.stem: p.read_text() for p in PACKAGE}) == []

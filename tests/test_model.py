@@ -215,8 +215,8 @@ VALID = {AttentionConfig: dict(model_dim=8, heads=2), SynthSpec: {}, SplitSpec: 
 @pytest.mark.parametrize("cls,kwargs", [
     (AttentionConfig, {"temperature": NAN}), (AttentionConfig, {"temperature": float("inf")}),
     (AttentionConfig, {"temperature": "0.5"}), (AttentionConfig, {"model_dim": 8.0}),
-    (AttentionConfig, {"heads": True}), (AttentionConfig, {"eps": -1.0}),
-    (AttentionConfig, {"eps": 0.0}), (AttentionConfig, {"variant": 3}),
+    (AttentionConfig, {"heads": True}), (AttentionConfig, {"temperature": -1.0}),
+    (AttentionConfig, {"heads": 0}), (AttentionConfig, {"variant": 3}),
     (ModelConfig, {"bands": 32.5}), (ModelConfig, {"patch_size": 8.0}),
     (ModelConfig, {"num_classes": 0}), (ModelConfig, {"depth": True}),
     (ModelConfig, {"dropout_rate": "0.1"}), (ModelConfig, {"dropout_rate": NAN}),
