@@ -251,12 +251,20 @@ class _Scratch(dict):
     """One node call's scratch arrays, by name. Each is allocated at the first
     chunk's shape and sliced for the later chunks, which are never larger, so
     a call allocates each (chunk, H, N, N[, d_a]) temporary once and keeps
-    the working set the same few buffers from chunk to chunk."""
+    the working set the same few buffers from chunk to chunk. Inside a
+    ``tensor._StepPool`` they are lent by the pool, and ``release`` gives
+    them back when the call is done with them."""
 
     def __call__(self, name, shape):
         if name not in self:
-            self[name] = np.empty(shape)
+            self[name] = T._empty(shape, scratch=True)
         return self[name][:shape[0]]
+
+    def release(self):
+        """Drop the buffers; the caller must hold no view of them."""
+        ids = {id(a.base) for a in self.values()}
+        self.clear()
+        T._recycle(ids)
 
 
 class _Chunk:
@@ -425,17 +433,19 @@ def attention_node(q, k, v, cfg, additive=None):
         """The chunk's C-ordered (..., H, N, d_h) copies of q, k and v."""
         return (np.ascontiguousarray(_heads(t.data[sl], h)) for t in (q, k, v))
 
-    out = np.empty(q.shape[:-1] + v.shape[-1:])
+    out = T._empty(q.shape[:-1] + v.shape[-1:])
     kept = [] if T._tracks(parents) else None
     shift = not _skips_max_shift(cfg)
     scratch = _Scratch()
     for sl in chunks:
         q_h, k_h, v_h = split(sl)
         s = _Chunk(q_h, k_h, cfg, arrays, scratch).scores()
-        p = T._softmax_fwd(s, out=s if kept is None else np.empty_like(s), shift=shift)
+        p = T._softmax_fwd(s, out=s if kept is None else T._empty(s.shape), shift=shift)
         _heads(out, h)[sl] = np.matmul(p, v_h)
         if kept is not None:
             kept.append(p)
+    s = p = None  # no view of a scratch buffer outlives its release
+    scratch.release()
 
     def backward_fn(g):
         g_out, g_qkv, g_params = _heads(g, h), [None, None, None], ()
@@ -450,6 +460,8 @@ def attention_node(q, k, v, cfg, additive=None):
                      for full, part, t in zip(g_qkv, (g_q, g_k, g_v), (q, k, v))]
             g_params = chunk_params if not g_params else tuple(
                 a + b for a, b in zip(g_params, chunk_params))
+        g_p = g_scores = None
+        scratch.release()
         return (*g_qkv, *g_params)
 
     return T._make(out, parents, backward_fn, "attention")

@@ -11,14 +11,19 @@ keep their gradient; an interior node's ``grad`` is released once its
 closure has passed it on, so a step holds about one frontier of gradients
 at a time. The graph itself stays intact. A gradient array may be shared
 between nodes, so nothing writes into one in place. Inside a
-``no_grad()`` block no graph is recorded at all.
+``no_grad()`` block no graph is recorded at all. Inside a ``_StepPool``
+(``train.train`` opens one per run) the arrays a step keeps for the whole
+step are lent from recycled buffers instead of fresh memory.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import contextvars
 import math
+import mmap
+import sys
 
 import numpy as np
 from scipy.special import erf
@@ -163,6 +168,95 @@ def _make(data, parents, backward_fn, op):
     return Tensor(data, op=op)
 
 
+# arrays smaller than this come from np.empty even inside a pool: the heap
+# reuses blocks that small without giving their pages back
+_POOL_MIN_BYTES = 64 << 10
+
+# what sys.getrefcount reports, inside recycle's loop, for a lent buffer that
+# nothing outside the pool views: its lent entry, the loop variable and
+# getrefcount's own argument; each live view (or view of a view) adds one
+_UNVIEWED_REFS = 3
+
+_active_pool = contextvars.ContextVar("angleattn_pool", default=None)
+
+
+class _StepPool:
+    """Flat float64 buffers, each its own anonymous ``mmap``, lent out again
+    after each training step instead of being freed.
+
+    A step's kept activations (about 130 MiB at the benchmark config) would
+    otherwise go back to glibc when the step's graph dies, be trimmed or
+    unmapped, and fault in again page by page in the next step. As a
+    context manager the pool is the one ``_empty`` lends from, until the
+    block exits; then it drops its buffers, and each is unmapped once no
+    view of it is left.
+
+    Scratch buffers, which a call gives back before the step ends, have a
+    free list of their own, and a scratch request takes only a free buffer
+    at most twice its size. Otherwise a smaller array could take a large
+    scratch buffer, and the next call would fault in another: at paper
+    size the additive node's 32 MiB hidden-tensor buffers did so, and a
+    training step's peak RSS rose by about 130 MiB.
+    """
+
+    def __init__(self):
+        # by size, the buffers nothing outside the pool views: kept arrays',
+        # then scratch
+        self._free = ([], [])
+        self._lent = []  # (buffer, its free list), lent since it was free
+
+    def __enter__(self):
+        self._token = _active_pool.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _active_pool.reset(self._token)
+        self._free, self._lent = ([], []), []
+
+    def empty(self, shape, scratch=False):
+        """A C-ordered float64 view of the smallest free buffer (of the
+        scratch list, with ``scratch``) that holds ``shape``, or else of a
+        new one; its values are arbitrary."""
+        free = self._free[scratch]
+        n = math.prod(shape)
+        i = bisect.bisect_left(free, n, key=len)
+        if i < len(free) and not (scratch and len(free[i]) > 2 * n):
+            flat = free.pop(i)
+        else:
+            flat = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+        self._lent.append((flat, free))
+        return flat[:n].reshape(shape)
+
+    def recycle(self, ids=None):
+        """Put back on the free list each lent buffer (only those whose id is
+        in ``ids``, if given) that no array outside the pool still views, and
+        forget the viewed ones: a view that outlives its step keeps its
+        values, and its buffer is never lent again."""
+        lent = []
+        for flat, free in self._lent:
+            if ids is not None and id(flat) not in ids:
+                lent.append((flat, free))
+            elif sys.getrefcount(flat) == _UNVIEWED_REFS:
+                bisect.insort(free, flat, key=len)
+        self._lent = lent
+
+
+def _empty(shape, scratch=False):
+    """np.empty(shape), or a buffer lent by the active ``_StepPool`` when
+    one is active and the array is not small."""
+    pool = _active_pool.get()
+    if pool is None or 8 * math.prod(shape) < _POOL_MIN_BYTES:
+        return np.empty(shape)
+    return pool.empty(shape, scratch)
+
+
+def _recycle(ids=None):
+    """``_StepPool.recycle`` on the active pool, if any."""
+    pool = _active_pool.get()
+    if pool is not None:
+        pool.recycle(ids)
+
+
 def _check_broadcast(a, b, op):
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -172,7 +266,7 @@ def _check_broadcast(a, b, op):
 
 def add(a, b):
     _check_broadcast(a, b, "add")
-    out_data = a.data + b.data
+    out_data = np.add(a.data, b.data, out=_empty(np.broadcast_shapes(a.shape, b.shape)))
 
     def backward_fn(g):
         return g, g
@@ -202,8 +296,11 @@ def scale(a, c):
 def gelu(a):
     """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    y = x * cdf
+    cdf = np.multiply(x, _INV_SQRT2, out=_empty(x.shape))
+    erf(cdf, out=cdf)
+    np.add(1.0, cdf, out=cdf)
+    np.multiply(0.5, cdf, out=cdf)
+    y = np.multiply(x, cdf, out=_empty(x.shape))
 
     def backward_fn(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
@@ -235,9 +332,10 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
     try:
-        out_data = np.matmul(a.data, b.data)
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise DimensionError(f"matmul: batch extents differ, {a.shape} x {b.shape}") from None
+    out_data = np.matmul(a.data, b.data, out=_empty(batch + (a.shape[-2], b.shape[-1])))
 
     def backward_fn(g):
         return (np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None,
@@ -333,11 +431,13 @@ def layer_norm(x, scale_t, shift_t, eps=1e-5):
         raise DimensionError(
             f"layer_norm: scale/shift shapes {scale_t.shape}/{shift_t.shape} do not match d={d}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = np.subtract(x.data, mu, out=_empty(x.shape))
+    squares = np.multiply(xc, xc, out=_empty(x.shape))
+    var = squares.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = scale_t.data * xhat + shift_t.data
+    xhat = np.multiply(xc, inv, out=xc)
+    y = np.multiply(scale_t.data, xhat, out=squares)
+    y += shift_t.data
 
     def backward_fn(g):
         gh = g * scale_t.data
@@ -354,12 +454,14 @@ def dropout(x, rate, training, rng):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(out=_empty(x.shape))
+    np.greater_equal(keep, rate, out=keep)  # 1.0 or 0.0
+    keep /= 1.0 - rate
 
     def backward_fn(g):
         return (g * keep,)
 
-    return _make(x.data * keep, (x,), backward_fn, "dropout")
+    return _make(np.multiply(x.data, keep, out=_empty(x.shape)), (x,), backward_fn, "dropout")
 
 
 def grad_check(f, params, h=1e-5, max_coords=24, rng=None):

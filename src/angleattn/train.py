@@ -163,7 +163,8 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
     Runs under ``no_grad``, so no graph is kept, in blocks of at most
     ``batch_size`` patches and at most ``_predict_block(cfg)``. Each row of
     a forward depends on its own patch alone, so the ids do not depend on
-    either bound.
+    either bound. Inside ``train``'s step pool each block's arrays go back
+    to the pool when the block is done.
     """
     block = min(batch_size, _predict_block(cfg))
     preds = np.empty(len(flat_indices), dtype=np.int64)
@@ -172,6 +173,7 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
             patches = extract_patches(cube, flat_indices[lo:lo + block], cfg.patch_size)
             probs = batched_forward(patches, params, cfg, training=False)
             preds[lo:lo + len(patches)] = probs.data.argmax(axis=-1) + 1
+            T._recycle()
     return preds
 
 
@@ -191,17 +193,20 @@ def evaluate(params, cfg, cube, labels, test_indices, batch_size=256):
 def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
     """One optimiser step on one batch; returns its loss.
 
-    The step's graph and intermediate gradients die when it returns, so the
-    training loop never holds two graphs at once. A non-finite loss or
-    gradient norm raises NumericError before the parameters change, and a
-    non-finite parameter after the update raises it naming the parameter.
+    The step's graph and intermediate gradients die before it returns, and
+    its activations go back to the active step pool, so the training loop
+    never holds two graphs at once. A non-finite loss or gradient norm
+    raises NumericError before the parameters change, and a non-finite
+    parameter after the update raises it naming the parameter.
     """
     params.zero_grads()
     probs = batched_forward(batch, params, cfg, training=True, rng=rng)
     loss = label_smoothed_ce(probs, targets, tcfg.label_smoothing)
-    if not math.isfinite(loss.item()):
-        raise NumericError(f"non-finite loss {loss.item()}")
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericError(f"non-finite loss {value}")
     loss.backward()
+    probs = loss = None  # drop the graph, so that recycle finds its arrays unviewed
     norm = clip_gradients(opt.named_params, tcfg.clip_norm, tcfg.clip_mode)
     if not math.isfinite(norm):
         raise NumericError(f"non-finite gradient norm {norm}")
@@ -209,7 +214,8 @@ def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
     for name, t in opt.named_params:
         if not np.isfinite(t.data).all():
             raise NumericError(f"non-finite values in {name} after the update")
-    return loss.item()
+    T._recycle()
+    return value
 
 
 def train(cfg, cube, labels, splits, tcfg):
@@ -217,7 +223,10 @@ def train(cfg, cube, labels, splits, tcfg):
 
     ``splits`` is the (train, val, test) triple of flat pixel indices.
     Model selection keeps the epoch with the best validation OA; with
-    epochs=0 the freshly initialized parameters are returned.
+    epochs=0 the freshly initialized parameters are returned. The steps and
+    validations run inside one ``tensor._StepPool``, which lends each step's
+    kept activations from the buffers the step before gave back; its memory
+    is unmapped when ``train`` returns.
     """
     train_idx, val_idx, _ = splits
     if len(train_idx) == 0:
@@ -232,7 +241,7 @@ def train(cfg, cube, labels, splits, tcfg):
     best = {"val_oa": -1.0, "epoch": 0, "values": params.copy_values()}
     # numpy's floating-point warnings stay off stderr: a run that diverges
     # ends in one error naming the epoch and step (or validation) instead
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), T._StepPool():
         try:
             for epoch in range(tcfg.epochs):
                 order = shuffle_rng.permutation(len(train_idx))

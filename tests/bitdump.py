@@ -10,7 +10,11 @@ step's loss and every parameter gradient on a small batch with a zero
 pixel and an all-zero patch, plus the ``no_grad`` single-patch ``forward``
 probabilities of those two patches and the probabilities of ``predict``'s
 blocked path (``no_grad`` forwards over blocks of ``train._predict_block``
-patches, and of 1 patch, concatenated). ``compare`` lists the arrays whose
+patches, and of 1 patch, concatenated). For every variant x positional
+mode it also writes the parameters, epoch losses and validation OAs of a
+2-epoch ``train.train`` run whose arrays are large enough for the step
+pool and whose last batch is partial, so that a smaller batch reuses
+recycled buffers. ``compare`` lists the arrays whose
 bytes, dtype or shape differ, or that only one dump holds, and exits 1 if
 any do; for two arrays of one shape it also prints the largest absolute
 and relative difference.
@@ -28,7 +32,8 @@ from angleattn import attention
 from angleattn import model as M
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig, ScoreVariant
-from angleattn.train import _predict_block, label_smoothed_ce
+from angleattn.data import SplitSpec, SynthSpec, normalize_bands, stratified_split, synth_scene
+from angleattn.train import TrainConfig, _predict_block, label_smoothed_ce, train
 
 NORM_MODES = (None, "none", "query", "key", "both")
 HEADS = (2, 3, 4)
@@ -71,10 +76,40 @@ def model_outputs(cfg, x, targets):
     return out
 
 
+def train_outputs(tag, positional, scene):
+    """Parameters, epoch losses and validation OAs of a 2-epoch ``train``.
+
+    40 training pixels in batches of 16 end in a partial batch of 8. A
+    token activation (25 x 48 floats per patch) is above the step pool's
+    64 KiB floor from 7 patches on, so both batch sizes and the 20-pixel
+    validation run on pooled buffers."""
+    cube, labels, splits = scene
+    attn = AttentionConfig(model_dim=48, heads=2, variant=tag)
+    cfg = M.ModelConfig(bands=6, num_classes=3, patch_size=5, model_dim=48, depth=2, heads=2,
+                        mlp_dim=16, dropout_rate=0.1, attention=attn, positional=positional)
+    params, log, _ = train(cfg, cube, labels, splits,
+                           TrainConfig(epochs=2, batch_size=16, seed=0))
+    out = params.copy_values()
+    out["epoch_loss"] = np.array([entry["loss"] for entry in log])
+    out["val_oa"] = np.array([entry["val_oa"] for entry in log])
+    return out
+
+
+def train_scene():
+    cube, labels = synth_scene(SynthSpec(height=16, width=15, bands=6, classes=3, sites=6,
+                                         seed=0))
+    splits = stratified_split(labels, SplitSpec(1 / 6, 1 / 12, seed=0))  # 40 / 20 / 180 px
+    return normalize_bands(cube), labels, splits
+
+
 def dump(tags):
     """{key: array} over the grid for the given variant tags."""
     x, targets = oracle_batch()
     arrays, default_budget = {}, attention.CHUNK_BUDGET
+    scene = train_scene()
+    for tag, positional in itertools.product(tags, POSITIONAL):
+        for name, value in train_outputs(tag, positional, scene).items():
+            arrays[f"{tag}:train:{positional}:{name}"] = value
     try:
         for budget, tag, norm_mode, heads, positional in itertools.product(
                 BUDGETS, tags, NORM_MODES, HEADS, POSITIONAL):

@@ -10,8 +10,9 @@ def test_dump_then_compare_reports_a_changed_array(tmp_path, capsys):
     assert bitdump.main(["dump", a, "--variants", "dp"]) == 0
     with np.load(a) as f:
         arrays = dict(f)
-    # 5 norm modes x 3 head counts x 3 positional modes x 2 chunk budgets
-    assert len({key.rsplit(":", 1)[0] for key in arrays}) == 90
+    # 5 norm modes x 3 head counts x 3 positional modes x 2 chunk budgets,
+    # and a training run per positional mode
+    assert len({key.rsplit(":", 1)[0] for key in arrays}) == 90 + 3
     assert bitdump.main(["compare", a, a]) == 0
     key = "dp:both:H3:sinusoidal:budget=1:w_c"
     old = arrays[key].flat[0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angleattn import attention
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig
 from angleattn.errors import ConfigError, ContractError, DimensionError, NumericError
@@ -359,3 +360,120 @@ def test_unary_op_gradients(op, seed):
         return T.sum_all(op(x))
 
     assert grad_check(f, [x]) < 1e-4
+
+
+# -- the step pool: recycled activation buffers inside train ------------------
+
+def poison_free(pool):
+    """NaN into every buffer the pool would lend next."""
+    for free in pool._free:
+        for flat in free:
+            flat[:] = np.nan
+
+
+class TestStepPool:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.lists(st.integers(1, 40), min_size=0, max_size=3), st.booleans()),
+        max_size=8), max_size=6))
+    def test_views_lent_at_once_never_share_memory(self, steps):
+        # each step lends its shapes and keeps some views past the step's
+        # recycle; every view alive at once must own its memory
+        kept = []
+        with T._StepPool() as pool:
+            for step in steps:
+                lent = [(pool.empty(tuple(shape)), keep) for shape, keep in step]
+                live = kept + [view for view, _ in lent]
+                for i, a in enumerate(live):
+                    for b in live[i + 1:]:
+                        assert not np.shares_memory(a, b)
+                kept += [view for view, keep in lent if keep]
+                lent = live = a = b = None
+                pool.recycle()
+
+    def test_view_kept_past_recycle_is_never_lent_again(self):
+        with T._StepPool() as pool:
+            kept = pool.empty((50, 40))
+            kept[:] = 7.0
+            pool.recycle()
+            for _ in range(4):  # steps: the same shape, and one that fits in it
+                views = [pool.empty((50, 40)), pool.empty((10, 40))]
+                assert not any(np.shares_memory(kept, v) for v in views)
+                views[0][:] = views[1][:] = np.nan
+                views = None
+                pool.recycle()
+            assert (kept == 7.0).all()
+            assert len(pool._free[0]) == 2
+
+    def test_scratch_buffers_are_kept_apart(self):
+        # a scratch buffer goes back mid-step; were a smaller request to
+        # take it, the next call's scratch would need a new one
+        with T._StepPool() as pool:
+            big = pool.empty((1000,), scratch=True).ctypes.data  # no view kept
+            pool.recycle()
+            small = [pool.empty((400,), scratch=True), pool.empty((1000,))]
+            assert big not in [a.ctypes.data for a in small]
+            assert pool.empty((501,), scratch=True).ctypes.data == big
+
+    def test_node_gives_its_scratch_back_to_the_scratch_list(self, monkeypatch):
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        q = Tensor(np.random.default_rng(0).normal(size=(3, 5, 6)), requires_grad=True)
+        with T._StepPool() as pool:
+            out = attention.attention_node(q, q, q, AttentionConfig(6, 2))
+            assert pool._free[0] == [] and len(pool._free[1]) == 1  # the scores
+            T.sum_all(out).backward()
+            assert pool._free[0] == [] and len(pool._free[1]) == 3
+
+    def test_only_an_active_large_request_is_pooled(self, monkeypatch):
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1024)
+        assert T._empty((128,)).base is None
+        with T._StepPool() as pool:
+            assert T._empty((127,)).base is None
+            lent = T._empty((128,))
+            assert lent.base is pool._lent[0][0] and lent.flags.c_contiguous
+        assert T._empty((128,)).base is None
+
+    @pytest.mark.parametrize("op", ["add", "matmul", "gelu", "layer_norm", "dropout",
+                                    "cs2", "dp", "add_attention", "msa-cs2"])
+    def test_pooled_op_bits_match_unpooled(self, op, monkeypatch):
+        # inside the pool every lent buffer was NaN before the op wrote it
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(attention, "CHUNK_BUDGET", 3 * 8 * 2 * 5 * 5)  # chunks 3, 3, 1
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(7, 5, 6)), rng.normal(size=(7, 5, 6))
+        w, s, b = rng.normal(size=(6, 6)), rng.normal(size=6), rng.normal(size=6)
+        add_params = [rng.normal(scale=0.5, size=shape)
+                      for shape in ((2, 4, 3), (2, 4, 3), (2, 4), (2, 4))]
+
+        def run():
+            ins = [Tensor(a, requires_grad=True) for a in (x, y, w, s, b, *add_params)]
+            tx, ty, tw, ts, tb, *tadd = ins
+            if op == "add":
+                out = T.add(tx, tb)
+            elif op == "matmul":
+                out = T.matmul(tx, tw)
+            elif op == "gelu":
+                out = T.gelu(tx)
+            elif op == "layer_norm":
+                out = T.layer_norm(tx, ts, tb)
+            elif op == "dropout":
+                out = T.dropout(tx, 0.3, True, np.random.default_rng(9))
+            else:
+                tag = "add" if op == "add_attention" else op
+                additive = attention.AdditiveParams(*tadd) if tag == "add" else None
+                out = attention.attention_node(tx, ty, T.matmul(ty, tw),
+                                               AttentionConfig(6, 2, variant=tag), additive)
+            T.sum_all(T.mul(out, Tensor(y))).backward()
+            return [np.array(out.data)] + [t.grad for t in ins]
+
+        plain = run()
+        with T._StepPool() as pool:
+            run()
+            pool.recycle()
+            poison_free(pool)
+            pooled = run()
+        for a, b in zip(plain, pooled):
+            if a is None:
+                assert b is None
+            else:
+                np.testing.assert_array_equal(a, b)

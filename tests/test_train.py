@@ -329,6 +329,68 @@ class TestTrainLoop:
             train(tiny_model("dp"), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
 
 
+class TestStepPool:
+    """``train`` lends each step's kept activations from one step pool; the
+    floor is lowered so that the tiny model's arrays are pooled too, and 57
+    training pixels in batches of 16 end in a partial batch of 9."""
+
+    @staticmethod
+    def run(variant, monkeypatch, epochs=2):
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        params, log, best = train(tiny_model(variant), cube, labels, splits,
+                                  TrainConfig(epochs=epochs, batch_size=16, seed=0))
+        return params.copy_values(), log, best
+
+    @pytest.mark.parametrize("variant", [v.value for v in VARIANTS])
+    def test_poisoned_recycle_changes_nothing(self, variant, monkeypatch):
+        # every buffer recycle returns is NaN until an op writes it, so a
+        # pooled array read before it is fully written shows in the result
+        clean = self.run(variant, monkeypatch)
+        recycle = T._StepPool.recycle
+
+        def poisoned(pool, ids=None):
+            recycle(pool, ids)
+            for free in pool._free:
+                for flat in free:
+                    flat[:] = np.nan
+
+        monkeypatch.setattr(T._StepPool, "recycle", poisoned)
+        values, log, best = self.run(variant, monkeypatch)
+        assert (log, best) == clean[1:]
+        for name, value in values.items():
+            np.testing.assert_array_equal(value, clean[0][name], err_msg=name)
+
+    def test_pool_stops_growing_after_the_first_epoch(self, monkeypatch):
+        # a view that outlives its step makes recycle forget its buffer, and
+        # the next step faults in a new one: the pool must neither forget
+        # nor grow once every batch shape and validation has run
+        recycle, sizes, forgotten = T._StepPool.recycle, [], []
+
+        def buffers(pool):
+            return [flat for free in pool._free for flat in free] + [f for f, _ in pool._lent]
+
+        def counting(pool, ids=None):
+            before = len(buffers(pool))
+            recycle(pool, ids)
+            forgotten.append(before - len(buffers(pool)))
+
+        def measured_evaluate(*args):
+            report = evaluate(*args)
+            held = buffers(T._active_pool.get())
+            sizes.append((len(held), sum(f.nbytes for f in held)))
+            return report
+
+        monkeypatch.setattr(T._StepPool, "recycle", counting)
+        monkeypatch.setattr(train_module, "evaluate", measured_evaluate)
+        self.run("cs2", monkeypatch, epochs=3)
+        assert len(sizes) == 3 and sizes[0][0] > 0
+        assert sizes[1:] == sizes[:1] * 2
+        assert forgotten and not any(forgotten)
+        assert T._active_pool.get() is None
+
+
 class TestGradientTape:
     @pytest.mark.parametrize("variant", [v.value for v in VARIANTS])
     def test_step_never_writes_into_a_gradient(self, monkeypatch, variant):
