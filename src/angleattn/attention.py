@@ -248,23 +248,23 @@ def _heads(x, heads):
 
 
 class _Scratch(dict):
-    """One node call's scratch arrays, by name. Each is allocated at the first
-    chunk's shape and sliced for the later chunks, which are never larger, so
-    a call allocates each (chunk, H, N, N[, d_a]) temporary once and keeps
-    the working set the same few buffers from chunk to chunk. Inside a
-    ``tensor._StepPool`` they are lent by the pool, and ``release`` gives
-    them back when the call is done with them."""
+    """One node call's per-chunk arrays, by name. Each is allocated at the
+    first chunk's shape and sliced for the later chunks, which are never
+    larger, so a call allocates each temporary once, a partial last chunk
+    included, and keeps the working set the same few buffers from chunk to
+    chunk. Inside a ``tensor._StepPool`` they go back to the pool when the
+    last view of them dies, mostly when the call returns."""
 
     def __call__(self, name, shape):
         if name not in self:
-            self[name] = T._empty(shape, scratch=True)
+            self[name] = T._empty(shape)
         return self[name][:shape[0]]
 
-    def release(self):
-        """Drop the buffers; the caller must hold no view of them."""
-        ids = {id(a.base) for a in self.values()}
-        self.clear()
-        T._recycle(ids)
+    def copy(self, name, a):
+        """``a``, copied into the scratch array ``name``."""
+        out = self(name, a.shape)
+        np.copyto(out, a)
+        return out
 
 
 class _Chunk:
@@ -274,23 +274,24 @@ class _Chunk:
     Each step repeats the composed reference's numpy expression on the same
     operand layout, so the q k^T variants stay bit-identical to it. The
     (..., H, N, N[, d_a]) arrays live in ``scratch`` buffers, which a later
-    chunk of the same call overwrites.
+    chunk of the same call overwrites. The forward checks the cosine rows
+    (``check``); backward recomputes the same rows bit for bit and skips it.
     """
 
-    def __init__(self, q, k, cfg, additive, scratch=None):
+    def __init__(self, q, k, cfg, additive, scratch=None, check=True):
         self.cfg, self.spec, self.additive = cfg, VARIANTS[cfg.variant], additive
         self.scratch = _Scratch() if scratch is None else scratch
         self.n_cos = (cfg.heads + 1) // 2 if self.spec.mixed else None
         mode = cfg.resolved_norm_mode
-        self.q, self.q_norm = self._normalize(q, mode in (NormMode.BOTH, NormMode.QUERY_ONLY))
-        self.k, self.k_norm = self._normalize(k, mode in (NormMode.BOTH, NormMode.KEY_ONLY))
-        if self.spec.cosine and mode is NormMode.BOTH:
+        self.q, self.q_norm = self._normalize(q, "q", mode in (NormMode.BOTH, NormMode.QUERY_ONLY))
+        self.k, self.k_norm = self._normalize(k, "k", mode in (NormMode.BOTH, NormMode.KEY_ONLY))
+        if check and self.spec.cosine and mode is NormMode.BOTH:
             cos = slice(None) if self.n_cos is None else np.s_[..., :self.n_cos, :, :]
             _check_unit_rows(self.q[cos], "query")
             _check_unit_rows(self.k[cos], "key")
         self.score_shape = self.q.shape[:-1] + self.k.shape[-2:-1]
         if additive is None:
-            self.k_t = np.ascontiguousarray(np.swapaxes(self.k, -1, -2))
+            self.k_t = self.scratch.copy("k_t", np.swapaxes(self.k, -1, -2))
             self.s = np.matmul(self.q, self.k_t, out=self.scratch("s", self.score_shape))
             return
         w_q, w_k, w_a, b_a = additive
@@ -304,25 +305,32 @@ class _Chunk:
         self.hidden = np.tanh(hidden, out=hidden)  # (..., H, N, N, d_a)
         self.w = w_a.reshape(h, 1, d_a, 1)
 
-    def _normalize(self, x, on):
+    def _normalize(self, x, name, on):
         """Each row over max(||row||_2, _NORM_EPS); the mixed variant's cosine heads only."""
         if not on:
             return x, None
-        part = x if self.n_cos is None else np.ascontiguousarray(x[..., :self.n_cos, :, :])
-        y, active, denom = T._l2_rows_fwd(part, _NORM_EPS)
+        part = x if self.n_cos is None else self.scratch.copy(name + "_cos",
+                                                              x[..., :self.n_cos, :, :])
+        y, active, denom = T._l2_rows_fwd(part, _NORM_EPS,
+                                          out=self.scratch(name + "_unit", part.shape))
         if self.n_cos is not None:
-            y = np.concatenate([y, x[..., self.n_cos:, :, :]], axis=-3)
+            y = np.concatenate([y, x[..., self.n_cos:, :, :]], axis=-3,
+                               out=self.scratch(name, x.shape))
         return y, (part, active, denom)
 
-    def _normalize_bwd(self, g, saved):
+    def _normalize_bwd(self, g, saved, name):
         if saved is None:
             return g
         part, active, denom = saved
         if self.n_cos is None:
-            return T._l2_rows_bwd(g, part, active, denom)
-        g_cos = np.ascontiguousarray(g[..., :self.n_cos, :, :])
-        return np.concatenate([T._l2_rows_bwd(g_cos, part, active, denom),
-                               g[..., self.n_cos:, :, :]], axis=-3)
+            return T._l2_rows_bwd(g, part, active, denom,
+                                  out=self.scratch("g_" + name, part.shape))
+        g_cos = self.scratch.copy("g_" + name + "_cos", g[..., :self.n_cos, :, :])
+        return np.concatenate([T._l2_rows_bwd(g_cos, part, active, denom,
+                                              out=self.scratch("g_" + name + "_unit",
+                                                               part.shape)),
+                               g[..., self.n_cos:, :, :]], axis=-3,
+                              out=self.scratch("g_" + name, g.shape))
 
     def _kernel(self, direction, *arrays, out):
         """The row's kernel forward or backward, written into ``out``; the mixed
@@ -351,13 +359,15 @@ class _Chunk:
             g_q, g_k, g_params = self._additive_bwd(g_scores)
         else:
             g_s = self._kernel("backward", self.s, g_scores, out=self.s)
-            g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2))
-            g_k = np.swapaxes(np.matmul(np.swapaxes(self.q, -1, -2), g_s), -1, -2)
+            g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2),
+                            out=self.scratch("g_q_rows", self.q.shape))
+            g_k = np.swapaxes(np.matmul(np.swapaxes(self.q, -1, -2), g_s,
+                                        out=self.scratch("g_k_t", self.k_t.shape)), -1, -2)
             if self.n_cos is not None:  # the reference's head slicing leaves it C-ordered
-                g_k = np.ascontiguousarray(g_k)
+                g_k = self.scratch.copy("g_k_rows", g_k)
             g_params = ()
-        return (self._normalize_bwd(g_q, self.q_norm), self._normalize_bwd(g_k, self.k_norm),
-                g_params)
+        return (self._normalize_bwd(g_q, self.q_norm, "q"),
+                self._normalize_bwd(g_k, self.k_norm, "k"), g_params)
 
     def _additive_bwd(self, g_scores):
         _, _, w_a, b_a = self.additive
@@ -370,15 +380,17 @@ class _Chunk:
         np.subtract(1.0, g_pre, out=g_pre)
         g_pre *= g_hidden
         g_b_a = T._unbroadcast(g_pre, (b_a.shape[0], 1, 1, b_a.shape[1]))
-        g_q, g_w_q = _projection_bwd(self.q, self.w_q_t, g_pre.sum(axis=-2))
-        g_k, g_w_k = _projection_bwd(self.k, self.w_k_t, g_pre.sum(axis=-3))
+        g_q, g_w_q = _projection_bwd(self.q, self.w_q_t, g_pre.sum(axis=-2),
+                                     self.scratch("g_q_rows", self.q.shape))
+        g_k, g_w_k = _projection_bwd(self.k, self.w_k_t, g_pre.sum(axis=-3),
+                                     self.scratch("g_k_rows", self.k.shape))
         return g_q, g_k, (g_w_q, g_w_k, g_w_a.reshape(w_a.shape), g_b_a.reshape(b_a.shape))
 
 
-def _projection_bwd(rows, w_t, g):
-    """Backward of rows @ w_t: (d rows, d w) with d w in w's (H, d_a, d_h) layout."""
+def _projection_bwd(rows, w_t, g, out):
+    """Backward of rows @ w_t: (d rows into ``out``, d w in w's (H, d_a, d_h) layout)."""
     g_w_t = T._unbroadcast(np.matmul(np.swapaxes(rows, -1, -2), g), w_t.shape)
-    return np.matmul(g, np.swapaxes(w_t, -1, -2)), np.swapaxes(g_w_t, -1, -2)
+    return np.matmul(g, np.swapaxes(w_t, -1, -2), out=out), np.swapaxes(g_w_t, -1, -2)
 
 
 def _place(full, sl, part, shape):
@@ -389,7 +401,7 @@ def _place(full, sl, part, shape):
     if sl == slice(None):
         return part
     if full is None:
-        full = np.empty_like(part, shape=shape)
+        full = T._empty_like(part, shape)
     full[sl] = part
     return full
 
@@ -429,39 +441,37 @@ def attention_node(q, k, v, cfg, additive=None):
         per_sample *= arrays[0].shape[1]  # d_a
     chunks = _chunks(q.data, per_sample)
 
-    def split(sl):
+    def split(sl, scratch):
         """The chunk's C-ordered (..., H, N, d_h) copies of q, k and v."""
-        return (np.ascontiguousarray(_heads(t.data[sl], h)) for t in (q, k, v))
+        return (scratch.copy(name, _heads(t.data[sl], h))
+                for name, t in zip(("q_h", "k_h", "v_h"), (q, k, v)))
 
     out = T._empty(q.shape[:-1] + v.shape[-1:])
     kept = [] if T._tracks(parents) else None
     shift = not _skips_max_shift(cfg)
     scratch = _Scratch()
     for sl in chunks:
-        q_h, k_h, v_h = split(sl)
+        q_h, k_h, v_h = split(sl, scratch)
         s = _Chunk(q_h, k_h, cfg, arrays, scratch).scores()
         p = T._softmax_fwd(s, out=s if kept is None else T._empty(s.shape), shift=shift)
-        _heads(out, h)[sl] = np.matmul(p, v_h)
+        _heads(out, h)[sl] = np.matmul(p, v_h, out=scratch("p_v", v_h.shape))
         if kept is not None:
             kept.append(p)
-    s = p = None  # no view of a scratch buffer outlives its release
-    scratch.release()
 
     def backward_fn(g):
         g_out, g_qkv, g_params = _heads(g, h), [None, None, None], ()
         scratch = _Scratch()  # the forward's is gone: only kept probabilities outlive it
         for sl, p in zip(chunks, kept):
-            q_h, k_h, v_h = split(sl)
-            g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl])
+            q_h, k_h, v_h = split(sl, scratch)
+            g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=scratch("g_v", v_h.shape))
             g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=scratch("g_p", p.shape))
             g_scores = T._softmax_bwd(p, g_p, out=scratch("g_scores", p.shape))
-            g_q, g_k, chunk_params = _Chunk(q_h, k_h, cfg, arrays, scratch).backward(g_scores)
+            g_q, g_k, chunk_params = _Chunk(q_h, k_h, cfg, arrays, scratch,
+                                            check=False).backward(g_scores)
             g_qkv = [_place(full, sl, part, t.shape)
                      for full, part, t in zip(g_qkv, (g_q, g_k, g_v), (q, k, v))]
             g_params = chunk_params if not g_params else tuple(
                 a + b for a, b in zip(g_params, chunk_params))
-        g_p = g_scores = None
-        scratch.release()
         return (*g_qkv, *g_params)
 
     return T._make(out, parents, backward_fn, "attention")

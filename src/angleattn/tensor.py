@@ -11,9 +11,14 @@ keep their gradient; an interior node's ``grad`` is released once its
 closure has passed it on, so a step holds about one frontier of gradients
 at a time. The graph itself stays intact. A gradient array may be shared
 between nodes, so nothing writes into one in place. Inside a
-``no_grad()`` block no graph is recorded at all. Inside a ``_StepPool``
-(``train.train`` opens one per run) the arrays a step keeps for the whole
-step are lent from recycled buffers instead of fresh memory.
+``no_grad()`` block no graph is recorded at all.
+
+Inside a ``_StepPool`` (``train.train`` opens one per run, and
+``train.predict`` one for the process outside it) every array of at least
+64 KiB that an op or a backward closure allocates is lent by the pool:
+activations, gradients and the temporaries of both passes. Each buffer
+goes back to the pool the moment the last view of its lend dies, so a
+step reuses the memory of its own earlier arrays at its live peak.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import contextlib
 import contextvars
 import math
 import mmap
-import sys
+import weakref
 
 import numpy as np
 from scipy.special import erf
@@ -122,8 +127,9 @@ def _accumulate(node, g):
     # layout decides how later matmuls round
     if node.grad is None:
         node.grad = g if g.flags.c_contiguous or g.flags.f_contiguous else np.array(g)
-    else:
-        node.grad = node.grad + g
+    else:  # with one layout the sum takes it, as numpy's allocation would
+        node.grad = np.add(node.grad, g, out=_empty_like(g) if g.strides == node.grad.strides
+                           else None)
 
 
 def _unbroadcast(g, shape):
@@ -172,89 +178,102 @@ def _make(data, parents, backward_fn, op):
 # reuses blocks that small without giving their pages back
 _POOL_MIN_BYTES = 64 << 10
 
-# what sys.getrefcount reports, inside recycle's loop, for a lent buffer that
-# nothing outside the pool views: its lent entry, the loop variable and
-# getrefcount's own argument; each live view (or view of a view) adds one
-_UNVIEWED_REFS = 3
-
 _active_pool = contextvars.ContextVar("angleattn_pool", default=None)
 
 
 class _StepPool:
-    """Flat float64 buffers, each its own anonymous ``mmap``, lent out again
-    after each training step instead of being freed.
+    """Anonymous ``mmap`` buffers, each lent again as soon as no array views
+    its last lend.
 
-    A step's kept activations (about 130 MiB at the benchmark config) would
-    otherwise go back to glibc when the step's graph dies, be trimmed or
-    unmapped, and fault in again page by page in the next step. As a
-    context manager the pool is the one ``_empty`` lends from, until the
-    block exits; then it drops its buffers, and each is unmapped once no
-    view of it is left.
+    Freed arrays of a few MiB go back to glibc, which trims or unmaps them,
+    so the next step (or block) faults the same memory in again page by
+    page. A pool keeps its buffers mapped instead. Each lend is its own
+    ``np.frombuffer`` array over a free buffer; every view of it keeps it
+    alive, since numpy makes the lend each view's base. A weak reference to
+    the lend appends itself to ``_returned`` when the lend dies, and
+    ``empty`` drains that list before it picks a buffer. So no callback
+    edits a free list, and no buffer is lent while a view of its last lend
+    lives.
 
-    Scratch buffers, which a call gives back before the step ends, have a
-    free list of their own, and a scratch request takes only a free buffer
-    at most twice its size. Otherwise a smaller array could take a large
-    scratch buffer, and the next call would fault in another: at paper
-    size the additive node's 32 MiB hidden-tensor buffers did so, and a
-    training step's peak RSS rose by about 130 MiB.
+    A request takes only a free buffer at most four times its size.
+    Otherwise a small array could take a large buffer that the node's
+    scratch just gave back, keep it for the rest of the step, and make the
+    next node map another: at paper size the additive node's 32 MiB
+    hidden-tensor buffers did so. With twice the size as the limit, a
+    partial batch's smaller arrays found no buffer and mapped their own,
+    and a ``train-cs2`` run peaked about 7 MiB higher.
+
+    As a context manager the pool is the one ``_empty`` lends from until
+    the block exits; it then keeps only the free buffers lent inside the
+    block. A dropped pool unmaps its free buffers at once, and a lent
+    buffer when the last view of its lend dies.
     """
 
     def __init__(self):
-        # by size, the buffers nothing outside the pool views: kept arrays',
-        # then scratch
-        self._free = ([], [])
-        self._lent = []  # (buffer, its free list), lent since it was free
+        self._free = []      # by size: the buffers no lend views
+        self._lent = {}      # id(weak reference to a lend) -> (that reference, its buffer)
+        self._returned = []  # weak references to dead lends, appended by their callback
+        self._used = set()   # ids of the buffers lent inside the current block
 
     def __enter__(self):
         self._token = _active_pool.set(self)
+        self._used = set()
         return self
 
     def __exit__(self, *exc):
         _active_pool.reset(self._token)
-        self._free, self._lent = ([], []), []
+        self._drain()
+        self._free = [buf for buf in self._free if id(buf) in self._used]
 
-    def empty(self, shape, scratch=False):
-        """A C-ordered float64 view of the smallest free buffer (of the
-        scratch list, with ``scratch``) that holds ``shape``, or else of a
-        new one; its values are arbitrary."""
-        free = self._free[scratch]
-        n = math.prod(shape)
-        i = bisect.bisect_left(free, n, key=len)
-        if i < len(free) and not (scratch and len(free[i]) > 2 * n):
-            flat = free.pop(i)
+    def unmap_free(self):
+        """Unmap every free buffer; a lent one comes back when its lend dies."""
+        self._drain()
+        self._free = []
+
+    def _drain(self):
+        """Put the buffers of dead lends back on the free list."""
+        while self._returned:
+            _, buf = self._lent.pop(id(self._returned.pop()))
+            bisect.insort(self._free, buf, key=len)
+
+    def empty(self, shape):
+        """A C-ordered float64 array over the smallest free buffer that holds
+        ``shape`` and is at most four times its size, or over a new buffer;
+        its values are arbitrary."""
+        self._drain()
+        nbytes = 8 * math.prod(shape)
+        i = bisect.bisect_left(self._free, nbytes, key=len)
+        if i < len(self._free) and len(self._free[i]) <= 4 * nbytes:
+            buf = self._free.pop(i)
         else:
-            flat = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
-        self._lent.append((flat, free))
-        return flat[:n].reshape(shape)
-
-    def recycle(self, ids=None):
-        """Put back on the free list each lent buffer (only those whose id is
-        in ``ids``, if given) that no array outside the pool still views, and
-        forget the viewed ones: a view that outlives its step keeps its
-        values, and its buffer is never lent again."""
-        lent = []
-        for flat, free in self._lent:
-            if ids is not None and id(flat) not in ids:
-                lent.append((flat, free))
-            elif sys.getrefcount(flat) == _UNVIEWED_REFS:
-                bisect.insort(free, flat, key=len)
-        self._lent = lent
+            buf = mmap.mmap(-1, nbytes)
+        self._used.add(id(buf))
+        lend = np.frombuffer(buf, np.float64, nbytes // 8)
+        ref = weakref.ref(lend, self._returned.append)
+        self._lent[id(ref)] = ref, buf
+        return lend.reshape(shape)
 
 
-def _empty(shape, scratch=False):
-    """np.empty(shape), or a buffer lent by the active ``_StepPool`` when
-    one is active and the array is not small."""
+def _empty(shape):
+    """np.empty(shape), or an array lent by the active ``_StepPool`` when one
+    is active and the array is not small."""
     pool = _active_pool.get()
     if pool is None or 8 * math.prod(shape) < _POOL_MIN_BYTES:
         return np.empty(shape)
-    return pool.empty(shape, scratch)
+    return pool.empty(shape)
 
 
-def _recycle(ids=None):
-    """``_StepPool.recycle`` on the active pool, if any."""
-    pool = _active_pool.get()
-    if pool is not None:
-        pool.recycle(ids)
+def _empty_like(a, shape=None):
+    """``np.empty_like(a, shape=shape)`` through ``_empty``: C or Fortran
+    order where ``a`` is contiguous that way, else ``a``'s axes ordered by
+    stride, as numpy's order 'K' does. Layouts decide how later matmuls and
+    sums round, so they are kept."""
+    shape = a.shape if shape is None else shape
+    if a.flags.c_contiguous:
+        return _empty(shape)
+    axes = (list(range(a.ndim))[::-1] if a.flags.f_contiguous
+            else sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
+    return _empty(tuple(shape[i] for i in axes)).transpose(np.argsort(axes))
 
 
 def _check_broadcast(a, b, op):
@@ -303,8 +322,14 @@ def gelu(a):
     y = np.multiply(x, cdf, out=_empty(x.shape))
 
     def backward_fn(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return ((cdf + x * pdf) * g,)
+        # (cdf + x * pdf) * g, pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
+        pdf = np.multiply(-0.5, x, out=_empty(x.shape))
+        pdf *= x
+        np.exp(pdf, out=pdf)
+        np.multiply(_INV_SQRT2PI, pdf, out=pdf)
+        np.multiply(x, pdf, out=pdf)
+        np.add(cdf, pdf, out=pdf)
+        return (np.multiply(pdf, g, out=pdf),)
 
     return _make(y, (a,), backward_fn, "gelu")
 
@@ -338,8 +363,13 @@ def matmul(a, b):
     out_data = np.matmul(a.data, b.data, out=_empty(batch + (a.shape[-2], b.shape[-1])))
 
     def backward_fn(g):
-        return (np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None,
-                np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None)
+        # g has the output's shape, whose batch axes already broadcast a's and b's
+        return (np.matmul(g, np.swapaxes(b.data, -1, -2),
+                          out=_empty(g.shape[:-1] + b.shape[-2:-1]))
+                if a.requires_grad else None,
+                np.matmul(np.swapaxes(a.data, -1, -2), g,
+                          out=_empty(g.shape[:-2] + a.shape[-1:] + g.shape[-1:]))
+                if b.requires_grad else None)
 
     return _make(out_data, (a, b), backward_fn, "matmul")
 
@@ -360,7 +390,9 @@ def sum_all(a):
 
 def sum_axis(a, axis):
     def backward_fn(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+        out = _empty(a.shape)
+        np.copyto(out, np.expand_dims(g, axis))
+        return (out,)
 
     return _make(a.data.sum(axis=axis), (a,), backward_fn, "sum_axis")
 
@@ -402,16 +434,29 @@ def _softmax_bwd(y, g, out=None):
     return np.multiply(y, np.subtract(g, inner, out=out), out=out)
 
 
-def _l2_rows_fwd(x, eps):
-    """(rows, active, denom): below eps the denominator is constant."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+def _l2_rows_fwd(x, eps, out=None):
+    """(rows, active, denom): below eps the denominator is constant. With
+    ``out`` the squares, then the rows, are written there."""
+    # np.linalg.norm(x, axis=-1, keepdims=True), spelled out so its squares can go to out
+    norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=out), axis=-1, keepdims=True))
     denom = np.maximum(norms, eps)
-    return x / denom, norms >= eps, denom
+    return np.divide(x, denom, out=out), norms >= eps, denom
 
 
-def _l2_rows_bwd(g, x, active, denom):
-    inner = (g * x).sum(axis=-1, keepdims=True)
-    return g / denom - active * x * inner / denom**3
+def _l2_rows_bwd(g, x, active, denom, out=None):
+    """g / denom - active * x * inner / denom**3, inner = sum(g * x) along
+    rows. With a C-ordered ``out`` the same steps run in ``out`` and one
+    ``_empty`` buffer; for a C-ordered ``x`` numpy's own result is C-ordered
+    too."""
+    if out is None:
+        inner = (g * x).sum(axis=-1, keepdims=True)
+        return g / denom - active * x * inner / denom**3
+    t = np.multiply(g, x, out=_empty(x.shape))
+    inner = t.sum(axis=-1, keepdims=True)
+    np.multiply(active, x, out=t)
+    t *= inner
+    t /= denom**3
+    return np.subtract(np.divide(g, denom, out=out), t, out=out)
 
 
 def softmax_rows(x):
@@ -440,10 +485,16 @@ def layer_norm(x, scale_t, shift_t, eps=1e-5):
     y += shift_t.data
 
     def backward_fn(g):
-        gh = g * scale_t.data
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+        # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * scale,
+        # in two buffers; the second then holds g * xhat
+        gh = np.multiply(g, scale_t.data, out=_empty(x.shape))
+        t = np.multiply(gh, xhat, out=_empty(x.shape))
+        np.multiply(xhat, t.mean(axis=-1, keepdims=True), out=t)
+        gx = np.subtract(gh, gh.mean(axis=-1, keepdims=True), out=gh)
+        gx -= t
+        np.multiply(inv, gx, out=gx)
+        g_scale = np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0)
+        return gx, g_scale, g.reshape(-1, d).sum(axis=0)
 
     return _make(y, (x, scale_t, shift_t), backward_fn, "layer_norm")
 
@@ -459,7 +510,7 @@ def dropout(x, rate, training, rng):
     keep /= 1.0 - rate
 
     def backward_fn(g):
-        return (g * keep,)
+        return (np.multiply(g, keep, out=_empty(keep.shape)),)
 
     return _make(np.multiply(x.data, keep, out=_empty(x.shape)), (x,), backward_fn, "dropout")
 

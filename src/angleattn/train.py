@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -157,23 +158,30 @@ def _predict_block(cfg):
     return max(1, attention.CHUNK_BUDGET // (16 * cfg.tokens * width))
 
 
+# predict's pool outside train, for the life of the process: between calls
+# it keeps the buffers the last call lent, about one block's live set
+_inference_pool = T._StepPool()
+
+
 def predict(params, cfg, cube, flat_indices, batch_size=256):
     """Predicted class ids (1-based) for the given flat pixel indices.
 
     Runs under ``no_grad``, so no graph is kept, in blocks of at most
     ``batch_size`` patches and at most ``_predict_block(cfg)``. Each row of
     a forward depends on its own patch alone, so the ids do not depend on
-    either bound. Inside ``train``'s step pool each block's arrays go back
-    to the pool when the block is done.
+    either bound. The blocks' arrays come from ``train``'s step pool inside
+    ``train``, and from one process-wide pool outside it, so a block reuses
+    the buffers of the block before and a call those of the call before.
+    That pool is shared, so two threads must not predict at once.
     """
     block = min(batch_size, _predict_block(cfg))
     preds = np.empty(len(flat_indices), dtype=np.int64)
-    with T.no_grad():
+    pool = contextlib.nullcontext() if T._active_pool.get() else _inference_pool
+    with T.no_grad(), pool:
         for lo in range(0, len(flat_indices), block):
             patches = extract_patches(cube, flat_indices[lo:lo + block], cfg.patch_size)
             probs = batched_forward(patches, params, cfg, training=False)
             preds[lo:lo + len(patches)] = probs.data.argmax(axis=-1) + 1
-            T._recycle()
     return preds
 
 
@@ -193,11 +201,10 @@ def evaluate(params, cfg, cube, labels, test_indices, batch_size=256):
 def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
     """One optimiser step on one batch; returns its loss.
 
-    The step's graph and intermediate gradients die before it returns, and
-    its activations go back to the active step pool, so the training loop
-    never holds two graphs at once. A non-finite loss or gradient norm
-    raises NumericError before the parameters change, and a non-finite
-    parameter after the update raises it naming the parameter.
+    The step's graph and intermediate gradients die before it returns, so
+    the training loop never holds two graphs at once. A non-finite loss or
+    gradient norm raises NumericError before the parameters change, and a
+    non-finite parameter after the update raises it naming the parameter.
     """
     params.zero_grads()
     probs = batched_forward(batch, params, cfg, training=True, rng=rng)
@@ -206,7 +213,6 @@ def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
     if not math.isfinite(value):
         raise NumericError(f"non-finite loss {value}")
     loss.backward()
-    probs = loss = None  # drop the graph, so that recycle finds its arrays unviewed
     norm = clip_gradients(opt.named_params, tcfg.clip_norm, tcfg.clip_mode)
     if not math.isfinite(norm):
         raise NumericError(f"non-finite gradient norm {norm}")
@@ -214,7 +220,6 @@ def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
     for name, t in opt.named_params:
         if not np.isfinite(t.data).all():
             raise NumericError(f"non-finite values in {name} after the update")
-    T._recycle()
     return value
 
 
@@ -224,9 +229,9 @@ def train(cfg, cube, labels, splits, tcfg):
     ``splits`` is the (train, val, test) triple of flat pixel indices.
     Model selection keeps the epoch with the best validation OA; with
     epochs=0 the freshly initialized parameters are returned. The steps and
-    validations run inside one ``tensor._StepPool``, which lends each step's
-    kept activations from the buffers the step before gave back; its memory
-    is unmapped when ``train`` returns.
+    validations run inside one ``tensor._StepPool``, so each step's arrays
+    reuse the buffers of the arrays that died before them; its memory is
+    unmapped when ``train`` returns.
     """
     train_idx, val_idx, _ = splits
     if len(train_idx) == 0:
@@ -239,6 +244,7 @@ def train(cfg, cube, labels, splits, tcfg):
     dropout_rng = np.random.default_rng(tcfg.seed + 2)
     log = []
     best = {"val_oa": -1.0, "epoch": 0, "values": params.copy_values()}
+    _inference_pool.unmap_free()  # kept, they would add to this run's peak
     # numpy's floating-point warnings stay off stderr: a run that diverges
     # ends in one error naming the epoch and step (or validation) instead
     with np.errstate(all="ignore"), T._StepPool():

@@ -14,7 +14,11 @@ patches, and of 1 patch, concatenated). For every variant x positional
 mode it also writes the parameters, epoch losses and validation OAs of a
 2-epoch ``train.train`` run whose arrays are large enough for the step
 pool and whose last batch is partial, so that a smaller batch reuses
-recycled buffers. ``compare`` lists the arrays whose
+pooled buffers; then the ids and every block's probabilities of two
+successive ``predict`` calls on the trained model outside ``train``, each
+over two blocks, the second of them partial, so that the second call runs
+on the buffers the first left in the inference pool. ``compare`` lists
+the arrays whose
 bytes, dtype or shape differ, or that only one dump holds, and exits 1 if
 any do; for two arrays of one shape it also prints the largest absolute
 and relative difference.
@@ -31,6 +35,7 @@ import numpy as np
 from angleattn import attention
 from angleattn import model as M
 from angleattn import tensor as T
+from angleattn import train as training
 from angleattn.attention import AttentionConfig, ScoreVariant
 from angleattn.data import SplitSpec, SynthSpec, normalize_bands, stratified_split, synth_scene
 from angleattn.train import TrainConfig, _predict_block, label_smoothed_ce, train
@@ -77,7 +82,8 @@ def model_outputs(cfg, x, targets):
 
 
 def train_outputs(tag, positional, scene):
-    """Parameters, epoch losses and validation OAs of a 2-epoch ``train``.
+    """Parameters, epoch losses and validation OAs of a 2-epoch ``train``,
+    and ``predict_outputs`` of the trained model on the 180 test pixels.
 
     40 training pixels in batches of 16 end in a partial batch of 8. A
     token activation (25 x 48 floats per patch) is above the step pool's
@@ -92,6 +98,28 @@ def train_outputs(tag, positional, scene):
     out = params.copy_values()
     out["epoch_loss"] = np.array([entry["loss"] for entry in log])
     out["val_oa"] = np.array([entry["val_oa"] for entry in log])
+    return out, predict_outputs(params, cfg, cube, splits[2])
+
+
+def predict_outputs(params, cfg, cube, indices):
+    """Ids and every block's probabilities of two successive ``predict``
+    calls outside ``train``: blocks of ``_predict_block(cfg)`` = 109
+    patches, so 109 and 71 per call, every token activation pooled."""
+    out, forward = {}, training.batched_forward
+
+    def recording(*args, **kwargs):
+        probs = forward(*args, **kwargs)
+        blocks.append(np.array(probs.data))
+        return probs
+
+    training.batched_forward = recording
+    try:
+        for call in (1, 2):
+            blocks = []
+            out[f"ids_{call}"] = training.predict(params, cfg, cube, indices)
+            out[f"probs_{call}"] = np.concatenate(blocks)
+    finally:
+        training.batched_forward = forward
     return out
 
 
@@ -108,8 +136,11 @@ def dump(tags):
     arrays, default_budget = {}, attention.CHUNK_BUDGET
     scene = train_scene()
     for tag, positional in itertools.product(tags, POSITIONAL):
-        for name, value in train_outputs(tag, positional, scene).items():
+        trained, predicted = train_outputs(tag, positional, scene)
+        for name, value in trained.items():
             arrays[f"{tag}:train:{positional}:{name}"] = value
+        for name, value in predicted.items():
+            arrays[f"{tag}:predict:{positional}:{name}"] = value
     try:
         for budget, tag, norm_mode, heads, positional in itertools.product(
                 BUDGETS, tags, NORM_MODES, HEADS, POSITIONAL):

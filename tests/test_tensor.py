@@ -1,4 +1,7 @@
+import gc
 import math
+import mmap
+import weakref
 
 import numpy as np
 import pytest
@@ -362,81 +365,148 @@ def test_unary_op_gradients(op, seed):
     assert grad_check(f, [x]) < 1e-4
 
 
-# -- the step pool: recycled activation buffers inside train ------------------
+# -- the step pool: buffers lent again once no view of their last lend lives ---
 
-def poison_free(pool):
-    """NaN into every buffer the pool would lend next."""
-    for free in pool._free:
-        for flat in free:
-            flat[:] = np.nan
+def poison_lends(monkeypatch):
+    """NaN into every array the pool lends, before the caller writes it."""
+    empty = T._StepPool.empty
+
+    def poisoned(pool, shape):
+        out = empty(pool, shape)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(T._StepPool, "empty", poisoned)
+
+
+def buffers(pool):
+    """Every buffer the pool holds, free or lent."""
+    pool._drain()
+    return pool._free + [buf for _, buf in pool._lent.values()]
 
 
 class TestStepPool:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.lists(st.tuples(
-        st.lists(st.integers(1, 40), min_size=0, max_size=3), st.booleans()),
-        max_size=8), max_size=6))
-    def test_views_lent_at_once_never_share_memory(self, steps):
-        # each step lends its shapes and keeps some views past the step's
-        # recycle; every view alive at once must own its memory
-        kept = []
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 40), max_size=3), st.integers(0, 4),
+                              st.booleans()), max_size=30))
+    def test_views_lent_at_once_never_share_memory(self, ops):
+        # each op lends one shape and fills it with its own number; it keeps
+        # the lend, or only a strided view of it, and then drops one earlier
+        # view (if ``drop`` names one), whose buffer comes back at once.
+        # Every view alive at once owns its memory and keeps its number.
+        live = []
         with T._StepPool() as pool:
-            for step in steps:
-                lent = [(pool.empty(tuple(shape)), keep) for shape, keep in step]
-                live = kept + [view for view, _ in lent]
-                for i, a in enumerate(live):
-                    for b in live[i + 1:]:
+            for i, (shape, drop, strided) in enumerate(ops):
+                view = pool.empty(tuple(shape))
+                view.fill(i)
+                live.append((i, view.reshape(-1)[::2] if strided else view))
+                view = None
+                if drop < len(live) - 1:
+                    live.pop(drop)
+                for j, (n, a) in enumerate(live):
+                    assert (a == n).all()
+                    for _, b in live[j + 1:]:
                         assert not np.shares_memory(a, b)
-                kept += [view for view, keep in lent if keep]
-                lent = live = a = b = None
-                pool.recycle()
 
     def test_view_kept_past_recycle_is_never_lent_again(self):
+        # the other lends' buffers are recycled around a view that is kept
         with T._StepPool() as pool:
             kept = pool.empty((50, 40))
             kept[:] = 7.0
-            pool.recycle()
-            for _ in range(4):  # steps: the same shape, and one that fits in it
+            kept = kept[1:]  # a view of the lend keeps the lend alive
+            for _ in range(4):  # the same shape, and one that fits in it
                 views = [pool.empty((50, 40)), pool.empty((10, 40))]
                 assert not any(np.shares_memory(kept, v) for v in views)
                 views[0][:] = views[1][:] = np.nan
                 views = None
-                pool.recycle()
             assert (kept == 7.0).all()
-            assert len(pool._free[0]) == 2
+            assert len(buffers(pool)) == 3 and len(pool._free) == 2
+            kept = None
+            assert len(buffers(pool)) == len(pool._free) == 3
 
     def test_scratch_buffers_are_kept_apart(self):
-        # a scratch buffer goes back mid-step; were a smaller request to
-        # take it, the next call's scratch would need a new one
+        # a request takes no free buffer over four times its size: else a
+        # small array could keep a large buffer that the node's scratch
+        # just gave back, and the next node would map another
         with T._StepPool() as pool:
-            big = pool.empty((1000,), scratch=True).ctypes.data  # no view kept
-            pool.recycle()
-            small = [pool.empty((400,), scratch=True), pool.empty((1000,))]
-            assert big not in [a.ctypes.data for a in small]
-            assert pool.empty((501,), scratch=True).ctypes.data == big
+            big = pool.empty((1000,)).ctypes.data  # no view kept: back at once
+            small = pool.empty((249,))
+            assert small.ctypes.data != big
+            assert pool.empty((250,)).ctypes.data == big
 
-    def test_node_gives_its_scratch_back_to_the_scratch_list(self, monkeypatch):
+    def test_node_keeps_only_its_output_and_probabilities(self, monkeypatch):
+        # the node's scratch, head copies and normalised rows go back when
+        # its forward returns, and everything its backward lent but the
+        # gradient it hands on goes back when backward returns
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
         q = Tensor(np.random.default_rng(0).normal(size=(3, 5, 6)), requires_grad=True)
         with T._StepPool() as pool:
             out = attention.attention_node(q, q, q, AttentionConfig(6, 2))
-            assert pool._free[0] == [] and len(pool._free[1]) == 1  # the scores
+            pool._drain()
+            assert len(pool._lent) == 2  # one chunk: the output and its probabilities
             T.sum_all(out).backward()
-            assert pool._free[0] == [] and len(pool._free[1]) == 3
+            pool._drain()
+            assert len(pool._lent) == 3 and np.shares_memory(q.grad, buffers(pool)[-1])
+            out = q.grad = None
+            pool._drain()
+            assert not pool._lent
 
     def test_only_an_active_large_request_is_pooled(self, monkeypatch):
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1024)
         assert T._empty((128,)).base is None
-        with T._StepPool() as pool:
+        with T._StepPool():
             assert T._empty((127,)).base is None
             lent = T._empty((128,))
-            assert lent.base is pool._lent[0][0] and lent.flags.c_contiguous
+            assert isinstance(lent.base.base.obj, mmap.mmap) and lent.flags.c_contiguous
         assert T._empty((128,)).base is None
+
+    def test_block_keeps_only_the_buffers_lent_inside_it(self):
+        pool = T._StepPool()
+        with pool:
+            pool.empty((1000,)), pool.empty((100,))
+        with pool:
+            pool.empty((1000,))
+        assert [len(buf) for buf in buffers(pool)] == [8000]
+
+    def test_dropped_pool_unmaps_its_buffers_at_once(self):
+        # no reference cycle holds a pool: its free buffers go with it, and
+        # a buffer still viewed goes with its last view
+        gc.disable()
+        try:
+            pool = T._StepPool()
+            kept = pool.empty((300,))
+            pool.empty((200,))
+            pool._drain()
+            (free,), ((_, viewed),) = pool._free, pool._lent.values()
+            free, viewed = weakref.ref(free), weakref.ref(viewed)
+            pool = None
+            assert free() is None and viewed() is not None
+            kept = None
+            assert viewed() is None
+        finally:
+            gc.enable()
+
+    def test_sum_and_copies_keep_numpys_layout(self, monkeypatch):
+        # _empty_like lays out what np.empty_like would, and _accumulate's
+        # sum of two gradients what numpy's addition would
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        base = np.random.default_rng(1).normal(size=(3, 4, 5))
+        with T._StepPool():
+            for a in (base, base.transpose(2, 1, 0), base.transpose(0, 2, 1), base[:1].T):
+                assert T._empty_like(a).strides == np.empty_like(a).strides
+                assert T._empty_like(a, (6,) + a.shape[1:]).strides == \
+                    np.empty_like(a, shape=(6,) + a.shape[1:]).strides
+                node = Tensor(np.zeros(a.shape))
+                node.grad = np.array(a)
+                T._accumulate(node, a)
+                assert node.grad.strides == (np.array(a) + a).strides
+                np.testing.assert_array_equal(node.grad, 2 * a)
 
     @pytest.mark.parametrize("op", ["add", "matmul", "gelu", "layer_norm", "dropout",
                                     "cs2", "dp", "add_attention", "msa-cs2"])
     def test_pooled_op_bits_match_unpooled(self, op, monkeypatch):
-        # inside the pool every lent buffer was NaN before the op wrote it
+        # inside the pool every lend, forward and backward, is NaN until the
+        # op writes it, and the second run reuses the first one's buffers
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
         monkeypatch.setattr(attention, "CHUNK_BUDGET", 3 * 8 * 2 * 5 * 5)  # chunks 3, 3, 1
         rng = np.random.default_rng(5)
@@ -467,10 +537,9 @@ class TestStepPool:
             return [np.array(out.data)] + [t.grad for t in ins]
 
         plain = run()
-        with T._StepPool() as pool:
+        poison_lends(monkeypatch)
+        with T._StepPool():
             run()
-            pool.recycle()
-            poison_free(pool)
             pooled = run()
         for a, b in zip(plain, pooled):
             if a is None:

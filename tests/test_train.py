@@ -17,6 +17,7 @@ from angleattn.tensor import Tensor
 from angleattn.train import (AdamW, TrainConfig, clip_gradients, evaluate,
                              label_smoothed_ce, metrics_from_confusion, predict,
                              rows_to_csv, sweep, train)
+from test_tensor import buffers, poison_lends
 
 
 class PoisonedAdamW(AdamW):
@@ -330,9 +331,10 @@ class TestTrainLoop:
 
 
 class TestStepPool:
-    """``train`` lends each step's kept activations from one step pool; the
-    floor is lowered so that the tiny model's arrays are pooled too, and 57
-    training pixels in batches of 16 end in a partial batch of 9."""
+    """``train`` lends every step's arrays, forward and backward, from one
+    step pool, and ``predict`` outside ``train`` lends from the inference
+    pool; the floor is lowered so that the tiny model's arrays are pooled
+    too, and 57 training pixels in batches of 16 end in a partial batch of 9."""
 
     @staticmethod
     def run(variant, monkeypatch, epochs=2):
@@ -345,50 +347,90 @@ class TestStepPool:
 
     @pytest.mark.parametrize("variant", [v.value for v in VARIANTS])
     def test_poisoned_recycle_changes_nothing(self, variant, monkeypatch):
-        # every buffer recycle returns is NaN until an op writes it, so a
-        # pooled array read before it is fully written shows in the result
+        # a buffer is NaN from the moment it is lent again, also when it came
+        # back mid-backward, until an op writes it: a pooled array read
+        # before it is fully written shows in the result
         clean = self.run(variant, monkeypatch)
-        recycle = T._StepPool.recycle
-
-        def poisoned(pool, ids=None):
-            recycle(pool, ids)
-            for free in pool._free:
-                for flat in free:
-                    flat[:] = np.nan
-
-        monkeypatch.setattr(T._StepPool, "recycle", poisoned)
+        poison_lends(monkeypatch)
         values, log, best = self.run(variant, monkeypatch)
         assert (log, best) == clean[1:]
         for name, value in values.items():
             np.testing.assert_array_equal(value, clean[0][name], err_msg=name)
 
     def test_pool_stops_growing_after_the_first_epoch(self, monkeypatch):
-        # a view that outlives its step makes recycle forget its buffer, and
-        # the next step faults in a new one: the pool must neither forget
-        # nor grow once every batch shape and validation has run
-        recycle, sizes, forgotten = T._StepPool.recycle, [], []
+        # a view that outlives its use, or a request that finds no free
+        # buffer, makes the pool map a new one: once every batch shape and a
+        # validation have run, forward, backward and validation lends must
+        # all find their buffers free
+        held, step, evaluate_ = [], train_module._train_step, train_module.evaluate
 
-        def buffers(pool):
-            return [flat for free in pool._free for flat in free] + [f for f, _ in pool._lent]
+        def recording(fn):
+            def recorded(*args):
+                out = fn(*args)
+                held.append({id(buf) for buf in buffers(T._active_pool.get())})
+                return out
+            return recorded
 
-        def counting(pool, ids=None):
-            before = len(buffers(pool))
-            recycle(pool, ids)
-            forgotten.append(before - len(buffers(pool)))
-
-        def measured_evaluate(*args):
-            report = evaluate(*args)
-            held = buffers(T._active_pool.get())
-            sizes.append((len(held), sum(f.nbytes for f in held)))
-            return report
-
-        monkeypatch.setattr(T._StepPool, "recycle", counting)
-        monkeypatch.setattr(train_module, "evaluate", measured_evaluate)
+        monkeypatch.setattr(train_module, "_train_step", recording(step))
+        monkeypatch.setattr(train_module, "evaluate", recording(evaluate_))
         self.run("cs2", monkeypatch, epochs=3)
-        assert len(sizes) == 3 and sizes[0][0] > 0
-        assert sizes[1:] == sizes[:1] * 2
-        assert forgotten and not any(forgotten)
+        assert len(held) == 3 * 5 and held[0]  # 4 steps and a validation per epoch
+        assert all(ids == held[4] for ids in held[5:])
         assert T._active_pool.get() is None
+
+    @staticmethod
+    def predict_pixels():
+        cube, labels = tiny_scene()
+        return cube, np.flatnonzero(labels.ids.reshape(-1))[:100]
+
+    def test_second_predict_maps_no_buffer_and_gives_unpooled_ids(self, monkeypatch):
+        cube, pixels = self.predict_pixels()
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+        plain = predict(params, cfg, cube, pixels, batch_size=32)  # every array below the floor
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(train_module, "_inference_pool", pool := T._StepPool())
+        poison_lends(monkeypatch)
+        first = predict(params, cfg, cube, pixels, batch_size=32)  # blocks 32, 32, 32, 4
+        mapped = {id(buf) for buf in buffers(pool)}
+        second = predict(params, cfg, cube, pixels, batch_size=32)
+        assert mapped and {id(buf) for buf in buffers(pool)} == mapped
+        np.testing.assert_array_equal(first, plain)
+        np.testing.assert_array_equal(second, plain)
+        assert T._active_pool.get() is None
+
+    def test_train_unmaps_the_inference_pools_free_buffers(self, monkeypatch):
+        # kept through a training run, they would only add to its peak
+        cube, pixels = self.predict_pixels()
+        monkeypatch.setattr(train_module, "_inference_pool", pool := T._StepPool())
+        self.run("cs2", monkeypatch, epochs=0)  # lowers the floor
+        predict(init_params(tiny_model(), 0), tiny_model(), cube, pixels)
+        assert buffers(pool)
+        self.run("cs2", monkeypatch, epochs=0)
+        assert not buffers(pool)
+
+    def test_inference_pool_keeps_about_one_block_of_the_last_call(self, monkeypatch):
+        # between calls the pool holds only buffers the last call lent: one
+        # full block's worth, plus at most what the blocks of an earlier
+        # call's model left in buffers up to four times a request's size
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        cube, pixels = self.predict_pixels()
+        small, wide = tiny_model(), replace(tiny_model(), mlp_dim=64)
+        models = [(cfg, init_params(cfg, 0)) for cfg in (small, wide)]
+
+        def retained(runs):
+            monkeypatch.setattr(train_module, "_inference_pool", pool := T._StepPool())
+            for (cfg, params), n in runs:
+                predict(params, cfg, cube, pixels[:n], batch_size=32)
+            held = buffers(pool)
+            assert {id(buf) for buf in held} <= pool._used  # the ids the last call lent
+            return sorted(len(buf) for buf in held)
+
+        one_small, one_wide = retained([(models[0], 32)]), retained([(models[1], 32)])
+        assert sum(one_wide) > sum(one_small) > 0
+        assert retained([(models[1], 96)]) == one_wide
+        assert retained([(models[0], 96), (models[1], 96)]) == one_wide
+        assert sum(retained([(models[1], 96), (models[0], 96)])) <= 2 * sum(one_small)
 
 
 class TestGradientTape:
