@@ -14,11 +14,12 @@ between nodes, so nothing writes into one in place. Inside a
 ``no_grad()`` block no graph is recorded at all.
 
 Inside a ``_StepPool`` (``train.train`` opens one per run, and
-``train.predict`` one for the process outside it) every array of at least
-64 KiB that an op or a backward closure allocates is lent by the pool:
-activations, gradients and the temporaries of both passes. Each buffer
-goes back to the pool the moment the last view of its lend dies, so a
-step reuses the memory of its own earlier arrays at its live peak.
+``train.predict`` one per thread for its calls of several blocks outside
+it) every array of at least 64 KiB that an op or a backward closure
+allocates is lent by the pool: activations, gradients and the temporaries
+of both passes. Each buffer goes back to the pool the moment the last view
+of its lend dies, so a step reuses the memory of its own earlier arrays at
+its live peak.
 """
 
 from __future__ import annotations
@@ -203,10 +204,12 @@ class _StepPool:
     partial batch's smaller arrays found no buffer and mapped their own,
     and a ``train-cs2`` run peaked about 7 MiB higher.
 
-    As a context manager the pool is the one ``_empty`` lends from until
-    the block exits; it then keeps only the free buffers lent inside the
-    block. A dropped pool unmaps its free buffers at once, and a lent
-    buffer when the last view of its lend dies.
+    As a context manager the pool is the one ``_empty`` lends from, in the
+    current thread, until the block exits; it then keeps only the free
+    buffers lent inside the block. A dropped pool unmaps its free buffers
+    at once, and a lent buffer when the last view of its lend dies.
+    Buffers are private mappings, so a process forked while it holds some
+    writes only its own copies.
     """
 
     def __init__(self):
@@ -225,11 +228,6 @@ class _StepPool:
         self._drain()
         self._free = [buf for buf in self._free if id(buf) in self._used]
 
-    def unmap_free(self):
-        """Unmap every free buffer; a lent one comes back when its lend dies."""
-        self._drain()
-        self._free = []
-
     def _drain(self):
         """Put the buffers of dead lends back on the free list."""
         while self._returned:
@@ -246,7 +244,7 @@ class _StepPool:
         if i < len(self._free) and len(self._free[i]) <= 4 * nbytes:
             buf = self._free.pop(i)
         else:
-            buf = mmap.mmap(-1, nbytes)
+            buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
         self._used.add(id(buf))
         lend = np.frombuffer(buf, np.float64, nbytes // 8)
         ref = weakref.ref(lend, self._returned.append)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -158,9 +159,8 @@ def _predict_block(cfg):
     return max(1, attention.CHUNK_BUDGET // (16 * cfg.tokens * width))
 
 
-# predict's pool outside train, for the life of the process: between calls
-# it keeps the buffers the last call lent, about one block's live set
-_inference_pool = T._StepPool()
+# each thread's pool for its predict calls of several blocks outside train
+_predict_pools = threading.local()
 
 
 def predict(params, cfg, cube, flat_indices, batch_size=256):
@@ -169,14 +169,19 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
     Runs under ``no_grad``, so no graph is kept, in blocks of at most
     ``batch_size`` patches and at most ``_predict_block(cfg)``. Each row of
     a forward depends on its own patch alone, so the ids do not depend on
-    either bound. The blocks' arrays come from ``train``'s step pool inside
-    ``train``, and from one process-wide pool outside it, so a block reuses
-    the buffers of the block before and a call those of the call before.
-    That pool is shared, so two threads must not predict at once.
+    either bound. Inside ``train`` the blocks' arrays come from its step
+    pool. Outside it a call of several blocks lends from its thread's
+    predict pool, which keeps between calls only the buffers the last call
+    lent (about one block's live set), so a block reuses the buffers of the
+    block or call before. A call of one block lends from no pool: there the
+    heap can reuse memory that work between calls freed, where kept buffers
+    would sit beside it.
     """
     block = min(batch_size, _predict_block(cfg))
     preds = np.empty(len(flat_indices), dtype=np.int64)
-    pool = contextlib.nullcontext() if T._active_pool.get() else _inference_pool
+    pool = contextlib.nullcontext()
+    if T._active_pool.get() is None and len(flat_indices) > block:
+        pool = vars(_predict_pools).setdefault("pool", T._StepPool())
     with T.no_grad(), pool:
         for lo in range(0, len(flat_indices), block):
             patches = extract_patches(cube, flat_indices[lo:lo + block], cfg.patch_size)
@@ -244,7 +249,7 @@ def train(cfg, cube, labels, splits, tcfg):
     dropout_rng = np.random.default_rng(tcfg.seed + 2)
     log = []
     best = {"val_oa": -1.0, "epoch": 0, "values": params.copy_values()}
-    _inference_pool.unmap_free()  # kept, they would add to this run's peak
+    vars(_predict_pools).pop("pool", None)  # its kept buffers would add to this run's peak
     # numpy's floating-point warnings stay off stderr: a run that diverges
     # ends in one error naming the epoch and step (or validation) instead
     with np.errstate(all="ignore"), T._StepPool():

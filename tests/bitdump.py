@@ -17,11 +17,10 @@ pool and whose last batch is partial, so that a smaller batch reuses
 pooled buffers; then the ids and every block's probabilities of two
 successive ``predict`` calls on the trained model outside ``train``, each
 over two blocks, the second of them partial, so that the second call runs
-on the buffers the first left in the inference pool. ``compare`` lists
-the arrays whose
-bytes, dtype or shape differ, or that only one dump holds, and exits 1 if
-any do; for two arrays of one shape it also prints the largest absolute
-and relative difference.
+on the buffers the first left in the thread's predict pool. ``compare``
+lists the arrays whose bytes, dtype or shape differ, or that only one dump
+holds, and exits 1 if any do; for two arrays of one shape it also prints
+the largest absolute and relative difference.
 To check that a change keeps outputs bit for bit, dump with each
 checkout's ``src`` on ``PYTHONPATH`` and compare the two files.
 """

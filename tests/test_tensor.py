@@ -1,6 +1,7 @@
 import gc
 import math
 import mmap
+import os
 import weakref
 
 import numpy as np
@@ -467,6 +468,30 @@ class TestStepPool:
         with pool:
             pool.empty((1000,))
         assert [len(buf) for buf in buffers(pool)] == [8000]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_only_its_own_copies(self):
+        # buffers are private mappings: a child forked while the pool holds
+        # a lent and a free buffer writes both, and the parent sees neither
+        with T._StepPool() as pool:
+            kept = pool.empty((1000,))
+            kept[:] = 1.0
+            freed = pool.empty((2000,))
+            freed[:] = 3.0
+            address, freed = freed.ctypes.data, None
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    kept[:] = 2.0
+                    pool.empty((2000,))[:] = 2.0
+                    code = 0
+                finally:
+                    os._exit(code)
+            assert os.waitpid(pid, 0)[1] == 0
+            again = pool.empty((2000,))
+            assert again.ctypes.data == address
+            assert (kept == 1.0).all() and (again == 3.0).all()
 
     def test_dropped_pool_unmaps_its_buffers_at_once(self):
         # no reference cycle holds a pool: its free buffers go with it, and

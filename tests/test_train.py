@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -332,9 +334,10 @@ class TestTrainLoop:
 
 class TestStepPool:
     """``train`` lends every step's arrays, forward and backward, from one
-    step pool, and ``predict`` outside ``train`` lends from the inference
+    step pool, and ``predict`` outside ``train`` from its thread's predict
     pool; the floor is lowered so that the tiny model's arrays are pooled
-    too, and 57 training pixels in batches of 16 end in a partial batch of 9."""
+    too, and 57 training pixels in batches of 16 end in a partial batch of
+    9."""
 
     @staticmethod
     def run(variant, monkeypatch, epochs=2):
@@ -383,33 +386,46 @@ class TestStepPool:
         cube, labels = tiny_scene()
         return cube, np.flatnonzero(labels.ids.reshape(-1))[:100]
 
-    def test_second_predict_maps_no_buffer_and_gives_unpooled_ids(self, monkeypatch):
+    @staticmethod
+    def thread_pool():
+        return vars(train_module._predict_pools).get("pool")
+
+    def test_predict_pools_only_a_call_of_several_blocks(self, monkeypatch):
+        # every lend is poisoned, so a pooled block that read a buffer before
+        # writing it would change the ids of an unpooled run
         cube, pixels = self.predict_pixels()
         cfg = tiny_model()
         params = init_params(cfg, 0)
         plain = predict(params, cfg, cube, pixels, batch_size=32)  # every array below the floor
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-        monkeypatch.setattr(train_module, "_inference_pool", pool := T._StepPool())
+        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
         poison_lends(monkeypatch)
+        np.testing.assert_array_equal(predict(params, cfg, cube, pixels[:32], batch_size=32),
+                                      plain[:32])
+        assert self.thread_pool() is None
         first = predict(params, cfg, cube, pixels, batch_size=32)  # blocks 32, 32, 32, 4
+        pool = self.thread_pool()
         mapped = {id(buf) for buf in buffers(pool)}
         second = predict(params, cfg, cube, pixels, batch_size=32)
-        assert mapped and {id(buf) for buf in buffers(pool)} == mapped
+        assert mapped and {id(buf) for buf in buffers(self.thread_pool())} == mapped
         np.testing.assert_array_equal(first, plain)
         np.testing.assert_array_equal(second, plain)
+        with T._StepPool() as active:  # inside an active pool, that pool alone
+            predict(params, cfg, cube, pixels, batch_size=32)
+            assert buffers(active) and {id(buf) for buf in buffers(pool)} == mapped
         assert T._active_pool.get() is None
 
-    def test_train_unmaps_the_inference_pools_free_buffers(self, monkeypatch):
-        # kept through a training run, they would only add to its peak
+    def test_train_drops_the_threads_predict_pool(self, monkeypatch):
+        # kept through a training run, its buffers would only add to the peak
         cube, pixels = self.predict_pixels()
-        monkeypatch.setattr(train_module, "_inference_pool", pool := T._StepPool())
+        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
         self.run("cs2", monkeypatch, epochs=0)  # lowers the floor
-        predict(init_params(tiny_model(), 0), tiny_model(), cube, pixels)
-        assert buffers(pool)
+        predict(init_params(tiny_model(), 0), tiny_model(), cube, pixels, batch_size=32)
+        assert buffers(self.thread_pool())
         self.run("cs2", monkeypatch, epochs=0)
-        assert not buffers(pool)
+        assert self.thread_pool() is None
 
-    def test_inference_pool_keeps_about_one_block_of_the_last_call(self, monkeypatch):
+    def test_predict_pool_keeps_about_one_block_of_the_last_call(self, monkeypatch):
         # between calls the pool holds only buffers the last call lent: one
         # full block's worth, plus at most what the blocks of an earlier
         # call's model left in buffers up to four times a request's size
@@ -419,18 +435,51 @@ class TestStepPool:
         models = [(cfg, init_params(cfg, 0)) for cfg in (small, wide)]
 
         def retained(runs):
-            monkeypatch.setattr(train_module, "_inference_pool", pool := T._StepPool())
+            monkeypatch.setattr(train_module, "_predict_pools", threading.local())
             for (cfg, params), n in runs:
                 predict(params, cfg, cube, pixels[:n], batch_size=32)
+            pool = self.thread_pool()
             held = buffers(pool)
             assert {id(buf) for buf in held} <= pool._used  # the ids the last call lent
             return sorted(len(buf) for buf in held)
 
-        one_small, one_wide = retained([(models[0], 32)]), retained([(models[1], 32)])
+        one_small, one_wide = retained([(models[0], 64)]), retained([(models[1], 64)])
         assert sum(one_wide) > sum(one_small) > 0
         assert retained([(models[1], 96)]) == one_wide
         assert retained([(models[0], 96), (models[1], 96)]) == one_wide
         assert sum(retained([(models[1], 96), (models[0], 96)])) <= 2 * sum(one_small)
+
+    def test_threads_predict_at_once(self, monkeypatch):
+        # each thread has a predict pool of its own, and a pool is active
+        # only in the thread that entered it: one thread predicts inside a
+        # pool while two predict outside any, and all give the ids of one
+        # call alone
+        cube, pixels = self.predict_pixels()
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+        plain = predict(params, cfg, cube, pixels, batch_size=8)
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        poison_lends(monkeypatch)
+        start, results = threading.Barrier(3), [[], [], []]
+
+        def run(out, pool):
+            with pool as active:
+                start.wait()
+                out.append(T._active_pool.get() is active)
+                for _ in range(3):
+                    out.append(predict(params, cfg, cube, pixels, batch_size=8))
+
+        threads = [threading.Thread(target=run, args=(out, pool)) for out, pool in
+                   zip(results, (T._StepPool(), contextlib.nullcontext(),
+                                 contextlib.nullcontext()))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [out[0] for out in results] == [True, True, True]
+        assert [len(out) for out in results] == [4, 4, 4]
+        for ids in sum((out[1:] for out in results), []):
+            np.testing.assert_array_equal(ids, plain)
 
 
 class TestGradientTape:
