@@ -191,19 +191,19 @@ def project_qkv(tokens_q, tokens_kv, params):
 
 _NORM_EPS = 1e-12  # a shorter row is divided by this instead of by its norm
 
-# the tolerance of np.allclose(norms, 1.0, atol=1e-6): atol + rtol * |1.0|
-_UNIT_NORM_TOL = 1e-6 + 1e-5
 
-
-def _check_unit_rows(x, what):
-    """Rows must be unit-norm, or exactly zero: the row normalisation maps a
-    zero row to zero by its ``_NORM_EPS`` rule."""
-    norms = np.linalg.norm(x, axis=-1)
-    deviation = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0)).max(initial=0.0)
-    if not deviation <= _UNIT_NORM_TOL:  # also catches NaN
+def _check_unit_rows(norms, what):
+    """The row normalisation must give unit rows, or exactly zero ones: from
+    the rows' norms before it, each must be exactly 0 (the ``_NORM_EPS``
+    rule keeps a zero row zero), or finite and at least ``_NORM_EPS``. A
+    shorter row would come out shorter than unit, and an infinite norm
+    (a square that overflowed, or an inf entry) would turn the row into
+    zeros or NaNs; a NaN norm fails both tests."""
+    bad = ~((norms == 0.0) | ((norms >= _NORM_EPS) & (norms < np.inf)))
+    if bad.any():
         raise ContractError(
-            f"{what} rows must be unit-norm (or zero) before cosine scoring with "
-            f"norm_mode=both (max deviation {deviation:.3e})")
+            f"{what} rows must have a finite norm of at least {_NORM_EPS:g}, or be zero, "
+            f"for cosine scoring with norm_mode=both (found norm {norms[bad].flat[0]:.3e})")
 
 
 # exp of a score up to this size cannot overflow a softmax row: N e^64 (about
@@ -283,12 +283,11 @@ class _Chunk:
         self.scratch = _Scratch() if scratch is None else scratch
         self.n_cos = (cfg.heads + 1) // 2 if self.spec.mixed else None
         mode = cfg.resolved_norm_mode
-        self.q, self.q_norm = self._normalize(q, "q", mode in (NormMode.BOTH, NormMode.QUERY_ONLY))
-        self.k, self.k_norm = self._normalize(k, "k", mode in (NormMode.BOTH, NormMode.KEY_ONLY))
-        if check and self.spec.cosine and mode is NormMode.BOTH:
-            cos = slice(None) if self.n_cos is None else np.s_[..., :self.n_cos, :, :]
-            _check_unit_rows(self.q[cos], "query")
-            _check_unit_rows(self.k[cos], "key")
+        check = check and self.spec.cosine and mode is NormMode.BOTH
+        self.q, self.q_norm = self._normalize(q, "q", mode in (NormMode.BOTH, NormMode.QUERY_ONLY),
+                                              "query" if check else None)
+        self.k, self.k_norm = self._normalize(k, "k", mode in (NormMode.BOTH, NormMode.KEY_ONLY),
+                                              "key" if check else None)
         self.score_shape = self.q.shape[:-1] + self.k.shape[-2:-1]
         if additive is None:
             self.k_t = self.scratch.copy("k_t", np.swapaxes(self.k, -1, -2))
@@ -305,14 +304,18 @@ class _Chunk:
         self.hidden = np.tanh(hidden, out=hidden)  # (..., H, N, N, d_a)
         self.w = w_a.reshape(h, 1, d_a, 1)
 
-    def _normalize(self, x, name, on):
-        """Each row over max(||row||_2, _NORM_EPS); the mixed variant's cosine heads only."""
+    def _normalize(self, x, name, on, check):
+        """Each row over max(||row||_2, _NORM_EPS); the mixed variant's cosine
+        heads only. With ``check`` (what the rows are) their norms must pass
+        ``_check_unit_rows``."""
         if not on:
             return x, None
         part = x if self.n_cos is None else self.scratch.copy(name + "_cos",
                                                               x[..., :self.n_cos, :, :])
-        y, active, denom = T._l2_rows_fwd(part, _NORM_EPS,
-                                          out=self.scratch(name + "_unit", part.shape))
+        y, active, denom, norms = T._l2_rows_fwd(part, _NORM_EPS,
+                                                 out=self.scratch(name + "_unit", part.shape))
+        if check:
+            _check_unit_rows(norms, check)
         if self.n_cos is not None:
             y = np.concatenate([y, x[..., self.n_cos:, :, :]], axis=-3,
                                out=self.scratch(name, x.shape))

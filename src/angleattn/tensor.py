@@ -14,12 +14,15 @@ between nodes, so nothing writes into one in place. Inside a
 ``no_grad()`` block no graph is recorded at all.
 
 Inside a ``_StepPool`` (``train.train`` opens one per run, and
-``train.predict`` one per thread for its calls of several blocks outside
-it) every array of at least 64 KiB that an op or a backward closure
-allocates is lent by the pool: activations, gradients and the temporaries
-of both passes. Each buffer goes back to the pool the moment the last view
-of its lend dies, so a step reuses the memory of its own earlier arrays at
-its live peak.
+``train.predict`` one per calling thread for its calls of several blocks
+outside it) every array of at least 64 KiB that an op or a backward
+closure allocates is lent by the pool: activations, gradients and the
+temporaries of both passes. Each buffer goes back to the pool the moment
+the last view of its lend dies, so a step reuses the memory of its own
+earlier arrays at its live peak. The pool and ``no_grad`` are context
+variables, so ``predict``'s worker threads, which run in a copy of the
+caller's context, lend from the caller's pool; a lock keeps its lends
+apart.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import contextlib
 import contextvars
 import math
 import mmap
+import threading
 import weakref
 
 import numpy as np
@@ -204,12 +208,16 @@ class _StepPool:
     partial batch's smaller arrays found no buffer and mapped their own,
     and a ``train-cs2`` run peaked about 7 MiB higher.
 
-    As a context manager the pool is the one ``_empty`` lends from, in the
-    current thread, until the block exits; it then keeps only the free
-    buffers lent inside the block. A dropped pool unmaps its free buffers
-    at once, and a lent buffer when the last view of its lend dies.
-    Buffers are private mappings, so a process forked while it holds some
-    writes only its own copies.
+    As a context manager the pool is the one ``_empty`` lends from until
+    the block exits: in the current context, and so in the threads that run
+    in a copy of it, as ``train.predict``'s workers do. It then keeps only
+    the free buffers lent inside the block. ``empty`` and the exit drain,
+    pick and map under one lock, so those threads may lend at once; a dead
+    lend's callback only appends to ``_returned``, from whichever thread
+    drops the last view. A dropped pool unmaps its free buffers at once,
+    and a lent buffer when the last view of its lend dies. Buffers are
+    private mappings, so a process forked while it holds some writes only
+    its own copies.
     """
 
     def __init__(self):
@@ -217,6 +225,7 @@ class _StepPool:
         self._lent = {}      # id(weak reference to a lend) -> (that reference, its buffer)
         self._returned = []  # weak references to dead lends, appended by their callback
         self._used = set()   # ids of the buffers lent inside the current block
+        self._lock = threading.Lock()
 
     def __enter__(self):
         self._token = _active_pool.set(self)
@@ -225,8 +234,9 @@ class _StepPool:
 
     def __exit__(self, *exc):
         _active_pool.reset(self._token)
-        self._drain()
-        self._free = [buf for buf in self._free if id(buf) in self._used]
+        with self._lock:
+            self._drain()
+            self._free = [buf for buf in self._free if id(buf) in self._used]
 
     def _drain(self):
         """Put the buffers of dead lends back on the free list."""
@@ -238,17 +248,18 @@ class _StepPool:
         """A C-ordered float64 array over the smallest free buffer that holds
         ``shape`` and is at most four times its size, or over a new buffer;
         its values are arbitrary."""
-        self._drain()
         nbytes = 8 * math.prod(shape)
-        i = bisect.bisect_left(self._free, nbytes, key=len)
-        if i < len(self._free) and len(self._free[i]) <= 4 * nbytes:
-            buf = self._free.pop(i)
-        else:
-            buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        self._used.add(id(buf))
-        lend = np.frombuffer(buf, np.float64, nbytes // 8)
-        ref = weakref.ref(lend, self._returned.append)
-        self._lent[id(ref)] = ref, buf
+        with self._lock:
+            self._drain()
+            i = bisect.bisect_left(self._free, nbytes, key=len)
+            if i < len(self._free) and len(self._free[i]) <= 4 * nbytes:
+                buf = self._free.pop(i)
+            else:
+                buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+            self._used.add(id(buf))
+            lend = np.frombuffer(buf, np.float64, nbytes // 8)
+            ref = weakref.ref(lend, self._returned.append)
+            self._lent[id(ref)] = ref, buf
         return lend.reshape(shape)
 
 
@@ -433,12 +444,13 @@ def _softmax_bwd(y, g, out=None):
 
 
 def _l2_rows_fwd(x, eps, out=None):
-    """(rows, active, denom): below eps the denominator is constant. With
+    """(rows, active, denom, norms): below eps the denominator is constant.
+    ``norms`` are the rows' L2 norms, with a trailing axis of 1. With
     ``out`` the squares, then the rows, are written there."""
     # np.linalg.norm(x, axis=-1, keepdims=True), spelled out so its squares can go to out
     norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=out), axis=-1, keepdims=True))
     denom = np.maximum(norms, eps)
-    return np.divide(x, denom, out=out), norms >= eps, denom
+    return np.divide(x, denom, out=out), norms >= eps, denom, norms
 
 
 def _l2_rows_bwd(g, x, active, denom, out=None):

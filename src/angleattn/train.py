@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -162,6 +164,46 @@ def _predict_block(cfg):
 # each thread's pool for its predict calls of several blocks outside train
 _predict_pools = threading.local()
 
+# predict's threads when set (by sweep's worker processes); else one per usable core
+_predict_thread_share = None
+
+# the worker threads of threaded predict calls, as many as the first one needed
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _forget_executor():
+    """A forked child has none of its parent's threads: it makes its own."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity: not Linux
+        return os.cpu_count() or 1
+
+
+def _predict_threads():
+    """Threads that run a ``predict`` call's blocks, the calling thread
+    included: one per usable core, or the share of them that ``sweep`` gave
+    its worker process."""
+    return _predict_thread_share or _usable_cores()
+
+
+def _workers(n):
+    """The module's executor; made with ``n`` worker threads if there is none.
+    A call that needs more queues its extra shares, which run as workers free."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(n, thread_name_prefix="angleattn-predict")
+        return _executor
+
 
 def predict(params, cfg, cube, flat_indices, batch_size=256):
     """Predicted class ids (1-based) for the given flat pixel indices.
@@ -169,24 +211,57 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
     Runs under ``no_grad``, so no graph is kept, in blocks of at most
     ``batch_size`` patches and at most ``_predict_block(cfg)``. Each row of
     a forward depends on its own patch alone, so the ids do not depend on
-    either bound. Inside ``train`` the blocks' arrays come from its step
-    pool. Outside it a call of several blocks lends from its thread's
-    predict pool, which keeps between calls only the buffers the last call
-    lent (about one block's live set), so a block reuses the buffers of the
-    block or call before. A call of one block lends from no pool: there the
-    heap can reuse memory that work between calls freed, where kept buffers
-    would sit beside it.
+    either bound, and each block writes only its own slice of them. A call
+    of several blocks deals them round-robin to ``_predict_threads()``
+    threads: the caller and workers that run in a copy of its context, so
+    under its ``no_grad``, pool and numpy error handling. The caller waits
+    for every share, then raises the error of the lowest-offset block that
+    failed, the one a serial run would raise. A call of one block, or with
+    one thread, starts none.
+
+    Inside ``train`` the blocks' arrays come from its step pool. Outside it
+    a call of several blocks lends from its thread's predict pool, which
+    keeps between calls only the buffers the last call lent (about one
+    block's live set per thread), so a block reuses the buffers of the
+    blocks or call before. A call of one block lends from no pool: there
+    the heap can reuse memory that work between calls freed, where kept
+    buffers would sit beside it.
     """
     block = min(batch_size, _predict_block(cfg))
     preds = np.empty(len(flat_indices), dtype=np.int64)
+    offsets = range(0, len(flat_indices), block)
+    threads = max(1, min(_predict_threads(), len(offsets)))  # an empty call runs one empty share
     pool = contextlib.nullcontext()
-    if T._active_pool.get() is None and len(flat_indices) > block:
+    if T._active_pool.get() is None and len(offsets) > 1:
         pool = vars(_predict_pools).setdefault("pool", T._StepPool())
+
+    errors = np.geterr()  # numpy 1.x keeps it per thread, outside the context
+
+    def run(share):
+        """Predict the blocks at ``share``'s offsets in turn; (offset,
+        error) of the first that fails, else None."""
+        with np.errstate(**errors):
+            for lo in share:
+                try:
+                    patches = extract_patches(cube, flat_indices[lo:lo + block], cfg.patch_size)
+                    probs = batched_forward(patches, params, cfg, training=False)
+                    preds[lo:lo + len(patches)] = probs.data.argmax(axis=-1) + 1
+                except Exception as exc:
+                    return lo, exc
+        return None
+
     with T.no_grad(), pool:
-        for lo in range(0, len(flat_indices), block):
-            patches = extract_patches(cube, flat_indices[lo:lo + block], cfg.patch_size)
-            probs = batched_forward(patches, params, cfg, training=False)
-            preds[lo:lo + len(patches)] = probs.data.argmax(axis=-1) + 1
+        shares = [offsets[i::threads] for i in range(threads)]
+        futures = [_workers(threads - 1).submit(contextvars.copy_context().run, run, share)
+                   for share in shares[1:]]
+        try:
+            results = [run(shares[0])]
+        finally:
+            wait(futures)  # no worker may outlive the pool block
+        results += [future.result() for future in futures]
+    failures = [result for result in results if result is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return preds
 
 
@@ -294,7 +369,8 @@ def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None,
     A cell's seed sets its split, initialization, shuffling and noise; an SNR
     of None adds no noise. ``seeds`` defaults to ``tcfg_base.seed``. Cells
     run in ``ANGLEATTN_THREADS`` spawned processes when that is above 1, so a
-    calling script must keep its top-level code under ``__name__ == "__main__"``.
+    calling script must keep its top-level code under ``__name__ == "__main__"``;
+    each process then predicts on its share of the usable cores.
     """
     seeds = [tcfg_base.seed] if seeds is None else list(seeds)
     snr_dbs = list(snr_dbs)
@@ -310,9 +386,18 @@ def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None,
     from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps pay for these
     from multiprocessing import get_context
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(cells)),
-                             mp_context=get_context("spawn")) as pool:
+    workers = min(workers, len(cells))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"),
+                             initializer=_share_cores, initargs=(workers,)) as pool:
         return list(pool.map(run, *zip(*cells)))
+
+
+def _share_cores(workers):
+    """Initializer of ``sweep``'s worker processes: ``workers`` of them split
+    the usable cores between their ``predict`` threads, so that together
+    they run no more threads than there are cores."""
+    global _predict_thread_share
+    _predict_thread_share = max(1, _usable_cores() // workers)
 
 
 def _sweep_cell(variant, seed, snr_db, cfg_base, cube, labels, split_spec, tcfg_base):

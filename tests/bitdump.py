@@ -1,6 +1,6 @@
 """Bit-identity harness: dump a grid of model outputs, compare two dumps.
 
-    PYTHONPATH=src python tests/bitdump.py dump OUT.npz [--variants cs2,dp]
+    PYTHONPATH=src python tests/bitdump.py dump OUT.npz [--variants cs2,dp] [--predict-threads N]
     PYTHONPATH=src python tests/bitdump.py compare A.npz B.npz
 
 ``dump`` writes, for every variant x norm mode {default, none, query, key,
@@ -17,17 +17,23 @@ pool and whose last batch is partial, so that a smaller batch reuses
 pooled buffers; then the ids and every block's probabilities of two
 successive ``predict`` calls on the trained model outside ``train``, each
 over two blocks, the second of them partial, so that the second call runs
-on the buffers the first left in the thread's predict pool. ``compare``
+on the buffers the first left in the thread's predict pool. Every
+``predict`` runs its blocks on ``--predict-threads`` threads, by default
+one per usable core; its blocks' probabilities are stored in the order of
+their offsets in the call, whichever thread ran them. ``compare``
 lists the arrays whose bytes, dtype or shape differ, or that only one dump
 holds, and exits 1 if any do; for two arrays of one shape it also prints
 the largest absolute and relative difference.
 To check that a change keeps outputs bit for bit, dump with each
-checkout's ``src`` on ``PYTHONPATH`` and compare the two files.
+checkout's ``src`` on ``PYTHONPATH`` and compare the two files; to check
+that threaded predict equals serial, compare a dump with
+``--predict-threads 1`` against one with ``--predict-threads 2``.
 """
 
 import argparse
 import itertools
 import sys
+import threading
 
 import numpy as np
 
@@ -101,24 +107,30 @@ def train_outputs(tag, positional, scene):
 
 
 def predict_outputs(params, cfg, cube, indices):
-    """Ids and every block's probabilities of two successive ``predict``
-    calls outside ``train``: blocks of ``_predict_block(cfg)`` = 109
-    patches, so 109 and 71 per call, every token activation pooled."""
-    out, forward = {}, training.batched_forward
+    """Ids and every block's probabilities, in offset order, of two
+    successive ``predict`` calls outside ``train``: blocks of
+    ``_predict_block(cfg)`` = 109 patches, so 109 and 71 per call, every
+    token activation pooled."""
+    out, gather, forward = {}, training.extract_patches, training.batched_forward
+    offset, where = threading.local(), {int(pixel): i for i, pixel in enumerate(indices)}
+
+    def gathering(cube, block_indices, patch_size):
+        offset.value = where[int(block_indices[0])]  # the thread's current block
+        return gather(cube, block_indices, patch_size)
 
     def recording(*args, **kwargs):
         probs = forward(*args, **kwargs)
-        blocks.append(np.array(probs.data))
+        blocks[offset.value] = np.array(probs.data)
         return probs
 
-    training.batched_forward = recording
+    training.extract_patches, training.batched_forward = gathering, recording
     try:
         for call in (1, 2):
-            blocks = []
+            blocks = {}
             out[f"ids_{call}"] = training.predict(params, cfg, cube, indices)
-            out[f"probs_{call}"] = np.concatenate(blocks)
+            out[f"probs_{call}"] = np.concatenate([blocks[lo] for lo in sorted(blocks)])
     finally:
-        training.batched_forward = forward
+        training.extract_patches, training.batched_forward = gather, forward
     return out
 
 
@@ -181,12 +193,20 @@ def main(argv=None):
     p_dump.add_argument("out")
     p_dump.add_argument("--variants", default=",".join(v.value for v in ScoreVariant),
                         help="comma-separated variant tags (default: all 12)")
+    p_dump.add_argument("--predict-threads", type=int, default=None,
+                        help="threads for predict's blocks (default: one per usable core)")
     p_compare = sub.add_parser("compare", help="list the arrays that differ between two dumps")
     p_compare.add_argument("a")
     p_compare.add_argument("b")
     args = parser.parse_args(argv)
     if args.mode == "dump":
-        arrays = dump(args.variants.split(","))
+        threads = training._predict_threads
+        if args.predict_threads is not None:
+            training._predict_threads = lambda: args.predict_threads
+        try:
+            arrays = dump(args.variants.split(","))
+        finally:
+            training._predict_threads = threads
         np.savez(args.out, **arrays)
         print(f"wrote {len(arrays)} arrays to {args.out}")
         return 0

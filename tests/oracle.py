@@ -11,9 +11,27 @@ bodies the node runs."""
 import numpy as np
 
 from angleattn import tensor as T
-from angleattn.attention import (_NORM_EPS, VARIANTS, NormMode, ScoreVariant, _check_unit_rows,
-                                 _skips_max_shift, project_qkv)
-from angleattn.errors import ConfigError, DimensionError
+from angleattn.attention import (_NORM_EPS, VARIANTS, NormMode, ScoreVariant, _skips_max_shift,
+                                 project_qkv)
+from angleattn.errors import ConfigError, ContractError, DimensionError
+
+# the tolerance of np.allclose(norms, 1.0, atol=1e-6): atol + rtol * |1.0|
+_UNIT_NORM_TOL = 1e-6 + 1e-5
+
+
+def check_unit_rows(x, what):
+    """The rows ``score`` is given must be unit-norm, or exactly zero. The
+    node checks the norms before it normalises instead
+    (``attention._check_unit_rows``). On rows normalised by the same body
+    the two agree, except on a row whose norm overflows (normalising turns
+    it to zero) or lies less than a relative 1.1e-5 below ``_NORM_EPS``:
+    only the node refuses those."""
+    norms = np.linalg.norm(x, axis=-1)
+    deviation = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0)).max(initial=0.0)
+    if not deviation <= _UNIT_NORM_TOL:  # also catches NaN
+        raise ContractError(
+            f"{what} rows must be unit-norm (or zero) before cosine scoring with "
+            f"norm_mode=both (max deviation {deviation:.3e})")
 
 
 def tanh(a):
@@ -64,7 +82,7 @@ def concat(tensors, axis):
 
 def l2_normalize_rows(x):
     """Divide each last-axis row by max(||row||_2, _NORM_EPS)."""
-    y, active, denom = T._l2_rows_fwd(x.data, _NORM_EPS)
+    y, active, denom, _ = T._l2_rows_fwd(x.data, _NORM_EPS)
 
     def backward_fn(g):
         return (T._l2_rows_bwd(g, x.data, active, denom),)
@@ -131,8 +149,8 @@ def _mixed_split(t, cfg):
 
 def _kernel_scores(kernel, cosine, q, k, cfg):
     if cosine and cfg.resolved_norm_mode is NormMode.BOTH:
-        _check_unit_rows(q.data, "query")
-        _check_unit_rows(k.data, "key")
+        check_unit_rows(q.data, "query")
+        check_unit_rows(k.data, "key")
     s, d_h = T.matmul(q, transpose(k)), q.shape[-1]
     return T._make(kernel.forward(s.data, d_h, cfg), (s,),
                     lambda g: (kernel.backward(s.data, g, d_h, cfg),), "score_kernel")

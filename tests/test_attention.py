@@ -534,6 +534,25 @@ def test_node_raises_what_the_composed_path_raises():
         [ContractError, ContractError]
 
 
+@pytest.mark.parametrize("tag", ["cs2", "msa-cs2"])
+@pytest.mark.parametrize("side", ["query", "key"])
+def test_node_refuses_a_row_whose_norm_overflows(tag, side):
+    # the row's squared norm overflows to inf, so normalising divides it by
+    # inf and would hand a zero row to the scores without a word
+    rng = np.random.default_rng(42)
+    q, k, v = (rng.normal(size=(2, 2, 4, 3)) for _ in range(3))
+    huge = q if side == "query" else k
+    huge[1, 0, 2] = [1e200, 1e200, 0.0]
+    zero = k if side == "query" else q
+    zero[0, 1, 1] = 0.0  # a zero row still passes
+    cfg = cfg_for(tag, dim=6, heads=2)
+    with np.errstate(over="ignore"), pytest.raises(
+            ContractError, match=fr"^{side} rows must .*\(found norm inf\)$"):
+        attention_node(*(merge_heads(Tensor(t)) for t in (q, k, v)), cfg)
+    huge[1, 0, 2] = [1e150, 1e150, 0.0]  # large, but its square is finite
+    assert np.isfinite(attention_node(*(merge_heads(Tensor(t)) for t in (q, k, v)), cfg).data).all()
+
+
 def test_node_rejects_missing_additive_params_and_bad_heads():
     q = Tensor(np.zeros((2, 4, 6)))
     with pytest.raises(ConfigError):

@@ -2,6 +2,8 @@ import gc
 import math
 import mmap
 import os
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -460,6 +462,37 @@ class TestStepPool:
             lent = T._empty((128,))
             assert isinstance(lent.base.base.obj, mmap.mmap) and lent.flags.c_contiguous
         assert T._empty((128,)).base is None
+
+    def test_threads_lend_from_one_pool_at_once(self):
+        # more threads than cores lend, fill and drop arrays of one pool,
+        # switching as often as the interpreter lets them: a lost update to
+        # the free list or the lent table would lend one buffer to two
+        # threads at once, or lose or duplicate a buffer
+        pool, spoiled = T._StepPool(), []
+
+        def lend(k):
+            rng, held = np.random.default_rng(k), []
+            for _ in range(400):
+                a = pool.empty((int(rng.integers(1, 3000)),))
+                a.fill(k)
+                held.append(a)
+                if len(held) > 4:
+                    if not (held.pop(int(rng.integers(len(held)))) == k).all():
+                        spoiled.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lend, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not spoiled
+        pool._drain()
+        assert not pool._lent and len({id(buf) for buf in pool._free}) == len(pool._free)
 
     def test_block_keeps_only_the_buffers_lent_inside_it(self):
         pool = T._StepPool()

@@ -1,7 +1,11 @@
+import concurrent.futures
 import contextlib
 import gc
 import math
+import multiprocessing
+import os
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +40,11 @@ def tiny_scene(seed=0, snr=None):
                      gain_lo=0.5, gain_hi=1.5, snr_db=snr, seed=seed)
     cube, labels = synth_scene(spec)
     return normalize_bands(cube), labels
+
+
+def predict_threads(monkeypatch, n):
+    """Run predict's blocks on ``n`` threads, whatever the cores."""
+    monkeypatch.setattr(train_module, "_predict_threads", lambda: n)
 
 
 def tiny_model(variant="cs2"):
@@ -334,10 +343,10 @@ class TestTrainLoop:
 
 class TestStepPool:
     """``train`` lends every step's arrays, forward and backward, from one
-    step pool, and ``predict`` outside ``train`` from its thread's predict
-    pool; the floor is lowered so that the tiny model's arrays are pooled
-    too, and 57 training pixels in batches of 16 end in a partial batch of
-    9."""
+    step pool, and ``predict`` outside ``train`` from its calling thread's
+    predict pool, its workers too; the floor is lowered so that the tiny
+    model's arrays are pooled too, and 57 training pixels in batches of 16
+    end in a partial batch of 9."""
 
     @staticmethod
     def run(variant, monkeypatch, epochs=2):
@@ -392,7 +401,9 @@ class TestStepPool:
 
     def test_predict_pools_only_a_call_of_several_blocks(self, monkeypatch):
         # every lend is poisoned, so a pooled block that read a buffer before
-        # writing it would change the ids of an unpooled run
+        # writing it would change the ids of an unpooled run; one thread, so
+        # that one block is live at a time
+        predict_threads(monkeypatch, 1)
         cube, pixels = self.predict_pixels()
         cfg = tiny_model()
         params = init_params(cfg, 0)
@@ -428,7 +439,9 @@ class TestStepPool:
     def test_predict_pool_keeps_about_one_block_of_the_last_call(self, monkeypatch):
         # between calls the pool holds only buffers the last call lent: one
         # full block's worth, plus at most what the blocks of an earlier
-        # call's model left in buffers up to four times a request's size
+        # call's model left in buffers up to four times a request's size;
+        # one thread, so that one block is live at a time
+        predict_threads(monkeypatch, 1)
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
         cube, pixels = self.predict_pixels()
         small, wide = tiny_model(), replace(tiny_model(), mlp_dim=64)
@@ -449,11 +462,75 @@ class TestStepPool:
         assert retained([(models[0], 96), (models[1], 96)]) == one_wide
         assert sum(retained([(models[1], 96), (models[0], 96)])) <= 2 * sum(one_small)
 
+    def test_threaded_predict_lends_from_the_callers_pool(self, monkeypatch):
+        # two threads share the blocks and the caller's pool; every lend is
+        # poisoned, so a block that read a buffer before writing it, or two
+        # blocks lent one buffer at once, would change the ids
+        cube, pixels = self.predict_pixels()
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+        plain = predict(params, cfg, cube, pixels, batch_size=8)
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
+        predict_threads(monkeypatch, 2)
+        poison_lends(monkeypatch)
+        forward, ran = train_module.batched_forward, set()
+
+        def recording(*args, **kwargs):
+            ran.add(threading.current_thread())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "batched_forward", recording)
+        for _ in range(2):  # the second call on the buffers the first left
+            np.testing.assert_array_equal(predict(params, cfg, cube, pixels, batch_size=8),
+                                          plain)
+        assert len(ran) == 2 and buffers(self.thread_pool())
+        with T._StepPool() as active:  # inside an active pool, that pool alone
+            mapped = {id(buf) for buf in buffers(self.thread_pool())}
+            np.testing.assert_array_equal(predict(params, cfg, cube, pixels, batch_size=8),
+                                          plain)
+            assert buffers(active)
+            assert {id(buf) for buf in buffers(self.thread_pool())} == mapped
+
+    def test_threaded_predict_pool_keeps_at_most_two_blocks(self, monkeypatch):
+        # two blocks are live at once, so the pool may keep two blocks' buffers
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        cube, pixels = self.predict_pixels()
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+
+        def retained(threads):
+            predict_threads(monkeypatch, threads)
+            monkeypatch.setattr(train_module, "_predict_pools", threading.local())
+            predict(params, cfg, cube, pixels, batch_size=32)  # blocks 32, 32, 32, 4
+            pool = self.thread_pool()
+            held = buffers(pool)
+            assert {id(buf) for buf in held} <= pool._used
+            return sum(len(buf) for buf in held)
+
+        one = retained(1)
+        for _ in range(5):
+            assert 0 < retained(2) <= 2 * one
+
+    def test_one_core_or_one_block_starts_no_thread(self, monkeypatch):
+        cube, pixels = self.predict_pixels()
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+        monkeypatch.setattr(train_module, "_executor", None)
+        monkeypatch.setattr(train_module, "_predict_thread_share", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = threading.active_count()
+        assert train_module._predict_threads() == 1
+        predict(params, cfg, cube, pixels, batch_size=8)  # 13 blocks on one core
+        predict_threads(monkeypatch, 2)
+        predict(params, cfg, cube, pixels[:8], batch_size=8)  # one block
+        assert train_module._executor is None and threading.active_count() == before
+
     def test_threads_predict_at_once(self, monkeypatch):
         # each thread has a predict pool of its own, and a pool is active
-        # only in the thread that entered it: one thread predicts inside a
-        # pool while two predict outside any, and all give the ids of one
-        # call alone
+        # only in the thread that entered it and in predict's workers for
+        # it: one thread predicts inside a pool while two predict outside
+        # any, and all give the ids of one call alone
         cube, pixels = self.predict_pixels()
         cfg = tiny_model()
         params = init_params(cfg, 0)
@@ -575,6 +652,12 @@ class TestPredict:
         probs = batched_forward(extract_patch(cube, 10, 10, 3)[None], params, cfg).data
         assert np.isfinite(probs).all()
 
+    def test_no_pixels_no_ids(self):
+        cube, _ = tiny_scene()
+        cfg = tiny_model()
+        ids = predict(init_params(cfg, 0), cfg, cube, np.array([], dtype=np.int64))
+        assert ids.shape == (0,) and ids.dtype == np.int64
+
     def test_grad_check_after_predict(self):
         cube, labels = tiny_scene()
         cfg = tiny_model()
@@ -637,6 +720,110 @@ class TestBlockIndependence:
         assert train_module._predict_block(paper) == 4
         monkeypatch.setattr(attention_module, "CHUNK_BUDGET", 1)
         assert train_module._predict_block(paper) == 1
+
+
+class TestPredictThreads:
+    """predict deals a call's blocks to threads; its ids and errors are
+    those of a serial run."""
+
+    def test_nan_in_a_workers_block_names_the_epoch(self, monkeypatch):
+        # validation blocks of 8 on two threads; only the worker's patches
+        # are NaN, and its error reaches train as a serial run's would
+        predict_threads(monkeypatch, 2)
+        monkeypatch.setattr(train_module, "_predict_block", lambda cfg: 8)
+        caller, forward, poisoned = threading.current_thread(), train_module.batched_forward, []
+
+        def forward_nan_in_workers(patches, *args, **kwargs):
+            if threading.current_thread() is not caller:
+                poisoned.append(len(patches))
+                patches = np.full_like(patches, np.nan)
+            return forward(patches, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "batched_forward", forward_nan_in_workers)
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        with pytest.raises(NumericError, match="^epoch 0 validation: softmax_rows: NaN input$"):
+            train(tiny_model("dp"), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
+        assert poisoned
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_earliest_failing_block_wins(self, monkeypatch, threads):
+        # blocks of 8 over 40 pixels, dealt round-robin: with two threads the
+        # caller runs those at 0, 16 and 32 and a worker those at 8 and 24.
+        # The block at 8 fails last in time but first in order, so its error
+        # is raised, as in a serial run
+        predict_threads(monkeypatch, threads)
+        cube, _ = tiny_scene()
+        cfg = tiny_model()
+        gather = train_module.extract_patches
+
+        def failing(cube, indices, patch_size):
+            lo = int(indices[0])
+            if lo == 8:
+                time.sleep(0.2)
+            if lo in (8, 16, 24):
+                raise NumericError(f"block at {lo}")
+            return gather(cube, indices, patch_size)
+
+        monkeypatch.setattr(train_module, "extract_patches", failing)
+        with pytest.raises(NumericError, match="^block at 8$"):
+            predict(init_params(cfg, 0), cfg, cube, np.arange(40), batch_size=8)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads alive
+    def test_child_forked_after_a_threaded_call_predicts(self, monkeypatch):
+        # the child has none of its parent's worker threads: handed the
+        # parent's executor, its next threaded call would wait forever
+        predict_threads(monkeypatch, 2)
+        cube, labels = tiny_scene()
+        pixels = np.flatnonzero(labels.ids.reshape(-1))[:100]
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+        want = predict(params, cfg, cube, pixels, batch_size=8)
+        assert train_module._executor is not None
+
+        def child():
+            if not (predict(params, cfg, cube, pixels, batch_size=8) == want).all():
+                raise SystemExit(1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
+
+    def test_sweep_workers_share_the_cores(self, monkeypatch):
+        # each spawned cell process runs predict on its share of the cores;
+        # an in-process stand-in for the spawn pool runs its initializer
+        started = []
+
+        class InProcess:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(train_module, "_predict_thread_share", None)
+        monkeypatch.setattr(train_module, "_usable_cores", lambda: 4)
+        monkeypatch.setenv("ANGLEATTN_THREADS", "3")
+        cube, labels = tiny_scene()
+        rows = sweep(["cs2", "dp"], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
+                     TrainConfig(epochs=1, batch_size=32, seed=0))
+        assert started == [2] and len(rows) == 2
+        assert train_module._predict_threads() == 2
+        for workers, threads in ((1, 4), (3, 1), (8, 1)):
+            train_module._share_cores(workers)
+            assert train_module._predict_threads() == threads
 
 
 class TestSweep:
