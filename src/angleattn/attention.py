@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import parallel
 from . import tensor as T
 from .errors import ConfigError, ContractError, DimensionError, check_int, check_real
 from .tensor import Tensor
@@ -248,12 +250,13 @@ def _heads(x, heads):
 
 
 class _Scratch(dict):
-    """One node call's per-chunk arrays, by name. Each is allocated at the
-    first chunk's shape and sliced for the later chunks, which are never
-    larger, so a call allocates each temporary once, a partial last chunk
-    included, and keeps the working set the same few buffers from chunk to
-    chunk. Inside a ``tensor._StepPool`` they go back to the pool when the
-    last view of them dies, mostly when the call returns."""
+    """One node call's per-chunk arrays in one share of its chunks, by name.
+    Each is allocated at the share's first chunk's shape and sliced for its
+    later chunks, which are never larger, so a share allocates each
+    temporary once, a partial last chunk included, and keeps the working
+    set the same few buffers from chunk to chunk. Inside a
+    ``tensor._StepPool`` they go back to the pool when the last view of them
+    dies, mostly when the share ends."""
 
     def __call__(self, name, shape):
         if name not in self:
@@ -426,9 +429,14 @@ def attention_node(q, k, v, cfg, additive=None):
     recorded on the tape it keeps its inputs and each chunk's softmax
     probabilities; backward recomputes the rest, head copies too, one chunk
     at a time, so no (N, N, d_a) tensor outlives its chunk. Forward and
-    backward each allocate their (chunk, H, N, N[, d_a]) temporaries once
-    per call and reuse them across chunks (``_Scratch``); under ``no_grad``
-    the softmax too runs in the score buffer.
+    backward each deal the chunks to ``parallel.threads()`` threads
+    (``parallel.deal``; one inside a threaded ``predict`` block). Each share
+    allocates its (chunk, H, N, N[, d_a]) temporaries once and reuses them
+    across its chunks (``_Scratch``); under ``no_grad`` the softmax too runs
+    in the score buffer. The kept probabilities stay in chunk order, chunk
+    0 lays out the batch's q, k and v gradients before the other chunks
+    write theirs, and the additive parameter gradients are summed in chunk
+    order, so every bit is that of a serial loop.
     """
     h = cfg.heads
     if any(t.shape[-1] % h for t in (q, k, v)):
@@ -450,31 +458,51 @@ def attention_node(q, k, v, cfg, additive=None):
                 for name, t in zip(("q_h", "k_h", "v_h"), (q, k, v)))
 
     out = T._empty(q.shape[:-1] + v.shape[-1:])
-    kept = [] if T._tracks(parents) else None
+    tracked = T._tracks(parents)
     shift = not _skips_max_shift(cfg)
-    scratch = _Scratch()
-    for sl in chunks:
+
+    def forward(i, scratch):
+        """Chunk i's output rows; its probabilities when they are kept."""
+        sl = chunks[i]
         q_h, k_h, v_h = split(sl, scratch)
         s = _Chunk(q_h, k_h, cfg, arrays, scratch).scores()
-        p = T._softmax_fwd(s, out=s if kept is None else T._empty(s.shape), shift=shift)
+        p = T._softmax_fwd(s, out=T._empty(s.shape) if tracked else s, shift=shift)
         _heads(out, h)[sl] = np.matmul(p, v_h, out=scratch("p_v", v_h.shape))
-        if kept is not None:
-            kept.append(p)
+        return p if tracked else None
+
+    kept = parallel.deal(forward, len(chunks), _Scratch)
 
     def backward_fn(g):
-        g_out, g_qkv, g_params = _heads(g, h), [None, None, None], ()
-        scratch = _Scratch()  # the forward's is gone: only kept probabilities outlive it
-        for sl, p in zip(chunks, kept):
-            q_h, k_h, v_h = split(sl, scratch)
-            g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=scratch("g_v", v_h.shape))
-            g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=scratch("g_p", p.shape))
-            g_scores = T._softmax_bwd(p, g_p, out=scratch("g_scores", p.shape))
-            g_q, g_k, chunk_params = _Chunk(q_h, k_h, cfg, arrays, scratch,
+        g_out, g_qkv = _heads(g, h), [None, None, None]
+        laid_out = threading.Event()  # chunk 0 makes the batch's gradients in its layout
+
+        def backward(i, scratch):
+            """Chunk i's additive parameter gradients, or (); its q, k and v
+            gradients go into the batch's."""
+            sl, p = chunks[i], kept[i]
+            try:
+                q_h, k_h, v_h = split(sl, scratch)
+                g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=scratch("g_v", v_h.shape))
+                g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=scratch("g_p", p.shape))
+                g_scores = T._softmax_bwd(p, g_p, out=scratch("g_scores", p.shape))
+                g_q, g_k, g_params = _Chunk(q_h, k_h, cfg, arrays, scratch,
                                             check=False).backward(g_scores)
-            g_qkv = [_place(full, sl, part, t.shape)
-                     for full, part, t in zip(g_qkv, (g_q, g_k, g_v), (q, k, v))]
-            g_params = chunk_params if not g_params else tuple(
-                a + b for a, b in zip(g_params, chunk_params))
+                if i == 0:
+                    g_qkv[:] = [_place(None, sl, part, t.shape)
+                                for part, t in zip((g_q, g_k, g_v), (q, k, v))]
+            finally:
+                if i == 0:
+                    laid_out.set()
+            laid_out.wait()
+            if i and g_qkv[0] is not None:  # else chunk 0 failed, and its error is raised
+                for full, part, t in zip(g_qkv, (g_q, g_k, g_v), (q, k, v)):
+                    _place(full, sl, part, t.shape)
+            return g_params
+
+        per_chunk = parallel.deal(backward, len(chunks), _Scratch)
+        g_params = per_chunk[0]
+        for chunk_params in per_chunk[1:]:  # summed in chunk order, as a serial loop would
+            g_params = tuple(a + b for a, b in zip(g_params, chunk_params))
         return (*g_qkv, *g_params)
 
     return T._make(out, parents, backward_fn, "attention")

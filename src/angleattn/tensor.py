@@ -20,9 +20,10 @@ closure allocates is lent by the pool: activations, gradients and the
 temporaries of both passes. Each buffer goes back to the pool the moment
 the last view of its lend dies, so a step reuses the memory of its own
 earlier arrays at its live peak. The pool and ``no_grad`` are context
-variables, so ``predict``'s worker threads, which run in a copy of the
-caller's context, lend from the caller's pool; a lock keeps its lends
-apart.
+variables, so the shares of a ``parallel.deal`` (``predict``'s blocks, the
+attention node's chunks), which run in copies of the caller's context,
+lend from the caller's pool; a lock keeps its lends apart, and each share
+has a free list of its own.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import weakref
 import numpy as np
 from scipy.special import erf
 
+from . import parallel
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -209,20 +211,25 @@ class _StepPool:
     and a ``train-cs2`` run peaked about 7 MiB higher.
 
     As a context manager the pool is the one ``_empty`` lends from until
-    the block exits: in the current context, and so in the threads that run
-    in a copy of it, as ``train.predict``'s workers do. It then keeps only
-    the free buffers lent inside the block. ``empty`` and the exit drain,
-    pick and map under one lock, so those threads may lend at once; a dead
-    lend's callback only appends to ``_returned``, from whichever thread
-    drops the last view. A dropped pool unmaps its free buffers at once,
-    and a lent buffer when the last view of its lend dies. Buffers are
-    private mappings, so a process forked while it holds some writes only
-    its own copies.
+    the block exits: in the current context, and so in the shares of a
+    ``parallel.deal`` made in it, which run in copies of it on other
+    threads. It then keeps only the free buffers lent inside the block.
+    ``empty`` and the exit drain, pick and map under one lock, so those
+    threads may lend at once; a dead lend's callback only appends to
+    ``_returned``, from whichever thread drops the last view. Each share
+    lends from a free list of its own (the caller's own lends and share 0
+    from list 0), and a buffer goes back to the list it was lent from. A
+    share runs its items in a fixed order, so each list sees the same lends
+    on every run, and which buffers a run maps does not depend on how the
+    threads interleave. A dropped pool unmaps its free buffers at once, and
+    a lent buffer when the last view of its lend dies. Buffers are private
+    mappings, so a process forked while it holds some writes only its own
+    copies.
     """
 
     def __init__(self):
-        self._free = []      # by size: the buffers no lend views
-        self._lent = {}      # id(weak reference to a lend) -> (that reference, its buffer)
+        self._free = {}      # share -> the buffers no lend views, by size
+        self._lent = {}      # id(weak reference to a lend) -> (that reference, buffer, share)
         self._returned = []  # weak references to dead lends, appended by their callback
         self._used = set()   # ids of the buffers lent inside the current block
         self._lock = threading.Lock()
@@ -236,30 +243,33 @@ class _StepPool:
         _active_pool.reset(self._token)
         with self._lock:
             self._drain()
-            self._free = [buf for buf in self._free if id(buf) in self._used]
+            self._free = {share: [buf for buf in free if id(buf) in self._used]
+                          for share, free in self._free.items()}
 
     def _drain(self):
         """Put the buffers of dead lends back on the free list."""
         while self._returned:
-            _, buf = self._lent.pop(id(self._returned.pop()))
-            bisect.insort(self._free, buf, key=len)
+            _, buf, share = self._lent.pop(id(self._returned.pop()))
+            bisect.insort(self._free.setdefault(share, []), buf, key=len)
 
     def empty(self, shape):
-        """A C-ordered float64 array over the smallest free buffer that holds
-        ``shape`` and is at most four times its size, or over a new buffer;
-        its values are arbitrary."""
+        """A C-ordered float64 array over the smallest buffer on the current
+        share's free list that holds ``shape`` and is at most four times its
+        size, or over a new buffer; its values are arbitrary."""
         nbytes = 8 * math.prod(shape)
+        share = parallel._share.get() or 0
         with self._lock:
             self._drain()
-            i = bisect.bisect_left(self._free, nbytes, key=len)
-            if i < len(self._free) and len(self._free[i]) <= 4 * nbytes:
-                buf = self._free.pop(i)
+            free = self._free.setdefault(share, [])
+            i = bisect.bisect_left(free, nbytes, key=len)
+            if i < len(free) and len(free[i]) <= 4 * nbytes:
+                buf = free.pop(i)
             else:
                 buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
             self._used.add(id(buf))
             lend = np.frombuffer(buf, np.float64, nbytes // 8)
             ref = weakref.ref(lend, self._returned.append)
-            self._lent[id(ref)] = ref, buf
+            self._lent[id(ref)] = ref, buf, share
         return lend.reshape(shape)
 
 

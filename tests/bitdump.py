@@ -17,16 +17,18 @@ pool and whose last batch is partial, so that a smaller batch reuses
 pooled buffers; then the ids and every block's probabilities of two
 successive ``predict`` calls on the trained model outside ``train``, each
 over two blocks, the second of them partial, so that the second call runs
-on the buffers the first left in the thread's predict pool. Every
-``predict`` runs its blocks on ``--predict-threads`` threads, by default
-one per usable core; its blocks' probabilities are stored in the order of
-their offsets in the call, whichever thread ran them. ``compare``
+on the buffers the first left in the thread's predict pool.
+``--predict-threads N`` sets the thread budget that ``predict``'s blocks
+and the attention node's chunks share (``parallel.deal``; by default one
+thread per usable core), so 1 runs everything serially; ``predict``'s
+blocks' probabilities are stored in the order of their offsets in the
+call, whichever thread ran them. ``compare``
 lists the arrays whose bytes, dtype or shape differ, or that only one dump
 holds, and exits 1 if any do; for two arrays of one shape it also prints
 the largest absolute and relative difference.
 To check that a change keeps outputs bit for bit, dump with each
 checkout's ``src`` on ``PYTHONPATH`` and compare the two files; to check
-that threaded predict equals serial, compare a dump with
+that threaded blocks and chunks equal serial ones, compare a dump with
 ``--predict-threads 1`` against one with ``--predict-threads 2``.
 """
 
@@ -37,7 +39,7 @@ import threading
 
 import numpy as np
 
-from angleattn import attention
+from angleattn import attention, parallel
 from angleattn import model as M
 from angleattn import tensor as T
 from angleattn import train as training
@@ -194,19 +196,20 @@ def main(argv=None):
     p_dump.add_argument("--variants", default=",".join(v.value for v in ScoreVariant),
                         help="comma-separated variant tags (default: all 12)")
     p_dump.add_argument("--predict-threads", type=int, default=None,
-                        help="threads for predict's blocks (default: one per usable core)")
+                        help="thread budget of predict's blocks and the attention node's "
+                             "chunks (default: one per usable core)")
     p_compare = sub.add_parser("compare", help="list the arrays that differ between two dumps")
     p_compare.add_argument("a")
     p_compare.add_argument("b")
     args = parser.parse_args(argv)
     if args.mode == "dump":
-        threads = training._predict_threads
+        budget = parallel._thread_share
         if args.predict_threads is not None:
-            training._predict_threads = lambda: args.predict_threads
+            parallel._thread_share = args.predict_threads
         try:
             arrays = dump(args.variants.split(","))
         finally:
-            training._predict_threads = threads
+            parallel._thread_share = budget
         np.savez(args.out, **arrays)
         print(f"wrote {len(arrays)} arrays to {args.out}")
         return 0

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from angleattn import attention
 from angleattn import model as M
+from angleattn import parallel
 from angleattn import tensor as T
 from angleattn.attention import (VARIANTS, AdditiveParams, AttentionConfig,
                                  AttentionParams, NormMode, ScoreVariant, attention_node,
@@ -16,6 +19,7 @@ from angleattn.tensor import Tape, Tensor, grad_check
 from bitdump import model_outputs, oracle_batch
 from oracle import (additive_score, attend, composed_attention, merge_heads, normalise, score,
                     split_heads)
+from test_tensor import poison_lends
 
 ALL_TAGS = ["cs2", "cs", "abscs", "tempcs2", "dp", "sdp", "add", "msa-cs2",
             "c-sdp", "c-cs2", "c-cs", "c-add"]
@@ -604,3 +608,70 @@ def test_one_attention_node_per_layer():
     assert "l2_normalize_rows" not in ops and "concat" not in ops
     # the node splits and merges the heads itself: the reshapes are the classifier's
     assert "transpose" not in ops and ops.count("reshape") == 2
+
+
+# -- the node's chunks on several threads (parallel.deal) ---------------------
+
+def node_over_chunks(tag, threads, monkeypatch):
+    """Output, input gradients and the threads that ran a chunk, of the node
+    over 8 samples in chunks of 2, on a budget of ``threads`` threads."""
+    monkeypatch.setattr(parallel, "_thread_share", threads)
+    b, n, d, h = 8, 5, 6, 2
+    cfg = cfg_for(tag, dim=d, heads=h)
+    additive = VARIANTS[cfg.variant].kernel is None
+    monkeypatch.setattr(attention, "CHUNK_BUDGET", 2 * 8 * n * n * h * (d // h if additive else 1))
+    rng = np.random.default_rng(50)
+    q, k, v = (Tensor(rng.normal(size=(b, n, d)), requires_grad=True) for _ in range(3))
+    weights = Tensor(rng.normal(size=(b, n, d)))
+    add = rand_params(d, h, seed=51, additive=True).additive
+    inputs = [q, k, v] + ([add.w_q, add.w_k, add.w_a, add.b_a] if additive else [])
+    ran, chunk = set(), attention._Chunk
+
+    class Recording(chunk):
+        def __init__(self, *args, **kwargs):
+            ran.add(threading.current_thread())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(attention, "_Chunk", Recording)
+    out = attention_node(q, k, v, cfg, add)
+    T.sum_all(T.mul(out, weights)).backward()
+    return [out.data] + [t.grad for t in inputs], ran
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_threaded_chunks_give_the_serial_bits(tag, monkeypatch):
+    # four chunks on two threads, lends poisoned inside a pool: the same
+    # output, gradients (the additive ones summed over chunks) and layouts
+    serial, ran = node_over_chunks(tag, 1, monkeypatch)
+    assert len(ran) == 1
+    monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+    poison_lends(monkeypatch)
+    with T._StepPool():
+        threaded, ran = node_over_chunks(tag, 2, monkeypatch)
+    assert len(ran) == 2
+    for want, got in zip(serial, threaded, strict=True):
+        np.testing.assert_array_equal(got, want)
+        assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_threaded_chunks_raise_the_earliest_chunks_error(threads, monkeypatch):
+    # chunks of 2 samples: a query row below eps in chunk 1 fails last in
+    # time, after a NaN row in chunk 3, yet its error is the one raised, as
+    # in a serial loop
+    monkeypatch.setattr(parallel, "_thread_share", threads)
+    monkeypatch.setattr(attention, "CHUNK_BUDGET", 2 * 8 * 5 * 5 * 2)
+    rng = np.random.default_rng(52)
+    q, k, v = (rng.normal(size=(8, 5, 6)) for _ in range(3))
+    q[2, 0] = 1e-13  # each head's row: norm sqrt(3) * 1e-13
+    q[6, 1, 0] = np.nan
+    check = attention._check_unit_rows
+
+    def slow_for_short_rows(norms, what):
+        if ((norms > 0) & (norms < attention._NORM_EPS)).any():
+            time.sleep(0.2)
+        check(norms, what)
+
+    monkeypatch.setattr(attention, "_check_unit_rows", slow_for_short_rows)
+    with pytest.raises(ContractError, match=r"^query rows .*\(found norm 1\.732e-13\)$"):
+        attention_node(Tensor(q), Tensor(k), Tensor(v), cfg_for("cs2", dim=6, heads=2))

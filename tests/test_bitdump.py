@@ -14,10 +14,13 @@ def test_dump_then_compare_reports_a_changed_array(tmp_path, capsys):
     # and a training run and its two predict calls per positional mode
     assert len({key.rsplit(":", 1)[0] for key in arrays}) == 90 + 3 + 3
     assert bitdump.main(["compare", a, a]) == 0
-    # predict's blocks on two threads give the bits of one
+    # predict's blocks and the node's chunks on two threads give the bits
+    # of one; add is the variant whose node backward sums its parameter
+    # gradients over the chunks
     serial, threaded = str(tmp_path / "serial.npz"), str(tmp_path / "threaded.npz")
     for path, threads in ((serial, "1"), (threaded, "2")):
-        assert bitdump.main(["dump", path, "--variants", "dp", "--predict-threads", threads]) == 0
+        assert bitdump.main(["dump", path, "--variants", "dp,add",
+                             "--predict-threads", threads]) == 0
     assert bitdump.main(["compare", serial, threaded]) == 0
     key = "dp:both:H3:sinusoidal:budget=1:w_c"
     old = arrays[key].flat[0]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angleattn import attention
+from angleattn import attention, parallel
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig
 from angleattn.errors import ConfigError, ContractError, DimensionError, NumericError
@@ -382,10 +382,15 @@ def poison_lends(monkeypatch):
     monkeypatch.setattr(T._StepPool, "empty", poisoned)
 
 
+def free(pool):
+    """The buffers on every free list of the pool."""
+    pool._drain()
+    return sum(pool._free.values(), [])
+
+
 def buffers(pool):
     """Every buffer the pool holds, free or lent."""
-    pool._drain()
-    return pool._free + [buf for _, buf in pool._lent.values()]
+    return free(pool) + [buf for _, buf, _ in pool._lent.values()]
 
 
 class TestStepPool:
@@ -423,9 +428,9 @@ class TestStepPool:
                 views[0][:] = views[1][:] = np.nan
                 views = None
             assert (kept == 7.0).all()
-            assert len(buffers(pool)) == 3 and len(pool._free) == 2
+            assert len(buffers(pool)) == 3 and len(free(pool)) == 2
             kept = None
-            assert len(buffers(pool)) == len(pool._free) == 3
+            assert len(buffers(pool)) == len(free(pool)) == 3
 
     def test_scratch_buffers_are_kept_apart(self):
         # a request takes no free buffer over four times its size: else a
@@ -465,12 +470,14 @@ class TestStepPool:
 
     def test_threads_lend_from_one_pool_at_once(self):
         # more threads than cores lend, fill and drop arrays of one pool,
-        # switching as often as the interpreter lets them: a lost update to
-        # the free list or the lent table would lend one buffer to two
-        # threads at once, or lose or duplicate a buffer
+        # switching as often as the interpreter lets them, as shares 0, 1
+        # and 2 of a deal, two threads to a free list: a lost update to a
+        # free list or the lent table would lend one buffer to two threads
+        # at once, or lose or duplicate a buffer
         pool, spoiled = T._StepPool(), []
 
         def lend(k):
+            parallel._share.set(k % 3)  # a new thread starts in an empty context
             rng, held = np.random.default_rng(k), []
             for _ in range(400):
                 a = pool.empty((int(rng.integers(1, 3000)),))
@@ -492,7 +499,8 @@ class TestStepPool:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not spoiled
         pool._drain()
-        assert not pool._lent and len({id(buf) for buf in pool._free}) == len(pool._free)
+        assert not pool._lent and len({id(buf) for buf in free(pool)}) == len(free(pool))
+        assert sorted(pool._free) == [0, 1, 2]
 
     def test_block_keeps_only_the_buffers_lent_inside_it(self):
         pool = T._StepPool()
@@ -535,10 +543,10 @@ class TestStepPool:
             kept = pool.empty((300,))
             pool.empty((200,))
             pool._drain()
-            (free,), ((_, viewed),) = pool._free, pool._lent.values()
-            free, viewed = weakref.ref(free), weakref.ref(viewed)
+            (unviewed,), ((_, viewed, _),) = free(pool), pool._lent.values()
+            unviewed, viewed = weakref.ref(unviewed), weakref.ref(viewed)
             pool = None
-            assert free() is None and viewed() is not None
+            assert unviewed() is None and viewed() is not None
             kept = None
             assert viewed() is None
         finally:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from angleattn import attention as attention_module
+from angleattn import parallel
 from angleattn import tensor as T
 from angleattn import train as train_module
 from angleattn.attention import VARIANTS, AttentionConfig
@@ -43,8 +44,9 @@ def tiny_scene(seed=0, snr=None):
 
 
 def predict_threads(monkeypatch, n):
-    """Run predict's blocks on ``n`` threads, whatever the cores."""
-    monkeypatch.setattr(train_module, "_predict_threads", lambda: n)
+    """Give threaded loops (predict's blocks, the node's chunks) a budget of
+    ``n`` threads, whatever the cores."""
+    monkeypatch.setattr(parallel, "_thread_share", n)
 
 
 def tiny_model(variant="cs2"):
@@ -373,8 +375,13 @@ class TestStepPool:
         # a view that outlives its use, or a request that finds no free
         # buffer, makes the pool map a new one: once every batch shape and a
         # validation have run, forward, backward and validation lends must
-        # all find their buffers free
+        # all find their buffers free. First on one thread, then on two:
+        # the 57-pixel validation in two blocks, one per thread, and each
+        # node over chunks of 4 samples, the last partial, so that both
+        # threads lend in steps and validations alike, each from its own
+        # free list
         held, step, evaluate_ = [], train_module._train_step, train_module.evaluate
+        forward, ran = train_module.batched_forward, set()
 
         def recording(fn):
             def recorded(*args):
@@ -383,12 +390,22 @@ class TestStepPool:
                 return out
             return recorded
 
+        def forward_recording(*args, **kwargs):
+            ran.add(threading.current_thread())
+            return forward(*args, **kwargs)
+
         monkeypatch.setattr(train_module, "_train_step", recording(step))
         monkeypatch.setattr(train_module, "evaluate", recording(evaluate_))
-        self.run("cs2", monkeypatch, epochs=3)
-        assert len(held) == 3 * 5 and held[0]  # 4 steps and a validation per epoch
-        assert all(ids == held[4] for ids in held[5:])
-        assert T._active_pool.get() is None
+        monkeypatch.setattr(train_module, "batched_forward", forward_recording)
+        for threads in (1, 2):
+            predict_threads(monkeypatch, threads)
+            if threads == 2:  # 4 samples' scores: 9 x 9 per head, 2 heads
+                monkeypatch.setattr(attention_module, "CHUNK_BUDGET", 4 * 8 * 9 * 9 * 2)
+            held.clear(), ran.clear()
+            self.run("cs2", monkeypatch, epochs=3)
+            assert len(held) == 3 * 5 and held[0]  # 4 steps and a validation per epoch
+            assert all(ids == held[4] for ids in held[5:]), f"{threads} threads"
+            assert T._active_pool.get() is None and len(ran) == threads
 
     @staticmethod
     def predict_pixels():
@@ -492,6 +509,20 @@ class TestStepPool:
             assert buffers(active)
             assert {id(buf) for buf in buffers(self.thread_pool())} == mapped
 
+    def test_a_block_per_thread_lends_from_no_pool(self, monkeypatch):
+        # as in map-paper's calls: no block of the call could reuse the
+        # buffers of another, so the call keeps none for the next
+        predict_threads(monkeypatch, 2)
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
+        cube, pixels = self.predict_pixels()
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+        predict(params, cfg, cube, pixels[:64], batch_size=32)  # blocks 32, 32
+        assert self.thread_pool() is None
+        predict(params, cfg, cube, pixels[:65], batch_size=32)  # blocks 32, 32, 1
+        assert buffers(self.thread_pool())
+
     def test_threaded_predict_pool_keeps_at_most_two_blocks(self, monkeypatch):
         # two blocks are live at once, so the pool may keep two blocks' buffers
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
@@ -513,18 +544,39 @@ class TestStepPool:
             assert 0 < retained(2) <= 2 * one
 
     def test_one_core_or_one_block_starts_no_thread(self, monkeypatch):
+        # on several threads a call is split into a block per thread, so
+        # only a call of one patch is one block
         cube, pixels = self.predict_pixels()
         cfg = tiny_model()
         params = init_params(cfg, 0)
-        monkeypatch.setattr(train_module, "_executor", None)
-        monkeypatch.setattr(train_module, "_predict_thread_share", None)
+        monkeypatch.setattr(parallel, "_executor", None)
+        monkeypatch.setattr(parallel, "_thread_share", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()
-        assert train_module._predict_threads() == 1
+        assert parallel.threads() == 1
         predict(params, cfg, cube, pixels, batch_size=8)  # 13 blocks on one core
         predict_threads(monkeypatch, 2)
-        predict(params, cfg, cube, pixels[:8], batch_size=8)  # one block
-        assert train_module._executor is None and threading.active_count() == before
+        predict(params, cfg, cube, pixels[:1], batch_size=8)  # one patch
+        assert parallel._executor is None and threading.active_count() == before
+
+    def test_executor_is_sized_from_the_budget(self, monkeypatch):
+        # a first call of two blocks on four cores makes three workers, not
+        # one, so that later calls of more blocks still run on every core
+        cube, pixels = self.predict_pixels()
+        cfg = tiny_model()
+        params = init_params(cfg, 0)
+        monkeypatch.setattr(parallel, "_executor", None)
+        monkeypatch.setattr(parallel, "_thread_share", None)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
+        want = predict(params, cfg, cube, pixels[:2], batch_size=8)  # two blocks of one
+        executor = parallel._executor
+        try:
+            assert executor._max_workers == 3
+            np.testing.assert_array_equal(predict(params, cfg, cube, pixels, batch_size=8)[:2],
+                                          want)
+            assert parallel._executor is executor
+        finally:
+            executor.shutdown()
 
     def test_threads_predict_at_once(self, monkeypatch):
         # each thread has a predict pool of its own, and a pool is active
@@ -769,6 +821,37 @@ class TestPredictThreads:
         with pytest.raises(NumericError, match="^block at 8$"):
             predict(init_params(cfg, 0), cfg, cube, np.arange(40), batch_size=8)
 
+    def test_no_share_hands_work_to_the_executor(self, monkeypatch):
+        # a training step's node deals its chunks (one per sample here) to
+        # the executor; inside a validation's threaded blocks the nodes run
+        # theirs serially, so only code outside every share ever submits
+        predict_threads(monkeypatch, 2)
+        monkeypatch.setattr(attention_module, "CHUNK_BUDGET", 1)
+        workers, submitted, nested = parallel._workers, [], []
+
+        class Recording:
+            def __init__(self, executor):
+                self.executor = executor
+
+            def submit(self, *args):
+                submitted.append((threading.current_thread(), parallel._share.get()))
+                return self.executor.submit(*args)
+
+        def forward_recording(*args, training, **kwargs):
+            if not training:  # a validation block
+                nested.append(parallel.threads())
+            return forward(*args, training=training, **kwargs)
+
+        forward = train_module.batched_forward
+        monkeypatch.setattr(parallel, "_workers", lambda: Recording(workers()))
+        monkeypatch.setattr(train_module, "batched_forward", forward_recording)
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        train(tiny_model(), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
+        assert submitted and nested and set(nested) == {1}  # blocks of 1: the budget is tiny
+        assert all(thread is threading.main_thread() and share is None
+                   for thread, share in submitted)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads alive
     def test_child_forked_after_a_threaded_call_predicts(self, monkeypatch):
@@ -780,7 +863,7 @@ class TestPredictThreads:
         cfg = tiny_model()
         params = init_params(cfg, 0)
         want = predict(params, cfg, cube, pixels, batch_size=8)
-        assert train_module._executor is not None
+        assert parallel._executor is not None
 
         def child():
             if not (predict(params, cfg, cube, pixels, batch_size=8) == want).all():
@@ -813,17 +896,17 @@ class TestPredictThreads:
             map = staticmethod(map)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-        monkeypatch.setattr(train_module, "_predict_thread_share", None)
-        monkeypatch.setattr(train_module, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(parallel, "_thread_share", None)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
         monkeypatch.setenv("ANGLEATTN_THREADS", "3")
         cube, labels = tiny_scene()
         rows = sweep(["cs2", "dp"], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
                      TrainConfig(epochs=1, batch_size=32, seed=0))
         assert started == [2] and len(rows) == 2
-        assert train_module._predict_threads() == 2
+        assert parallel.threads() == 2
         for workers, threads in ((1, 4), (3, 1), (8, 1)):
-            train_module._share_cores(workers)
-            assert train_module._predict_threads() == threads
+            parallel._share_cores(workers)
+            assert parallel.threads() == threads
 
 
 class TestSweep:
