@@ -195,10 +195,11 @@ def cmd_eval(args):
                "kappa": report.kappa, "train_seconds": 0.0, "snr_db": cfg["snr_db"]}
         with open(args.out, "w") as f:
             f.write(rows_to_csv([row]))
-    if args.map:
+    if args.map or args.map_npy:
         flat = np.arange(labels.ids.size)
         preds = predict(params, model_cfg, cube, flat).reshape(labels.ids.shape)
-        export_map(preds, args.map, num_classes=model_cfg.num_classes)
+        if args.map:
+            export_map(preds, args.map, num_classes=model_cfg.num_classes)
         if args.map_npy:
             np.save(args.map_npy, preds.astype("<u2"))
     return 0
@@ -272,7 +273,7 @@ def build_parser():
     p_eval.add_argument("--checkpoint", required=True)
     _add_flags(p_eval, _PATH_KEYS)
     p_eval.add_argument("--map", help="write a PPM classification map here")
-    p_eval.add_argument("--map-npy", dest="map_npy", help="also dump predictions as <u2 NPY")
+    p_eval.add_argument("--map-npy", dest="map_npy", help="dump predictions as <u2 NPY")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="cross product of variants x seeds [x SNRs]")

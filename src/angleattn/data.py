@@ -28,7 +28,8 @@ class HyperCube:
     values: np.ndarray  # (H, W, C) float32
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, refused below
+            self.values = np.asarray(self.values, dtype=np.float32)
         if self.values.ndim != 3:
             raise DimensionError(f"cube must be (H, W, C), got {self.values.shape}")
         if not np.isfinite(self.values).all():
@@ -231,9 +232,10 @@ def stratified_split(labels, spec):
 
 
 def check_snr_db(snr_db):
-    """Raise ConfigError unless ``snr_db`` is None (no noise) or a finite number of dB."""
+    """Raise ConfigError unless ``snr_db`` is None (no noise) or in [-3000, 3000] dB:
+    about 3080 dB from 0 the power ratio 10^(dB/10) overflows float64 or becomes 0."""
     if snr_db is not None:
-        check_real("snr_db", snr_db, math.isfinite, "a finite number or None")
+        check_real("snr_db", snr_db, lambda v: -3000 <= v <= 3000, "in [-3000, 3000] dB or None")
 
 
 def inject_noise(cube, snr_db, seed):
@@ -246,7 +248,7 @@ def inject_noise(cube, snr_db, seed):
     signal_power = float(np.mean(v * v))
     sigma = np.sqrt(signal_power / (10.0 ** (snr_db / 10.0)))
     rng = np.random.default_rng(seed)
-    return HyperCube((v + rng.normal(0.0, sigma, size=v.shape)).astype(np.float32))
+    return HyperCube(v + rng.normal(0.0, sigma, size=v.shape))
 
 
 def _endmembers(rng, classes, bands):
@@ -280,8 +282,8 @@ def synth_scene(spec):
     d2 = ((rr[..., None] - sites[:, 0]) ** 2 + (cc[..., None] - sites[:, 1]) ** 2)
     label_ids = site_class[np.argmin(d2, axis=-1)].astype(np.uint16)
     gains = rng.uniform(spec.gain_lo, spec.gain_hi, size=(spec.height, spec.width, 1))
-    values = gains * endmembers[label_ids - 1]
-    cube = HyperCube(values.astype(np.float32))
+    with np.errstate(over="ignore"):  # a product beyond float64 is inf, which HyperCube refuses
+        cube = HyperCube(gains * endmembers[label_ids - 1])
     if spec.snr_db is not None:
         cube = inject_noise(cube, spec.snr_db, spec.seed + 1)
     return cube, LabelMap(label_ids)

@@ -324,5 +324,7 @@ def load_checkpoint(path):
             raise FormatError(
                 f"parameter {entry['name']!r} has shape {list(arr.shape)}, "
                 f"manifest says {entry['shape']}")
+        if arr.dtype.kind not in "biuf":  # not strings, nor complex values cast to their real part
+            raise FormatError(f"parameter {entry['name']!r} has dtype {arr.dtype}, not a real one")
         values[entry["name"]] = arr.astype(np.float64)
     return values, manifest

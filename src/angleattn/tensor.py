@@ -23,7 +23,7 @@ earlier arrays at its live peak. The pool and ``no_grad`` are context
 variables, so the shares of a ``parallel.deal`` (``predict``'s blocks, the
 attention node's chunks), which run in copies of the caller's context,
 lend from the caller's pool; a lock keeps its lends apart, and each share
-has a free list of its own.
+has a free list of its own. A pool keeps every buffer until it is dropped.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ class _StepPool:
     As a context manager the pool is the one ``_empty`` lends from until
     the block exits: in the current context, and so in the shares of a
     ``parallel.deal`` made in it, which run in copies of it on other
-    threads. It then keeps only the free buffers lent inside the block.
-    ``empty`` and the exit drain, pick and map under one lock, so those
+    threads. It keeps every buffer it maps, across blocks, until it is
+    dropped. ``empty`` drains, picks and maps under one lock, so those
     threads may lend at once; a dead lend's callback only appends to
     ``_returned``, from whichever thread drops the last view. Each share
     lends from a free list of its own (the caller's own lends and share 0
@@ -231,20 +231,14 @@ class _StepPool:
         self._free = {}      # share -> the buffers no lend views, by size
         self._lent = {}      # id(weak reference to a lend) -> (that reference, buffer, share)
         self._returned = []  # weak references to dead lends, appended by their callback
-        self._used = set()   # ids of the buffers lent inside the current block
         self._lock = threading.Lock()
 
     def __enter__(self):
         self._token = _active_pool.set(self)
-        self._used = set()
         return self
 
     def __exit__(self, *exc):
         _active_pool.reset(self._token)
-        with self._lock:
-            self._drain()
-            self._free = {share: [buf for buf in free if id(buf) in self._used]
-                          for share, free in self._free.items()}
 
     def _drain(self):
         """Put the buffers of dead lends back on the free list."""
@@ -266,7 +260,6 @@ class _StepPool:
                 buf = free.pop(i)
             else:
                 buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-            self._used.add(id(buf))
             lend = np.frombuffer(buf, np.float64, nbytes // 8)
             ref = weakref.ref(lend, self._returned.append)
             self._lent[id(ref)] = ref, buf, share

@@ -180,9 +180,10 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
 
     Inside ``train`` the blocks' arrays come from its step pool. Outside it
     a call of more blocks than threads lends from its thread's predict
-    pool, which keeps between calls only the buffers the last call lent
-    (about one block's live set per thread), so a block reuses the buffers
-    of the blocks or call before. A call of at most one block per thread
+    pool, which keeps every buffer it maps until the thread next trains or
+    ends, so a block reuses the buffers of the blocks and calls before it;
+    a thread that switches models between trainings keeps each model's
+    block buffers until then. A call of at most one block per thread
     lends from no pool: none of its blocks could reuse another's buffers,
     and between calls the heap can reuse memory that work between calls
     freed, where kept buffers would sit beside it.

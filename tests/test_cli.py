@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from angleattn.cli import CONFIG_DEFAULTS, main
@@ -22,8 +22,9 @@ FAST = ["--patch", "5", "--dim", "8", "--depth", "1", "--heads", "2",
 SCENE = ["--height", "24", "--width", "24", "--bands", "8",
          "--classes", "3", "--sites", "6"]
 
-# no int above 3, so no drawn extent can allocate much
-POOL = [None, True, -1, 0, 3, 0.5, math.nan, math.inf, "x", [1]]
+# no int above 3, so no drawn extent can allocate much; huge finite floats
+# reach arithmetic that only overflows near the edge of float64
+POOL = [None, True, -1, 0, 3, 0.5, math.nan, math.inf, 1e308, -1e308, "x", [1]]
 
 
 @pytest.fixture()
@@ -232,7 +233,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--epochs", "-1"),
                                             ("--lr", "nan"), ("--lr", "0"), ("--clip", "-1"),
-                                            ("--wd", "-1"), ("--wd", "inf")])
+                                            ("--wd", "-1"), ("--wd", "inf"),
+                                            ("--snr-db", "4000"), ("--snr-db", "-4000")])
     def test_bad_train_settings_exit_2(self, scene_dir, tmp_path, capsys, flag, value):
         assert run_train(scene_dir, str(tmp_path / "ckpt"), [flag, value]) == 2
         err = capsys.readouterr().err
@@ -243,6 +245,15 @@ class TestTrain:
         assert run_train(scene_dir, ckpt, ["--clip", "inf"]) == 0
         manifest = json.load(open(os.path.join(ckpt, "manifest.json")))
         assert manifest["config"]["clip"] == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag", ["--gain-hi=1e308", "--snr-db=-3000"])
+    def test_synth_cube_beyond_float32_exits_1(self, tmp_path, capsys, flag):
+        # a value float32 cannot hold becomes inf, which the cube refuses,
+        # without a numpy overflow warning
+        capsys.readouterr()
+        assert main(["synth", "--out", str(tmp_path / "scene"), flag] + SCENE) == 1
+        assert capsys.readouterr().err == "error: cube contains non-finite values\n"
 
     def test_negative_seed_with_noise_exits_2(self, scene_dir, tmp_path, capsys):
         # the noise is drawn before any config is built
@@ -295,6 +306,27 @@ class TestEval:
         preds = np.load(npy)
         assert preds.shape == (24, 24) and preds.dtype == np.dtype("<u2")
         assert preds.min() >= 1 and preds.max() <= 3
+
+    def test_map_npy_alone(self, small_ckpt, tmp_path):
+        npy = str(tmp_path / "map.npy")
+        assert main(["eval", "--checkpoint", small_ckpt, "--map-npy", npy]) == 0
+        preds = np.load(npy)
+        assert preds.shape == (24, 24) and preds.dtype == np.dtype("<u2")
+        assert preds.min() >= 1 and preds.max() <= 3
+        assert os.listdir(tmp_path) == ["map.npy"]
+
+    @pytest.mark.parametrize("dtype", ["<U2", "<c16"])
+    def test_non_real_parameter_exits_1(self, small_ckpt, tmp_path, capsys, dtype):
+        # a string array cannot become float64, and a complex one would lose
+        # its imaginary part
+        ckpt = edited_copy(small_ckpt, tmp_path / "ckpt", lambda m: None)
+        entry = json.load(open(os.path.join(ckpt, "manifest.json")))["params"][0]
+        np.save(os.path.join(ckpt, entry["file"]), np.ones(entry["shape"], dtype=dtype))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parameter {entry['name']!r} has dtype ")
+        assert err.count("\n") == 1
 
     def test_missing_checkpoint(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1
@@ -519,6 +551,7 @@ class TestConfigFile:
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=st.dictionaries(st.sampled_from(list(CONFIG_DEFAULTS)), st.sampled_from(POOL)))
+    @example(doc={"snr_db": 1e308})
     def test_any_config_value_ends_in_an_exit_code(self, scene_dir, tmp_path, capsys, doc):
         with tempfile.TemporaryDirectory(dir=tmp_path) as work:
             cfg_path = os.path.join(work, "cfg.json")

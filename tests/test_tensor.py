@@ -502,13 +502,19 @@ class TestStepPool:
         assert not pool._lent and len({id(buf) for buf in free(pool)}) == len(free(pool))
         assert sorted(pool._free) == [0, 1, 2]
 
-    def test_block_keeps_only_the_buffers_lent_inside_it(self):
+    def test_pool_keeps_every_buffer_until_it_is_dropped(self):
+        # leaving a block only deactivates the pool: the next block lends
+        # the buffers of the one before, and maps only what they lack
         pool = T._StepPool()
         with pool:
             pool.empty((1000,)), pool.empty((100,))
-        with pool:
-            pool.empty((1000,))
-        assert [len(buf) for buf in buffers(pool)] == [8000]
+        kept = {id(buf) for buf in buffers(pool)}
+        with pool:  # the first block's 8000-byte buffer, and a new one
+            pool.empty((1000,)), pool.empty((10,))
+        assert T._active_pool.get() is None
+        held = buffers(pool)
+        assert kept < {id(buf) for buf in held}
+        assert sorted(len(buf) for buf in held) == [80, 800, 8000]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_writes_only_its_own_copies(self):

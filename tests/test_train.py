@@ -453,31 +453,24 @@ class TestStepPool:
         self.run("cs2", monkeypatch, epochs=0)
         assert self.thread_pool() is None
 
-    def test_predict_pool_keeps_about_one_block_of_the_last_call(self, monkeypatch):
-        # between calls the pool holds only buffers the last call lent: one
-        # full block's worth, plus at most what the blocks of an earlier
-        # call's model left in buffers up to four times a request's size;
-        # one thread, so that one block is live at a time
+    def test_predict_pool_keeps_every_buffer_it_maps(self, monkeypatch):
+        # a pool keeps each buffer until it is dropped: later calls with one
+        # model map nothing, and a thread that switches models keeps the
+        # buffers of each; one thread, so that one block is live at a time
         predict_threads(monkeypatch, 1)
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
         cube, pixels = self.predict_pixels()
         small, wide = tiny_model(), replace(tiny_model(), mlp_dim=64)
-        models = [(cfg, init_params(cfg, 0)) for cfg in (small, wide)]
 
-        def retained(runs):
-            monkeypatch.setattr(train_module, "_predict_pools", threading.local())
-            for (cfg, params), n in runs:
-                predict(params, cfg, cube, pixels[:n], batch_size=32)
-            pool = self.thread_pool()
-            held = buffers(pool)
-            assert {id(buf) for buf in held} <= pool._used  # the ids the last call lent
-            return sorted(len(buf) for buf in held)
+        def mapped(cfg):
+            predict(init_params(cfg, 0), cfg, cube, pixels, batch_size=32)  # blocks 32, 32, 32, 4
+            return {id(buf) for buf in buffers(self.thread_pool())}
 
-        one_small, one_wide = retained([(models[0], 64)]), retained([(models[1], 64)])
-        assert sum(one_wide) > sum(one_small) > 0
-        assert retained([(models[1], 96)]) == one_wide
-        assert retained([(models[0], 96), (models[1], 96)]) == one_wide
-        assert sum(retained([(models[1], 96), (models[0], 96)])) <= 2 * sum(one_small)
+        first = mapped(small)
+        assert first and all(mapped(small) == first for _ in range(4))
+        with_wide = mapped(wide)
+        assert with_wide > first and mapped(small) == with_wide
 
     def test_threaded_predict_lends_from_the_callers_pool(self, monkeypatch):
         # two threads share the blocks and the caller's pool; every lend is
@@ -534,10 +527,7 @@ class TestStepPool:
             predict_threads(monkeypatch, threads)
             monkeypatch.setattr(train_module, "_predict_pools", threading.local())
             predict(params, cfg, cube, pixels, batch_size=32)  # blocks 32, 32, 32, 4
-            pool = self.thread_pool()
-            held = buffers(pool)
-            assert {id(buf) for buf in held} <= pool._used
-            return sum(len(buf) for buf in held)
+            return sum(len(buf) for buf in buffers(self.thread_pool()))
 
         one = retained(1)
         for _ in range(5):
