@@ -249,25 +249,11 @@ def _heads(x, heads):
     return np.swapaxes(x.reshape(x.shape[:-2] + (n, heads, d // heads)), -2, -3)
 
 
-class _Scratch(dict):
-    """One node call's per-chunk arrays in one share of its chunks, by name.
-    Each is allocated at the share's first chunk's shape and sliced for its
-    later chunks, which are never larger, so a share allocates each
-    temporary once, a partial last chunk included, and keeps the working
-    set the same few buffers from chunk to chunk. Inside a
-    ``tensor._StepPool`` they go back to the pool when the last view of them
-    dies, mostly when the share ends."""
-
-    def __call__(self, name, shape):
-        if name not in self:
-            self[name] = T._empty(shape)
-        return self[name][:shape[0]]
-
-    def copy(self, name, a):
-        """``a``, copied into the scratch array ``name``."""
-        out = self(name, a.shape)
-        np.copyto(out, a)
-        return out
+def _copy(a):
+    """``a``, copied into a C-ordered array from ``tensor._empty``."""
+    out = T._empty(a.shape)
+    np.copyto(out, a)
+    return out
 
 
 class _Chunk:
@@ -275,26 +261,26 @@ class _Chunk:
     raw scores (and the additive hidden tensor).
 
     Each step repeats the composed reference's numpy expression on the same
-    operand layout, so the q k^T variants stay bit-identical to it. The
-    (..., H, N, N[, d_a]) arrays live in ``scratch`` buffers, which a later
-    chunk of the same call overwrites. The forward checks the cosine rows
+    operand layout, so the q k^T variants stay bit-identical to it. Every
+    array it makes comes from ``tensor._empty``, so inside a step pool its
+    (..., H, N, N[, d_a]) temporaries go back to the pool when the chunk
+    and the arrays it hands on die. The forward checks the cosine rows
     (``check``); backward recomputes the same rows bit for bit and skips it.
     """
 
-    def __init__(self, q, k, cfg, additive, scratch=None, check=True):
+    def __init__(self, q, k, cfg, additive, check=True):
         self.cfg, self.spec, self.additive = cfg, VARIANTS[cfg.variant], additive
-        self.scratch = _Scratch() if scratch is None else scratch
         self.n_cos = (cfg.heads + 1) // 2 if self.spec.mixed else None
         mode = cfg.resolved_norm_mode
         check = check and self.spec.cosine and mode is NormMode.BOTH
-        self.q, self.q_norm = self._normalize(q, "q", mode in (NormMode.BOTH, NormMode.QUERY_ONLY),
+        self.q, self.q_norm = self._normalize(q, mode in (NormMode.BOTH, NormMode.QUERY_ONLY),
                                               "query" if check else None)
-        self.k, self.k_norm = self._normalize(k, "k", mode in (NormMode.BOTH, NormMode.KEY_ONLY),
+        self.k, self.k_norm = self._normalize(k, mode in (NormMode.BOTH, NormMode.KEY_ONLY),
                                               "key" if check else None)
         self.score_shape = self.q.shape[:-1] + self.k.shape[-2:-1]
         if additive is None:
-            self.k_t = self.scratch.copy("k_t", np.swapaxes(self.k, -1, -2))
-            self.s = np.matmul(self.q, self.k_t, out=self.scratch("s", self.score_shape))
+            self.k_t = _copy(np.swapaxes(self.k, -1, -2))
+            self.s = np.matmul(self.q, self.k_t, out=T._empty(self.score_shape))
             return
         w_q, w_k, w_a, b_a = additive
         h, d_a, _ = w_q.shape
@@ -302,41 +288,35 @@ class _Chunk:
         self.w_k_t = np.ascontiguousarray(np.swapaxes(w_k, -1, -2))
         hidden = np.add(np.matmul(self.q, self.w_q_t)[..., :, None, :],
                         np.matmul(self.k, self.w_k_t)[..., None, :, :],
-                        out=self.scratch("hidden", self.score_shape + (d_a,)))
+                        out=T._empty(self.score_shape + (d_a,)))
         hidden += b_a.reshape(h, 1, 1, d_a)
         self.hidden = np.tanh(hidden, out=hidden)  # (..., H, N, N, d_a)
         self.w = w_a.reshape(h, 1, d_a, 1)
 
-    def _normalize(self, x, name, on, check):
+    def _normalize(self, x, on, check):
         """Each row over max(||row||_2, _NORM_EPS); the mixed variant's cosine
         heads only. With ``check`` (what the rows are) their norms must pass
         ``_check_unit_rows``."""
         if not on:
             return x, None
-        part = x if self.n_cos is None else self.scratch.copy(name + "_cos",
-                                                              x[..., :self.n_cos, :, :])
-        y, active, denom, norms = T._l2_rows_fwd(part, _NORM_EPS,
-                                                 out=self.scratch(name + "_unit", part.shape))
+        part = x if self.n_cos is None else _copy(x[..., :self.n_cos, :, :])
+        y, active, denom, norms = T._l2_rows_fwd(part, _NORM_EPS, out=T._empty(part.shape))
         if check:
             _check_unit_rows(norms, check)
         if self.n_cos is not None:
-            y = np.concatenate([y, x[..., self.n_cos:, :, :]], axis=-3,
-                               out=self.scratch(name, x.shape))
+            y = np.concatenate([y, x[..., self.n_cos:, :, :]], axis=-3, out=T._empty(x.shape))
         return y, (part, active, denom)
 
-    def _normalize_bwd(self, g, saved, name):
+    def _normalize_bwd(self, g, saved):
         if saved is None:
             return g
         part, active, denom = saved
         if self.n_cos is None:
-            return T._l2_rows_bwd(g, part, active, denom,
-                                  out=self.scratch("g_" + name, part.shape))
-        g_cos = self.scratch.copy("g_" + name + "_cos", g[..., :self.n_cos, :, :])
+            return T._l2_rows_bwd(g, part, active, denom, out=T._empty(part.shape))
+        g_cos = _copy(g[..., :self.n_cos, :, :])
         return np.concatenate([T._l2_rows_bwd(g_cos, part, active, denom,
-                                              out=self.scratch("g_" + name + "_unit",
-                                                               part.shape)),
-                               g[..., self.n_cos:, :, :]], axis=-3,
-                              out=self.scratch("g_" + name, g.shape))
+                                              out=T._empty(part.shape)),
+                               g[..., self.n_cos:, :, :]], axis=-3, out=T._empty(g.shape))
 
     def _kernel(self, direction, *arrays, out):
         """The row's kernel forward or backward, written into ``out``; the mixed
@@ -354,7 +334,7 @@ class _Chunk:
     def scores(self):
         """The raw scores, written over the chunk's score buffer."""
         if self.additive is not None:  # backward needs only the hidden tensor
-            s = self.scratch("s", self.score_shape)
+            s = T._empty(self.score_shape)
             np.matmul(self.hidden, self.w, out=s.reshape(s.shape + (1,)))
             return s
         return self._kernel("forward", self.s, out=self.s)
@@ -365,21 +345,19 @@ class _Chunk:
             g_q, g_k, g_params = self._additive_bwd(g_scores)
         else:
             g_s = self._kernel("backward", self.s, g_scores, out=self.s)
-            g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2),
-                            out=self.scratch("g_q_rows", self.q.shape))
+            g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2), out=T._empty(self.q.shape))
             g_k = np.swapaxes(np.matmul(np.swapaxes(self.q, -1, -2), g_s,
-                                        out=self.scratch("g_k_t", self.k_t.shape)), -1, -2)
+                                        out=T._empty(self.k_t.shape)), -1, -2)
             if self.n_cos is not None:  # the reference's head slicing leaves it C-ordered
-                g_k = self.scratch.copy("g_k_rows", g_k)
+                g_k = _copy(g_k)
             g_params = ()
-        return (self._normalize_bwd(g_q, self.q_norm, "q"),
-                self._normalize_bwd(g_k, self.k_norm, "k"), g_params)
+        return (self._normalize_bwd(g_q, self.q_norm), self._normalize_bwd(g_k, self.k_norm),
+                g_params)
 
     def _additive_bwd(self, g_scores):
         _, _, w_a, b_a = self.additive
         g4 = g_scores[..., None]
-        g_hidden = np.matmul(g4, np.swapaxes(self.w, -1, -2),
-                             out=self.scratch("g_hidden", self.hidden.shape))
+        g_hidden = np.matmul(g4, np.swapaxes(self.w, -1, -2), out=T._empty(self.hidden.shape))
         g_w_a = T._unbroadcast(np.matmul(np.swapaxes(self.hidden, -1, -2), g4), self.w.shape)
         g_pre = self.hidden  # tanh backward, in place: (1 - y*y) * g
         g_pre *= g_pre
@@ -387,9 +365,9 @@ class _Chunk:
         g_pre *= g_hidden
         g_b_a = T._unbroadcast(g_pre, (b_a.shape[0], 1, 1, b_a.shape[1]))
         g_q, g_w_q = _projection_bwd(self.q, self.w_q_t, g_pre.sum(axis=-2),
-                                     self.scratch("g_q_rows", self.q.shape))
+                                     T._empty(self.q.shape))
         g_k, g_w_k = _projection_bwd(self.k, self.w_k_t, g_pre.sum(axis=-3),
-                                     self.scratch("g_k_rows", self.k.shape))
+                                     T._empty(self.k.shape))
         return g_q, g_k, (g_w_q, g_w_k, g_w_a.reshape(w_a.shape), g_b_a.reshape(b_a.shape))
 
 
@@ -430,10 +408,11 @@ def attention_node(q, k, v, cfg, additive=None):
     probabilities; backward recomputes the rest, head copies too, one chunk
     at a time, so no (N, N, d_a) tensor outlives its chunk. Forward and
     backward each deal the chunks to ``parallel.threads()`` threads
-    (``parallel.deal``; one inside a threaded ``predict`` block). Each share
-    allocates its (chunk, H, N, N[, d_a]) temporaries once and reuses them
-    across its chunks (``_Scratch``); under ``no_grad`` the softmax too runs
-    in the score buffer. The kept probabilities stay in chunk order, chunk
+    (``parallel.deal``; one inside a threaded ``predict`` block). A chunk's
+    (chunk, H, N, N[, d_a]) temporaries come from ``tensor._empty`` and die
+    with it, so inside a step pool the next chunk reuses their buffers, and
+    outside one the heap does; under ``no_grad`` the softmax too runs in
+    the score buffer. The kept probabilities stay in chunk order, chunk
     0 lays out the batch's q, k and v gradients before the other chunks
     write theirs, and the additive parameter gradients are summed in chunk
     order, so every bit is that of a serial loop.
@@ -452,41 +431,39 @@ def attention_node(q, k, v, cfg, additive=None):
         per_sample *= arrays[0].shape[1]  # d_a
     chunks = _chunks(q.data, per_sample)
 
-    def split(sl, scratch):
+    def split(sl):
         """The chunk's C-ordered (..., H, N, d_h) copies of q, k and v."""
-        return (scratch.copy(name, _heads(t.data[sl], h))
-                for name, t in zip(("q_h", "k_h", "v_h"), (q, k, v)))
+        return (_copy(_heads(t.data[sl], h)) for t in (q, k, v))
 
     out = T._empty(q.shape[:-1] + v.shape[-1:])
     tracked = T._tracks(parents)
     shift = not _skips_max_shift(cfg)
 
-    def forward(i, scratch):
+    def forward(i):
         """Chunk i's output rows; its probabilities when they are kept."""
         sl = chunks[i]
-        q_h, k_h, v_h = split(sl, scratch)
-        s = _Chunk(q_h, k_h, cfg, arrays, scratch).scores()
+        q_h, k_h, v_h = split(sl)
+        s = _Chunk(q_h, k_h, cfg, arrays).scores()
         p = T._softmax_fwd(s, out=T._empty(s.shape) if tracked else s, shift=shift)
-        _heads(out, h)[sl] = np.matmul(p, v_h, out=scratch("p_v", v_h.shape))
+        _heads(out, h)[sl] = np.matmul(p, v_h, out=T._empty(v_h.shape))
         return p if tracked else None
 
-    kept = parallel.deal(forward, len(chunks), _Scratch)
+    kept = parallel.deal(forward, len(chunks))
 
     def backward_fn(g):
         g_out, g_qkv = _heads(g, h), [None, None, None]
         laid_out = threading.Event()  # chunk 0 makes the batch's gradients in its layout
 
-        def backward(i, scratch):
+        def backward(i):
             """Chunk i's additive parameter gradients, or (); its q, k and v
             gradients go into the batch's."""
             sl, p = chunks[i], kept[i]
             try:
-                q_h, k_h, v_h = split(sl, scratch)
-                g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=scratch("g_v", v_h.shape))
-                g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=scratch("g_p", p.shape))
-                g_scores = T._softmax_bwd(p, g_p, out=scratch("g_scores", p.shape))
-                g_q, g_k, g_params = _Chunk(q_h, k_h, cfg, arrays, scratch,
-                                            check=False).backward(g_scores)
+                q_h, k_h, v_h = split(sl)
+                g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=T._empty(v_h.shape))
+                g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=T._empty(p.shape))
+                g_scores = T._softmax_bwd(p, g_p, out=T._empty(p.shape))
+                g_q, g_k, g_params = _Chunk(q_h, k_h, cfg, arrays, check=False).backward(g_scores)
                 if i == 0:
                     g_qkv[:] = [_place(None, sl, part, t.shape)
                                 for part, t in zip((g_q, g_k, g_v), (q, k, v))]
@@ -499,7 +476,7 @@ def attention_node(q, k, v, cfg, additive=None):
                     _place(full, sl, part, t.shape)
             return g_params
 
-        per_chunk = parallel.deal(backward, len(chunks), _Scratch)
+        per_chunk = parallel.deal(backward, len(chunks))
         g_params = per_chunk[0]
         for chunk_params in per_chunk[1:]:  # summed in chunk order, as a serial loop would
             g_params = tuple(a + b for a, b in zip(g_params, chunk_params))

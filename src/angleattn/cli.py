@@ -28,7 +28,7 @@ CONFIG_DEFAULTS = {
     "patch": 16, "dim": 64, "depth": 4, "heads": 4, "mlp_dim": 128,
     "dropout": 0.1, "variant": "cs2", "norm_mode": None, "temperature": 0.5,
     "positional": "learnable", "epochs": 50, "batch": 128, "lr": 3e-4,
-    "wd": 2e-4, "clip": 1.0, "clip_mode": "per_tensor", "smoothing": 0.05,
+    "wd": 2e-4, "clip": 1.0, "smoothing": 0.05,
     "train_frac": 0.01, "val_frac": 0.01, "seed": 0, "snr_db": None,
     "classes": None, "cube": None, "labels": None, "out": None,
     "height": 64, "width": 64, "bands": 32, "sites": 24,
@@ -89,8 +89,7 @@ def build_configs(cfg, bands, classes, split_seed):
     tcfg = TrainConfig(
         epochs=cfg["epochs"], batch_size=cfg["batch"], lr=cfg["lr"],
         weight_decay=cfg["wd"], clip_norm=cfg["clip"],
-        label_smoothing=cfg["smoothing"], seed=cfg["seed"],
-        clip_mode=cfg["clip_mode"])
+        label_smoothing=cfg["smoothing"], seed=cfg["seed"])
     split_spec = SplitSpec(train_frac=cfg["train_frac"], val_frac=cfg["val_frac"],
                            seed=split_seed)
     return model_cfg, tcfg, split_spec

@@ -238,6 +238,15 @@ def check_snr_db(snr_db):
         check_real("snr_db", snr_db, lambda v: -3000 <= v <= 3000, "in [-3000, 3000] dB or None")
 
 
+def _float32_cube(values, what):
+    """``values`` as a cube; where one lies beyond float32's range, a
+    ConfigError naming ``what``, the setting that made them."""
+    try:
+        return HyperCube(values)
+    except NumericError:
+        raise ConfigError(f"{what} puts the cube beyond float32's range (about 3.4e38)") from None
+
+
 def inject_noise(cube, snr_db, seed):
     """Additive Gaussian noise at a target SNR relative to the cube's mean power."""
     check_int("seed", seed, 0)
@@ -248,7 +257,7 @@ def inject_noise(cube, snr_db, seed):
     signal_power = float(np.mean(v * v))
     sigma = np.sqrt(signal_power / (10.0 ** (snr_db / 10.0)))
     rng = np.random.default_rng(seed)
-    return HyperCube(v + rng.normal(0.0, sigma, size=v.shape))
+    return _float32_cube(v + rng.normal(0.0, sigma, size=v.shape), f"snr_db {snr_db}")
 
 
 def _endmembers(rng, classes, bands):
@@ -283,7 +292,7 @@ def synth_scene(spec):
     label_ids = site_class[np.argmin(d2, axis=-1)].astype(np.uint16)
     gains = rng.uniform(spec.gain_lo, spec.gain_hi, size=(spec.height, spec.width, 1))
     with np.errstate(over="ignore"):  # a product beyond float64 is inf, which HyperCube refuses
-        cube = HyperCube(gains * endmembers[label_ids - 1])
+        cube = _float32_cube(gains * endmembers[label_ids - 1], f"gain_hi {spec.gain_hi}")
     if spec.snr_db is not None:
         cube = inject_noise(cube, spec.snr_db, spec.seed + 1)
     return cube, LabelMap(label_ids)

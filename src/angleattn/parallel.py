@@ -77,8 +77,8 @@ def _workers():
         return _executor
 
 
-def deal(fn, n, state=lambda: None):
-    """``[fn(i, s) for i in range(n)]``, with ``s = state()`` made once per share.
+def deal(fn, n):
+    """``[fn(i) for i in range(n)]``, its items dealt to threads.
 
     Item i goes to share ``i % k`` of ``k = min(threads(), n)`` shares; the
     caller runs share 0, the executor's workers the others, each share its
@@ -89,19 +89,17 @@ def deal(fn, n, state=lambda: None):
     """
     k = min(threads(), n)
     if k <= 1:
-        s = state()
-        return [fn(i, s) for i in range(n)]
+        return [fn(i) for i in range(n)]
     results = [None] * n
     errors = np.geterr()  # numpy 1.x keeps it per thread, outside the context
 
     def run(share):
         """Run ``share``'s items in turn; (index, error) of the first that fails, else None."""
         _share.set(share)
-        s = state()
         with np.errstate(**errors):
             for i in range(share, n, k):
                 try:
-                    results[i] = fn(i, s)
+                    results[i] = fn(i)
                 except Exception as exc:
                     return i, exc
         return None

@@ -204,8 +204,8 @@ class _StepPool:
 
     A request takes only a free buffer at most four times its size.
     Otherwise a small array could take a large buffer that the node's
-    scratch just gave back, keep it for the rest of the step, and make the
-    next node map another: at paper size the additive node's 32 MiB
+    chunk temporaries just gave back, keep it for the rest of the step, and
+    make the next node map another: at paper size the additive node's 32 MiB
     hidden-tensor buffers did so. With twice the size as the limit, a
     partial batch's smaller arrays found no buffer and mapped their own,
     and a ``train-cs2`` run peaked about 7 MiB higher.

@@ -15,7 +15,7 @@ import numpy as np
 from . import attention, parallel
 from . import tensor as T
 from .attention import ScoreVariant
-from .data import extract_patches, inject_noise, stratified_split
+from .data import check_snr_db, extract_patches, inject_noise, stratified_split
 from .errors import (ConfigError, ContractError, EvalError, LabelError, NumericError,
                      SplitError, check_int, check_real)
 from .model import batched_forward, init_params, is_no_decay
@@ -31,7 +31,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     label_smoothing: float = 0.05
     seed: int = 0
-    clip_mode: str = "per_tensor"  # or "global"
 
     def __post_init__(self):
         check_int("epochs", self.epochs, 0)
@@ -42,8 +41,6 @@ class TrainConfig:
         check_real("weight_decay", self.weight_decay, lambda v: 0 <= v < math.inf,
                    "finite and >= 0")
         check_real("label_smoothing", self.label_smoothing, lambda v: 0 <= v < 1, "in [0, 1)")
-        if self.clip_mode not in ("per_tensor", "global"):
-            raise ConfigError(f"clip_mode must be per_tensor or global, got {self.clip_mode!r}")
 
 
 @dataclass
@@ -68,20 +65,12 @@ def label_smoothed_ce(probs, targets, smoothing):
     return T.scale(T.sum_all(T.mul(Tensor(smoothed), logp)), -1.0 / len(targets))
 
 
-def clip_gradients(named_params, clip_norm, mode="per_tensor"):
-    """Scale gradients so no tensor norm (or the global norm) exceeds clip_norm.
+def clip_gradients(named_params, clip_norm):
+    """Scale each gradient so that no tensor's norm exceeds clip_norm (per-tensor
+    ``clipnorm``, as in Keras).
 
     Returns the global gradient norm before clipping.
     """
-    if mode == "global":
-        total = np.sqrt(sum(float((t.grad ** 2).sum())
-                            for _, t in named_params if t.grad is not None))
-        if total > clip_norm:
-            factor = clip_norm / total
-            for _, t in named_params:
-                if t.grad is not None:
-                    t.grad = t.grad * factor
-        return float(total)
     squares = 0.0
     for _, t in named_params:
         if t.grad is None:
@@ -196,7 +185,7 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
     if T._active_pool.get() is None and len(offsets) > threads:
         pool = vars(_predict_pools).setdefault("pool", T._StepPool())
 
-    def run(i, _):
+    def run(i):
         lo = offsets[i]
         patches = extract_patches(cube, flat_indices[lo:lo + block], cfg.patch_size)
         probs = batched_forward(patches, params, cfg, training=False)
@@ -235,7 +224,7 @@ def _train_step(params, cfg, tcfg, opt, batch, targets, rng):
     if not math.isfinite(value):
         raise NumericError(f"non-finite loss {value}")
     loss.backward()
-    norm = clip_gradients(opt.named_params, tcfg.clip_norm, tcfg.clip_mode)
+    norm = clip_gradients(opt.named_params, tcfg.clip_norm)
     if not math.isfinite(norm):
         raise NumericError(f"non-finite gradient norm {norm}")
     opt.step()
@@ -318,6 +307,10 @@ def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None,
     snr_dbs = list(snr_dbs)
     if not variants or not seeds or not snr_dbs:
         raise ConfigError("sweep needs at least one variant, one seed and one SNR")
+    for seed in seeds:  # every cell's values, before the first cell trains
+        check_int("seed", seed, 0)
+    for snr_db in snr_dbs:
+        check_snr_db(snr_db)
     variants = [ScoreVariant.from_tag(v) if isinstance(v, str) else v for v in variants]
     workers = _sweep_workers()
     cells = [(v, seed, snr) for v in variants for seed in seeds for snr in snr_dbs]

@@ -193,6 +193,13 @@ class TestTrain:
                      "--out", str(tmp_path / "ckpt")] + FAST)
         assert code == 2
 
+    def test_clip_mode_is_an_unknown_config_key(self, scene_dir, tmp_path, capsys):
+        # gradients are clipped per tensor only
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"clip_mode": "per_tensor"}))
+        assert run_train(scene_dir, str(tmp_path / "ckpt"), ["--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: clip_mode\n"
+
     @pytest.mark.parametrize("text", ['{"epochs": 2,', '[1, 2]'])
     def test_malformed_config_exits_2(self, scene_dir, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
@@ -209,7 +216,7 @@ class TestTrain:
     WRONG_CONFIG = [({"dim": "x"}, "model_dim"), ({"heads": 2.5}, "heads"),
                     ({"epochs": True}, "epochs"), ({"lr": "0.1"}, "lr"),
                     ({"dropout": None}, "dropout_rate"), ({"variant": 2}, "score variant"),
-                    ({"clip_mode": ["a"]}, "clip_mode"), ({"snr_db": "loud"}, "snr_db"),
+                    ({"snr_db": "loud"}, "snr_db"),
                     ({"cube": 5}, "cube"), ({"out": ["x"]}, "out"),
                     ({"classes": False}, "num_classes"), ({"classes": 0}, "num_classes")]
 
@@ -247,13 +254,24 @@ class TestTrain:
         assert manifest["config"]["clip"] == math.inf
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("flag", ["--gain-hi=1e308", "--snr-db=-3000"])
-    def test_synth_cube_beyond_float32_exits_1(self, tmp_path, capsys, flag):
-        # a value float32 cannot hold becomes inf, which the cube refuses,
+    @pytest.mark.parametrize("command,flag,message", [
+        ("synth", "--gain-hi=1e308", "gain_hi 1e+308"),
+        ("synth", "--snr-db=-3000", "snr_db -3000.0"),
+        ("train", "--snr-db=-3000", "snr_db -3000.0")],
+        ids=["synth-gain", "synth-snr", "train-snr"])
+    def test_cube_beyond_float32_exits_2(self, scene_dir, tmp_path, capsys, command, flag,
+                                         message):
+        # a value float32 cannot hold is refused as the setting that made it,
         # without a numpy overflow warning
+        argv = (["synth", "--out", str(tmp_path / "scene"), flag] + SCENE if command == "synth"
+                else ["train", "--cube", os.path.join(scene_dir, "scene.npy"), "--labels",
+                      os.path.join(scene_dir, "labels.npy"), "--out", str(tmp_path / "ckpt"),
+                      flag] + FAST)
         capsys.readouterr()
-        assert main(["synth", "--out", str(tmp_path / "scene"), flag] + SCENE) == 1
-        assert capsys.readouterr().err == "error: cube contains non-finite values\n"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message} puts the cube beyond float32's range (about 3.4e38)\n")
+        assert not os.path.exists(tmp_path / "ckpt")
 
     def test_negative_seed_with_noise_exits_2(self, scene_dir, tmp_path, capsys):
         # the noise is drawn before any config is built
@@ -314,6 +332,19 @@ class TestEval:
         assert preds.shape == (24, 24) and preds.dtype == np.dtype("<u2")
         assert preds.min() >= 1 and preds.max() <= 3
         assert os.listdir(tmp_path) == ["map.npy"]
+
+    def test_manifest_holding_clip_mode_evaluates_as_before(self, small_ckpt, tmp_path,
+                                                            capsys):
+        # checkpoints written while clip_mode was a config key still hold it
+        old = edited_copy(small_ckpt, tmp_path / "old",
+                          lambda m: m["config"].update(clip_mode="per_tensor"))
+        outputs = []
+        for ckpt in (small_ckpt, old):
+            capsys.readouterr()
+            npy = str(tmp_path / f"{os.path.basename(ckpt)}.npy")
+            assert main(["eval", "--checkpoint", ckpt, "--map-npy", npy]) == 0
+            outputs.append((capsys.readouterr(), np.load(npy).tobytes()))
+        assert outputs[0] == outputs[1] and outputs[0][0].out.startswith("OA=")
 
     @pytest.mark.parametrize("dtype", ["<U2", "<c16"])
     def test_non_real_parameter_exits_1(self, small_ckpt, tmp_path, capsys, dtype):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import mmap
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from angleattn import attention, parallel
 from angleattn import tensor as T
-from angleattn.attention import AttentionConfig
+from angleattn.attention import AdditiveParams, AttentionConfig
 from angleattn.errors import ConfigError, ContractError, DimensionError, NumericError
 from angleattn.model import ModelConfig, batched_forward, init_params
 from angleattn.tensor import Tensor, grad_check
@@ -434,8 +435,8 @@ class TestStepPool:
 
     def test_scratch_buffers_are_kept_apart(self):
         # a request takes no free buffer over four times its size: else a
-        # small array could keep a large buffer that the node's scratch
-        # just gave back, and the next node would map another
+        # small array could keep a large buffer that the node's chunk
+        # temporaries just gave back, and the next node would map another
         with T._StepPool() as pool:
             big = pool.empty((1000,)).ctypes.data  # no view kept: back at once
             small = pool.empty((249,))
@@ -443,21 +444,35 @@ class TestStepPool:
             assert pool.empty((250,)).ctypes.data == big
 
     def test_node_keeps_only_its_output_and_probabilities(self, monkeypatch):
-        # the node's scratch, head copies and normalised rows go back when
-        # its forward returns, and everything its backward lent but the
-        # gradient it hands on goes back when backward returns
+        # a node of 4 chunks, serial and on 2 threads: every chunk temporary
+        # (head copies, normalised rows, scores) goes back when its chunk
+        # ends, and everything its backward lent but the gradients it hands
+        # on goes back when backward returns
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-        q = Tensor(np.random.default_rng(0).normal(size=(3, 5, 6)), requires_grad=True)
-        with T._StepPool() as pool:
-            out = attention.attention_node(q, q, q, AttentionConfig(6, 2))
-            pool._drain()
-            assert len(pool._lent) == 2  # one chunk: the output and its probabilities
-            T.sum_all(out).backward()
-            pool._drain()
-            assert len(pool._lent) == 3 and np.shares_memory(q.grad, buffers(pool)[-1])
-            out = q.grad = None
-            pool._drain()
-            assert not pool._lent
+        monkeypatch.setattr(attention, "CHUNK_BUDGET", 1)  # one sample per chunk
+        rng = np.random.default_rng(0)
+        for tag, threads in itertools.product(("cs2", "dp", "add", "msa-cs2"), (1, 2)):
+            monkeypatch.setattr(parallel, "_thread_share", threads)
+            q = Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True)
+            additive = None
+            if tag == "add":
+                additive = AdditiveParams(*(Tensor(rng.normal(size=shape), requires_grad=True)
+                                            for shape in ((2, 3, 3), (2, 3, 3), (2, 3), (2, 3))))
+            leaves = [q] + ([additive.w_q, additive.w_k, additive.w_a, additive.b_a]
+                            if additive else [])
+            with T._StepPool() as pool:
+                out = attention.attention_node(q, q, q, AttentionConfig(6, 2, variant=tag),
+                                               additive)
+                pool._drain()
+                assert len(pool._lent) == 1 + 4, tag  # the output and 4 chunks' probabilities
+                T.sum_all(out).backward()
+                for leaf in leaves:
+                    leaf.grad = None
+                pool._drain()
+                assert len(pool._lent) == 1 + 4, tag
+                out = None
+                pool._drain()
+                assert not pool._lent, tag
 
     def test_only_an_active_large_request_is_pooled(self, monkeypatch):
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1024)

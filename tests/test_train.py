@@ -125,20 +125,11 @@ class TestClipGradients:
             cos = clipped @ g / (np.linalg.norm(clipped) * np.linalg.norm(g))
             assert cos > 1 - 1e-12
 
-    def test_global_mode(self):
-        a = Tensor(np.zeros(1), requires_grad=True)
-        b = Tensor(np.zeros(1), requires_grad=True)
-        a.grad, b.grad = np.array([3.0]), np.array([4.0])
-        clip_gradients([("a", a), ("b", b)], 1.0, mode="global")
-        total = math.sqrt(float(a.grad[0]**2 + b.grad[0]**2))
-        assert abs(total - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("mode", ["per_tensor", "global"])
-    def test_returns_norm_before_clipping(self, mode):
+    def test_returns_norm_before_clipping(self):
         a = Tensor(np.zeros(2), requires_grad=True)
         b = Tensor(np.zeros(1), requires_grad=True)
         a.grad, b.grad = np.array([3.0, 4.0]), np.array([12.0])
-        assert clip_gradients([("a", a), ("b", b)], 1.0, mode=mode) == 13.0
+        assert clip_gradients([("a", a), ("b", b)], 1.0) == 13.0
 
 
 class TestAdamW:
@@ -621,13 +612,12 @@ class TestGradientTape:
         x = rng.normal(size=(4, 3, 3, 8))
         for budget in (attention_module.CHUNK_BUDGET, 1):  # one chunk, then one per sample
             monkeypatch.setattr(attention_module, "CHUNK_BUDGET", budget)
-            for mode in ("per_tensor", "global"):
-                params.zero_grads()
-                probs = batched_forward(x, params, cfg, training=True, rng=rng)
-                label_smoothed_ce(probs, np.array([0, 1, 2, 0]), 0.05).backward()
-                assert not any(t.grad.flags.writeable for _, t in named)
-                clip_gradients(named, 1e-3, mode)  # small enough to fire
-                opt.step()
+            params.zero_grads()
+            probs = batched_forward(x, params, cfg, training=True, rng=rng)
+            label_smoothed_ce(probs, np.array([0, 1, 2, 0]), 0.05).backward()
+            assert not any(t.grad.flags.writeable for _, t in named)
+            clip_gradients(named, 1e-3)  # small enough to fire
+            opt.step()
 
     def test_interior_gradients_released_during_backward(self, monkeypatch):
         # benchmark config, batch 128: interior gradients alive at one time
@@ -940,6 +930,18 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(["cs2"], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
                   TrainConfig(epochs=1, seed=0), **axis)
+
+    @pytest.mark.parametrize("axis,field", [({"seeds": [0, -1]}, "seed"),
+                                            ({"snr_dbs": [20.0, -4000.0]}, "snr_db")],
+                             ids=["seed", "snr_db"])
+    def test_bad_late_value_refused_before_any_cell_trains(self, monkeypatch, axis, field):
+        calls = []
+        monkeypatch.setattr(train_module, "train", lambda *args: calls.append(args))
+        cube, labels = tiny_scene()
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            sweep(["cs2"], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
+                  TrainConfig(epochs=1, seed=0), **axis)
+        assert calls == []
 
     def test_snr_axis(self):
         cube, labels = tiny_scene()
