@@ -240,7 +240,7 @@ def check_snr_db(snr_db):
 
 def _float32_cube(values, what):
     """``values`` as a cube; where one lies beyond float32's range, a
-    ConfigError naming ``what``, the setting that made them."""
+    ConfigError naming ``what``, the step that made them."""
     try:
         return HyperCube(values)
     except NumericError:
@@ -257,7 +257,7 @@ def inject_noise(cube, snr_db, seed):
     signal_power = float(np.mean(v * v))
     sigma = np.sqrt(signal_power / (10.0 ** (snr_db / 10.0)))
     rng = np.random.default_rng(seed)
-    return _float32_cube(v + rng.normal(0.0, sigma, size=v.shape), f"snr_db {snr_db}")
+    return _float32_cube(v + rng.normal(0.0, sigma, size=v.shape), f"noise at snr_db {snr_db}")
 
 
 def _endmembers(rng, classes, bands):

@@ -256,8 +256,8 @@ class TestTrain:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command,flag,message", [
         ("synth", "--gain-hi=1e308", "gain_hi 1e+308"),
-        ("synth", "--snr-db=-3000", "snr_db -3000.0"),
-        ("train", "--snr-db=-3000", "snr_db -3000.0")],
+        ("synth", "--snr-db=-3000", "noise at snr_db -3000.0"),
+        ("train", "--snr-db=-3000", "noise at snr_db -3000.0")],
         ids=["synth-gain", "synth-snr", "train-snr"])
     def test_cube_beyond_float32_exits_2(self, scene_dir, tmp_path, capsys, command, flag,
                                          message):

@@ -394,6 +394,14 @@ def buffers(pool):
     return free(pool) + [buf for _, buf, _ in pool._lent.values()]
 
 
+def owner(a):
+    """The outermost array whose memory ``a`` views: for a pooled array,
+    the lend over its whole buffer."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 class TestStepPool:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.lists(st.integers(1, 40), max_size=3), st.integers(0, 4),
@@ -444,30 +452,55 @@ class TestStepPool:
             assert pool.empty((250,)).ctypes.data == big
 
     def test_node_keeps_only_its_output_and_probabilities(self, monkeypatch):
-        # a node of 4 chunks, serial and on 2 threads: every chunk temporary
-        # (head copies, normalised rows, scores) goes back when its chunk
-        # ends, and everything its backward lent but the gradients it hands
-        # on goes back when backward returns
+        # the node's head copies, normalised rows and scores go back when
+        # its forward returns, and everything its backward lent but the
+        # gradient it hands on goes back when backward returns
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        q = Tensor(np.random.default_rng(0).normal(size=(3, 5, 6)), requires_grad=True)
+        with T._StepPool() as pool:
+            out = attention.attention_node(q, q, q, AttentionConfig(6, 2))
+            pool._drain()
+            assert len(pool._lent) == 2  # one chunk: the output and its probabilities
+            T.sum_all(out).backward()
+            pool._drain()
+            assert len(pool._lent) == 3 and np.shares_memory(q.grad, buffers(pool)[-1])
+            out = q.grad = None
+            pool._drain()
+            assert not pool._lent
+
+    def test_node_of_4_chunks_keeps_only_its_output_and_probabilities(self, monkeypatch):
+        # serial and on 2 threads: every chunk temporary (head copies,
+        # normalised rows, scores) goes back when its chunk ends, and
+        # everything its backward lent but the gradients it hands on goes
+        # back when backward returns; no gradient views a larger array, so
+        # none keeps a chunk temporary alive
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
         monkeypatch.setattr(attention, "CHUNK_BUDGET", 1)  # one sample per chunk
         rng = np.random.default_rng(0)
         for tag, threads in itertools.product(("cs2", "dp", "add", "msa-cs2"), (1, 2)):
             monkeypatch.setattr(parallel, "_thread_share", threads)
-            q = Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True)
+            q, k, v = (Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True) for _ in range(3))
             additive = None
             if tag == "add":
                 additive = AdditiveParams(*(Tensor(rng.normal(size=shape), requires_grad=True)
                                             for shape in ((2, 3, 3), (2, 3, 3), (2, 3), (2, 3))))
-            leaves = [q] + ([additive.w_q, additive.w_k, additive.w_a, additive.b_a]
-                            if additive else [])
+            leaves = [q, k, v] + ([additive.w_q, additive.w_k, additive.w_a, additive.b_a]
+                                  if additive else [])
             with T._StepPool() as pool:
-                out = attention.attention_node(q, q, q, AttentionConfig(6, 2, variant=tag),
+                out = attention.attention_node(q, k, v, AttentionConfig(6, 2, variant=tag),
                                                additive)
                 pool._drain()
                 assert len(pool._lent) == 1 + 4, tag  # the output and 4 chunks' probabilities
                 T.sum_all(out).backward()
+                assert all(owner(leaf.grad).nbytes == leaf.grad.nbytes for leaf in leaves), tag
+                pool._drain()
+                pooled = [buf for _, buf, _ in pool._lent.values()
+                          if any(np.shares_memory(np.frombuffer(buf, np.uint8), leaf.grad)
+                                 for leaf in leaves)]
+                assert len(pool._lent) == 1 + 4 + len(pooled), tag
                 for leaf in leaves:
                     leaf.grad = None
+                pooled = None
                 pool._drain()
                 assert len(pool._lent) == 1 + 4, tag
                 out = None
