@@ -1,20 +1,22 @@
-"""One executor for the package's threaded loops, and the rule that deals them.
+"""Worker threads for the package's threaded loops, and the rule that deals them.
 
 ``deal`` runs a loop's items round-robin on ``threads()`` threads: the
-calling thread and the workers of one module-level ``ThreadPoolExecutor``.
-``train.predict`` deals its blocks through it and ``attention.attention_node``
-its sample chunks. Each share runs in a copy of the caller's context, so
+calling thread and the module's worker threads, each of which waits on a
+task queue of its own. ``train.predict`` deals its blocks through it,
+``attention.attention_node`` its sample chunks, and the row-by-row ops of
+``tensor`` (matmul, gelu, layer_norm, add, dropout) slices of their
+leading sample axis. Each share runs in a copy of the caller's context, so
 under its ``no_grad`` and step pool, and is marked as a share: a deal made
-inside one runs serially. So no work on the executor ever submits work to
-it, and the threads of any loop never exceed the budget.
+inside one runs serially. So no worker ever hands work to a worker, and
+the threads of any loop never exceed the budget.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -25,18 +27,18 @@ _share = contextvars.ContextVar("angleattn_share", default=None)
 # the thread budget when set (by sweep's worker processes); else one per usable core
 _thread_share = None
 
-# the workers of threaded deals, as many as the budget allows besides the caller
-_executor = None
-_executor_lock = threading.Lock()
+# the task queues of the worker threads, as many as the budget allows besides the caller
+_workers = []
+_workers_lock = threading.Lock()
 
 
-def _forget_executor():
-    """A forked child has none of its parent's threads: it makes its own."""
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
+def _forget_workers():
+    """A forked child has none of its parent's threads: it starts its own."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = [], threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_executor)
+os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _usable_cores():
@@ -65,53 +67,68 @@ def threads():
     return 1 if _share.get() is not None else _budget()
 
 
-def _workers():
-    """The module's executor, made with one worker per thread of the budget
-    besides the caller. A deal that needs more (the budget grew since) queues
-    its extra shares, which run as workers free."""
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(max(1, _budget() - 1),
-                                           thread_name_prefix="angleattn")
-        return _executor
+def _work(tasks):
+    """A worker thread: run each (context, run, share, done) task from
+    ``tasks`` until it reads None, releasing ``done`` after each."""
+    for context, run, share, done in iter(tasks.get, None):
+        try:
+            context.run(run, share)
+        finally:
+            # the context holds the caller's step pool, and ``run`` its
+            # arrays: none of them may outlive the deal that lent them
+            del context, run
+            done.release()
+
+
+def _queues(n):
+    """The task queues of ``n`` workers. The first deal starts one worker
+    per thread of the budget besides the caller; a deal that needs more
+    (the budget grew since) starts the rest."""
+    with _workers_lock:
+        while len(_workers) < max(n, _budget() - 1):
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(tasks,), daemon=True,
+                             name=f"angleattn-{len(_workers)}").start()
+            _workers.append(tasks)
+        return _workers[:n]
 
 
 def deal(fn, n):
     """``[fn(i) for i in range(n)]``, its items dealt to threads.
 
     Item i goes to share ``i % k`` of ``k = min(threads(), n)`` shares; the
-    caller runs share 0, the executor's workers the others, each share its
-    items in order and in a copy of the caller's context, under its numpy
-    error handling. The caller waits for every share, then raises the error
-    of the lowest-index item that failed, the one a serial loop would raise;
+    caller runs share 0, worker j share j + 1, each share its items in
+    order and in a copy of the caller's context, under its numpy error
+    handling. The caller waits for every share, then raises the error of
+    the lowest-index item that failed, the one a serial loop would raise;
     a share stops at its first failure. With one share no thread starts.
     """
     k = min(threads(), n)
     if k <= 1:
         return [fn(i) for i in range(n)]
-    results = [None] * n
+    results, failures = [None] * n, []
     errors = np.geterr()  # numpy 1.x keeps it per thread, outside the context
 
     def run(share):
-        """Run ``share``'s items in turn; (index, error) of the first that fails, else None."""
+        """Run ``share``'s items in turn; record (index, error) of the first that fails."""
         _share.set(share)
         with np.errstate(**errors):
             for i in range(share, n, k):
                 try:
                     results[i] = fn(i)
-                except Exception as exc:
-                    return i, exc
-        return None
+                except BaseException as exc:
+                    failures.append((i, exc))
+                    return
 
-    futures = [_workers().submit(contextvars.copy_context().run, run, share)
-               for share in range(1, k)]
+    done = [threading.Lock() for _ in range(1, k)]
+    for share, (tasks, lock) in enumerate(zip(_queues(k - 1), done), 1):
+        lock.acquire()
+        tasks.put((contextvars.copy_context(), run, share, lock))
     try:
-        failures = [contextvars.copy_context().run(run, 0)]
+        contextvars.copy_context().run(run, 0)
     finally:
-        wait(futures)  # no share may outlive the caller's pool block
-    failures += [future.result() for future in futures]
-    failures = [failure for failure in failures if failure is not None]
+        for lock in done:  # no share may outlive the caller's pool block
+            lock.acquire()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return results

@@ -13,6 +13,14 @@ at a time. The graph itself stays intact. A gradient array may be shared
 between nodes, so nothing writes into one in place. Inside a
 ``no_grad()`` block no graph is recorded at all.
 
+The ops that work row by row over a stack of samples (matmul, gelu,
+layer_norm, add, dropout) deal contiguous slices of its leading axis to
+``parallel.threads()`` threads, forward and backward (``_by_sample``).
+Each lends its output buffers in the calling thread first, and each share
+writes only its slice of them. Sums across samples, the dropout draw,
+2-D inputs and small arrays stay serial, and inside a share everything
+is; every bit is that of a serial run.
+
 Inside a ``_StepPool`` (``train.train`` opens one per run, and
 ``train.predict`` one per calling thread for its calls of several blocks
 outside it) every array of at least 64 KiB that an op or a backward
@@ -288,6 +296,40 @@ def _empty_like(a, shape=None):
     return _empty(tuple(shape[i] for i in axes)).transpose(np.argsort(axes))
 
 
+def _by_sample(fn, out):
+    """Call ``fn(sl)`` over the leading (sample) axis of ``out``, which
+    ``fn(sl)`` fills at ``out[sl]``; returns ``out``.
+
+    Where ``out`` stacks samples (3 or more axes), is not small and a deal
+    would get more than one thread, its samples are split into
+    ``parallel.threads()`` contiguous slices, one per share of a
+    ``parallel.deal``; else one call covers all of them. Every numpy call
+    in ``fn`` works row by row or sample by sample, so each sample's values
+    are the same bits however the samples are split, and every buffer is
+    lent before the deal, so the pool sees the same lends in either case.
+    """
+    n = out.shape[0] if out.ndim >= 3 and out.nbytes >= _POOL_MIN_BYTES else 1
+    k = min(parallel.threads(), n)
+    if k <= 1:
+        fn(slice(None))
+    else:
+        parallel.deal(lambda i: fn(slice(n * i // k, n * (i + 1) // k)), k)
+    return out
+
+
+def _rows(a, out, sl):
+    """The part of operand ``a`` that ``out[sl]`` needs: ``a[sl]`` where
+    ``a`` has ``out``'s sample axis, else all of ``a``, which broadcasts."""
+    return a[sl] if a.ndim == out.ndim and a.shape[0] == out.shape[0] else a
+
+
+def _product(a, b, out):
+    """``np.matmul(a, b, out=out)``, sample by sample; numpy calls gemm on
+    each stacked matrix of a batched product on its own anyway."""
+    return _by_sample(lambda sl: np.matmul(_rows(a, out, sl), _rows(b, out, sl), out=out[sl]),
+                      out)
+
+
 def _check_broadcast(a, b, op):
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -297,7 +339,9 @@ def _check_broadcast(a, b, op):
 
 def add(a, b):
     _check_broadcast(a, b, "add")
-    out_data = np.add(a.data, b.data, out=_empty(np.broadcast_shapes(a.shape, b.shape)))
+    out_data = _empty(np.broadcast_shapes(a.shape, b.shape))
+    _by_sample(lambda sl: np.add(_rows(a.data, out_data, sl), _rows(b.data, out_data, sl),
+                                 out=out_data[sl]), out_data)
 
     def backward_fn(g):
         return g, g
@@ -327,21 +371,31 @@ def scale(a, c):
 def gelu(a):
     """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = a.data
-    cdf = np.multiply(x, _INV_SQRT2, out=_empty(x.shape))
-    erf(cdf, out=cdf)
-    np.add(1.0, cdf, out=cdf)
-    np.multiply(0.5, cdf, out=cdf)
-    y = np.multiply(x, cdf, out=_empty(x.shape))
+    cdf, y = _empty(x.shape), _empty(x.shape)
+
+    def forward(sl):
+        c = np.multiply(x[sl], _INV_SQRT2, out=cdf[sl])
+        erf(c, out=c)
+        np.add(1.0, c, out=c)
+        np.multiply(0.5, c, out=c)
+        np.multiply(x[sl], c, out=y[sl])
+
+    _by_sample(forward, y)
 
     def backward_fn(g):
         # (cdf + x * pdf) * g, pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
-        pdf = np.multiply(-0.5, x, out=_empty(x.shape))
-        pdf *= x
-        np.exp(pdf, out=pdf)
-        np.multiply(_INV_SQRT2PI, pdf, out=pdf)
-        np.multiply(x, pdf, out=pdf)
-        np.add(cdf, pdf, out=pdf)
-        return (np.multiply(pdf, g, out=pdf),)
+        pdf = _empty(x.shape)
+
+        def backward(sl):
+            p = np.multiply(-0.5, x[sl], out=pdf[sl])
+            p *= x[sl]
+            np.exp(p, out=p)
+            np.multiply(_INV_SQRT2PI, p, out=p)
+            np.multiply(x[sl], p, out=p)
+            np.add(cdf[sl], p, out=p)
+            np.multiply(p, g[sl], out=p)
+
+        return (_by_sample(backward, pdf),)
 
     return _make(y, (a,), backward_fn, "gelu")
 
@@ -372,15 +426,14 @@ def matmul(a, b):
         batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise DimensionError(f"matmul: batch extents differ, {a.shape} x {b.shape}") from None
-    out_data = np.matmul(a.data, b.data, out=_empty(batch + (a.shape[-2], b.shape[-1])))
+    out_data = _product(a.data, b.data, _empty(batch + (a.shape[-2], b.shape[-1])))
 
     def backward_fn(g):
         # g has the output's shape, whose batch axes already broadcast a's and b's
-        return (np.matmul(g, np.swapaxes(b.data, -1, -2),
-                          out=_empty(g.shape[:-1] + b.shape[-2:-1]))
+        return (_product(g, np.swapaxes(b.data, -1, -2), _empty(g.shape[:-1] + b.shape[-2:-1]))
                 if a.requires_grad else None,
-                np.matmul(np.swapaxes(a.data, -1, -2), g,
-                          out=_empty(g.shape[:-2] + a.shape[-1:] + g.shape[-1:]))
+                _product(np.swapaxes(a.data, -1, -2), g,
+                         _empty(g.shape[:-2] + a.shape[-1:] + g.shape[-1:]))
                 if b.requires_grad else None)
 
     return _make(out_data, (a, b), backward_fn, "matmul")
@@ -488,26 +541,38 @@ def layer_norm(x, scale_t, shift_t, eps=1e-5):
     if scale_t.shape != (d,) or shift_t.shape != (d,):
         raise DimensionError(
             f"layer_norm: scale/shift shapes {scale_t.shape}/{shift_t.shape} do not match d={d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = np.subtract(x.data, mu, out=_empty(x.shape))
-    squares = np.multiply(xc, xc, out=_empty(x.shape))
-    var = squares.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = np.multiply(xc, inv, out=xc)
-    y = np.multiply(scale_t.data, xhat, out=squares)
-    y += shift_t.data
+    # xhat = (x - mean) * inv, then y = scale * xhat + shift, in two buffers
+    xhat, y = _empty(x.shape), _empty(x.shape)
+    inv = np.empty(x.shape[:-1] + (1,))  # 1 / sqrt(var + eps) per row
+
+    def forward(sl):
+        xs, c, s = x.data[sl], xhat[sl], y[sl]
+        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=c)
+        np.multiply(c, c, out=s)
+        np.divide(1.0, np.sqrt(s.mean(axis=-1, keepdims=True) + eps), out=inv[sl])
+        np.multiply(c, inv[sl], out=c)
+        np.multiply(scale_t.data, c, out=s)
+        s += shift_t.data
+
+    _by_sample(forward, y)
 
     def backward_fn(g):
         # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * scale,
         # in two buffers; the second then holds g * xhat
-        gh = np.multiply(g, scale_t.data, out=_empty(x.shape))
-        t = np.multiply(gh, xhat, out=_empty(x.shape))
-        np.multiply(xhat, t.mean(axis=-1, keepdims=True), out=t)
-        gx = np.subtract(gh, gh.mean(axis=-1, keepdims=True), out=gh)
-        gx -= t
-        np.multiply(inv, gx, out=gx)
-        g_scale = np.multiply(g, xhat, out=t).reshape(-1, d).sum(axis=0)
-        return gx, g_scale, g.reshape(-1, d).sum(axis=0)
+        gx, t = _empty(x.shape), _empty(x.shape)
+
+        def backward(sl):
+            gh, ts, xh = gx[sl], t[sl], xhat[sl]
+            np.multiply(g[sl], scale_t.data, out=gh)
+            np.multiply(gh, xh, out=ts)
+            np.multiply(xh, ts.mean(axis=-1, keepdims=True), out=ts)
+            np.subtract(gh, gh.mean(axis=-1, keepdims=True), out=gh)
+            gh -= ts
+            np.multiply(inv[sl], gh, out=gh)
+            np.multiply(g[sl], xh, out=ts)
+
+        _by_sample(backward, gx)
+        return gx, t.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
     return _make(y, (x, scale_t, shift_t), backward_fn, "layer_norm")
 
@@ -519,13 +584,21 @@ def dropout(x, rate, training, rng):
     if not training or rate == 0.0:
         return x
     keep = rng.random(out=_empty(x.shape))
-    np.greater_equal(keep, rate, out=keep)  # 1.0 or 0.0
-    keep /= 1.0 - rate
+    out = _empty(x.shape)
+
+    def forward(sl):
+        k = keep[sl]
+        np.greater_equal(k, rate, out=k)  # 1.0 or 0.0
+        k /= 1.0 - rate
+        np.multiply(x.data[sl], k, out=out[sl])
+
+    _by_sample(forward, out)
 
     def backward_fn(g):
-        return (np.multiply(g, keep, out=_empty(keep.shape)),)
+        g_x = _empty(keep.shape)
+        return (_by_sample(lambda sl: np.multiply(g[sl], keep[sl], out=g_x[sl]), g_x),)
 
-    return _make(np.multiply(x.data, keep, out=_empty(x.shape)), (x,), backward_fn, "dropout")
+    return _make(out, (x,), backward_fn, "dropout")
 
 
 def grad_check(f, params, h=1e-5, max_coords=24, rng=None):

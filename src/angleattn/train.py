@@ -15,7 +15,7 @@ import numpy as np
 from . import attention, parallel
 from . import tensor as T
 from .attention import ScoreVariant
-from .data import check_snr_db, extract_patches, inject_noise, stratified_split
+from .data import extract_patches, inject_noise, stratified_split
 from .errors import (ConfigError, ContractError, EvalError, LabelError, NumericError,
                      SplitError, check_int, check_real)
 from .model import batched_forward, init_params, is_no_decay
@@ -163,7 +163,8 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
     each block writes only its own slice of them. ``parallel.deal`` runs
     the blocks round-robin on those threads, each in a copy of the caller's
     context, so under its ``no_grad``, pool and numpy error handling; the
-    attention nodes inside a threaded block run their chunks serially. The
+    attention nodes inside a threaded block run their chunks, and its ops
+    their samples, serially. The
     error raised is that of the lowest-offset block that failed, the one a
     serial run would raise.
 
@@ -307,10 +308,11 @@ def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None,
     snr_dbs = list(snr_dbs)
     if not variants or not seeds or not snr_dbs:
         raise ConfigError("sweep needs at least one variant, one seed and one SNR")
-    for seed in seeds:  # every cell's values, before the first cell trains
-        check_int("seed", seed, 0)
-    for snr_db in snr_dbs:
-        check_snr_db(snr_db)
+    # every cell's seed and SNR, and its noisy cube, before the first cell
+    # trains: whether the noise overflows float32 depends on the cube
+    for seed in seeds:
+        for snr_db in snr_dbs:
+            inject_noise(cube, snr_db, seed)
     variants = [ScoreVariant.from_tag(v) if isinstance(v, str) else v for v in variants]
     workers = _sweep_workers()
     cells = [(v, seed, snr) for v in variants for seed in seeds for snr in snr_dbs]

@@ -18,17 +18,18 @@ pooled buffers; then the ids and every block's probabilities of two
 successive ``predict`` calls on the trained model outside ``train``, each
 over two blocks, the second of them partial, so that the second call runs
 on the buffers the first left in the thread's predict pool.
-``--predict-threads N`` sets the thread budget that ``predict``'s blocks
-and the attention node's chunks share (``parallel.deal``; by default one
-thread per usable core), so 1 runs everything serially; ``predict``'s
-blocks' probabilities are stored in the order of their offsets in the
-call, whichever thread ran them. ``compare``
+``--predict-threads N`` sets the thread budget of every threaded loop
+(``parallel.deal``; by default one thread per usable core): ``predict``'s
+blocks, the attention node's chunks and the training ops' slices of their
+sample axis (matmul, gelu, layer_norm, add, dropout), so 1 runs everything
+serially; ``predict``'s blocks' probabilities are stored in the order of
+their offsets in the call, whichever thread ran them. ``compare``
 lists the arrays whose bytes, dtype or shape differ, or that only one dump
 holds, and exits 1 if any do; for two arrays of one shape it also prints
 the largest absolute and relative difference.
 To check that a change keeps outputs bit for bit, dump with each
 checkout's ``src`` on ``PYTHONPATH`` and compare the two files; to check
-that threaded blocks and chunks equal serial ones, compare a dump with
+that threaded blocks, chunks and ops equal serial ones, compare a dump with
 ``--predict-threads 1`` against one with ``--predict-threads 2``.
 """
 
@@ -196,8 +197,9 @@ def main(argv=None):
     p_dump.add_argument("--variants", default=",".join(v.value for v in ScoreVariant),
                         help="comma-separated variant tags (default: all 12)")
     p_dump.add_argument("--predict-threads", type=int, default=None,
-                        help="thread budget of predict's blocks and the attention node's "
-                             "chunks (default: one per usable core)")
+                        help="thread budget of predict's blocks, the attention node's "
+                             "chunks and the training ops' sample slices "
+                             "(default: one per usable core)")
     p_compare = sub.add_parser("compare", help="list the arrays that differ between two dumps")
     p_compare.add_argument("a")
     p_compare.add_argument("b")

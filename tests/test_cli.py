@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from angleattn import train as train_module
 from angleattn.cli import CONFIG_DEFAULTS, main
 from angleattn.train import SWEEP_CSV_HEADER
 
@@ -527,6 +528,24 @@ class TestSweep:
         assert self.run_sweep(scene_dir, str(tmp_path / "r.csv"), "cs2", seeds, snrs) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_late_snr_exits_2_before_any_cell_trains(self, scene_dir, tmp_path,
+                                                                  capsys, monkeypatch):
+        # -3000 dB is a valid SNR, but its noise puts this cube beyond
+        # float32's range; each cell's noise is drawn before the first trains
+        calls, train = [], train_module.train
+
+        def recording(*args):
+            calls.append(args)
+            return train(*args)
+
+        monkeypatch.setattr(train_module, "train", recording)
+        out = tmp_path / "r.csv"
+        assert self.run_sweep(scene_dir, str(out), "cs2", "0", "20,-3000") == 2
+        assert capsys.readouterr().err == ("error: noise at snr_db -3000.0 puts the cube "
+                                           "beyond float32's range (about 3.4e38)\n")
+        assert calls == [] and not out.exists()
 
     def test_parallel_matches_serial(self, scene_dir, tmp_path, monkeypatch):
         serial, parallel = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")

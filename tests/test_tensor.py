@@ -666,3 +666,79 @@ class TestStepPool:
                 assert b is None
             else:
                 np.testing.assert_array_equal(a, b)
+
+
+# -- the row-by-row ops on several threads (parallel.deal) -------------------
+
+class TestDealtOps:
+    """matmul, gelu, layer_norm, add and dropout deal contiguous slices of
+    their leading sample axis to threads, forward and backward; every value
+    and gradient is the same bits on any number of threads."""
+
+    # deals per forward and backward; a (5, 40, 48) float64 array is above
+    # the pool's floor, and so are the products with a (48, 64) weight
+    DEALS = {"matmul": 3, "matmul-batched": 3, "gelu": 2, "layer_norm": 2,
+             "add-bias": 1, "add-pos": 1, "dropout": 2}
+
+    @staticmethod
+    def record_deals(monkeypatch):
+        """The share counts of the deals the ops of ``tensor`` make."""
+        deal, dealt = parallel.deal, []
+
+        def recording(fn, n):
+            if fn.__module__ == T.__name__:
+                dealt.append(n)
+            return deal(fn, n)
+
+        monkeypatch.setattr(parallel, "deal", recording)
+        return dealt
+
+    @staticmethod
+    def run(op, threads, monkeypatch, shape=(5, 40, 48)):
+        """The op's output and every input's gradient, on ``threads`` threads."""
+        monkeypatch.setattr(parallel, "_thread_share", threads)
+        rng = np.random.default_rng(4)
+        n, d = shape[-2:]
+        others = {"matmul": [(d, 64)], "matmul-batched": [shape[:-2] + (d, 64)], "gelu": [],
+                  "layer_norm": [(d,), (d,)], "add-bias": [(d,)], "add-pos": [(n, d)],
+                  "dropout": []}[op]
+        ins = [Tensor(rng.normal(size=s), requires_grad=True) for s in (shape, *others)]
+        if op.startswith("matmul"):
+            out = T.matmul(*ins)
+        elif op.startswith("add"):
+            out = T.add(*ins)
+        elif op == "gelu":
+            out = T.gelu(*ins)
+        elif op == "layer_norm":
+            out = T.layer_norm(*ins)
+        else:
+            out = T.dropout(*ins, 0.3, True, np.random.default_rng(9))
+        T.sum_all(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+        return [out.data] + [t.grad for t in ins]
+
+    @pytest.mark.parametrize("op", DEALS)
+    def test_bits_do_not_depend_on_the_threads(self, op, monkeypatch):
+        # 5 samples over 2 threads are split 2 + 3, over 3 threads 1 + 2 + 2;
+        # in a pool whose every lend is NaN, a slice no share wrote shows
+        dealt = self.record_deals(monkeypatch)
+        serial = self.run(op, 1, monkeypatch)
+        assert dealt == []
+        poison_lends(monkeypatch)
+        for threads in (2, 3):
+            with T._StepPool():
+                threaded = self.run(op, threads, monkeypatch)
+            assert dealt == [threads] * self.DEALS[op]
+            dealt.clear()
+            for a, b in zip(serial, threaded):
+                assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("op,shape", [(op, shape) for op in DEALS
+                                          for shape in ((200, 48), (5, 8, 16))
+                                          if len(shape) == 3 or op != "matmul-batched"])
+    def test_a_single_patch_or_a_small_array_starts_no_deal(self, op, shape, monkeypatch):
+        # a 2-D input (one patch's tokens) stays on one thread, also above
+        # the pool's floor, and so does a stack whose arrays are all below it
+        dealt = self.record_deals(monkeypatch)
+        self.run(op, 3, monkeypatch, shape=shape)
+        assert dealt == []

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -530,7 +531,7 @@ class TestStepPool:
         cube, pixels = self.predict_pixels()
         cfg = tiny_model()
         params = init_params(cfg, 0)
-        monkeypatch.setattr(parallel, "_executor", None)
+        monkeypatch.setattr(parallel, "_workers", [])
         monkeypatch.setattr(parallel, "_thread_share", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()
@@ -538,26 +539,52 @@ class TestStepPool:
         predict(params, cfg, cube, pixels, batch_size=8)  # 13 blocks on one core
         predict_threads(monkeypatch, 2)
         predict(params, cfg, cube, pixels[:1], batch_size=8)  # one patch
-        assert parallel._executor is None and threading.active_count() == before
+        assert parallel._workers == [] and threading.active_count() == before
 
     def test_executor_is_sized_from_the_budget(self, monkeypatch):
-        # a first call of two blocks on four cores makes three workers, not
-        # one, so that later calls of more blocks still run on every core
+        # a first call of two blocks on four cores starts three workers, not
+        # one, so that later calls of more blocks still run on every core;
+        # a budget that grows since starts the workers it lacks
         cube, pixels = self.predict_pixels()
         cfg = tiny_model()
         params = init_params(cfg, 0)
-        monkeypatch.setattr(parallel, "_executor", None)
+        monkeypatch.setattr(parallel, "_workers", [])
         monkeypatch.setattr(parallel, "_thread_share", None)
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
-        want = predict(params, cfg, cube, pixels[:2], batch_size=8)  # two blocks of one
-        executor = parallel._executor
+        before = threading.active_count()
         try:
-            assert executor._max_workers == 3
+            want = predict(params, cfg, cube, pixels[:2], batch_size=8)  # two blocks of one
+            workers = list(parallel._workers)
+            assert len(workers) == 3 and threading.active_count() == before + 3
             np.testing.assert_array_equal(predict(params, cfg, cube, pixels, batch_size=8)[:2],
                                           want)
-            assert parallel._executor is executor
+            assert parallel._workers == workers
+            predict_threads(monkeypatch, 6)
+            np.testing.assert_array_equal(predict(params, cfg, cube, pixels, batch_size=8)[:2],
+                                          want)
+            assert parallel._workers[:3] == workers and len(parallel._workers) == 5
         finally:
-            executor.shutdown()
+            for tasks in parallel._workers:
+                tasks.put(None)  # ends the worker
+
+    def test_no_worker_keeps_the_pool_of_a_finished_train(self, monkeypatch):
+        # a worker's task holds a copy of the caller's context, and so its
+        # step pool: each worker drops its task before the caller goes on,
+        # so the pool dies when train returns and its buffers are unmapped
+        predict_threads(monkeypatch, 2)
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)  # the ops of a batch deal too
+        made = []
+
+        class Recorded(T._StepPool):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(T, "_StepPool", Recorded)
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        train(tiny_model(), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
+        assert len(made) == 1 and made[0]() is None
 
     def test_threads_predict_at_once(self, monkeypatch):
         # each thread has a predict pool of its own, and a pool is active
@@ -802,20 +829,27 @@ class TestPredictThreads:
             predict(init_params(cfg, 0), cfg, cube, np.arange(40), batch_size=8)
 
     def test_no_share_hands_work_to_the_executor(self, monkeypatch):
-        # a training step's node deals its chunks (one per sample here) to
-        # the executor; inside a validation's threaded blocks the nodes run
-        # theirs serially, so only code outside every share ever submits
+        # a training step's node deals its chunks (one per sample here) and
+        # its row-by-row ops their samples to the workers; inside a
+        # validation's threaded blocks the nodes run their chunks and the ops
+        # their rows serially, so only code outside every share hands work on
         predict_threads(monkeypatch, 2)
         monkeypatch.setattr(attention_module, "CHUNK_BUDGET", 1)
-        workers, submitted, nested = parallel._workers, [], []
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)  # every op of a batch may deal
+        queues, deal, handed, dealt, nested = parallel._queues, parallel.deal, [], [], []
 
         class Recording:
-            def __init__(self, executor):
-                self.executor = executor
+            def __init__(self, tasks):
+                self.tasks = tasks
 
-            def submit(self, *args):
-                submitted.append((threading.current_thread(), parallel._share.get()))
-                return self.executor.submit(*args)
+            def put(self, task):
+                handed.append((threading.current_thread(), parallel._share.get()))
+                self.tasks.put(task)
+
+        def deal_recording(fn, n):
+            if fn.__module__ == T.__name__:  # an op's rows
+                dealt.append((parallel._share.get(), parallel.threads()))
+            return deal(fn, n)
 
         def forward_recording(*args, training, **kwargs):
             if not training:  # a validation block
@@ -823,27 +857,29 @@ class TestPredictThreads:
             return forward(*args, training=training, **kwargs)
 
         forward = train_module.batched_forward
-        monkeypatch.setattr(parallel, "_workers", lambda: Recording(workers()))
+        monkeypatch.setattr(parallel, "_queues", lambda n: [Recording(q) for q in queues(n)])
+        monkeypatch.setattr(parallel, "deal", deal_recording)
         monkeypatch.setattr(train_module, "batched_forward", forward_recording)
         cube, labels = tiny_scene()
         splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
         train(tiny_model(), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
-        assert submitted and nested and set(nested) == {1}  # blocks of 1: the budget is tiny
+        assert handed and nested and set(nested) == {1}  # blocks of 1: the budget is tiny
         assert all(thread is threading.main_thread() and share is None
-                   for thread, share in submitted)
+                   for thread, share in handed)
+        assert dealt and set(dealt) == {(None, 2)}  # no op deals inside a share
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads alive
     def test_child_forked_after_a_threaded_call_predicts(self, monkeypatch):
         # the child has none of its parent's worker threads: handed the
-        # parent's executor, its next threaded call would wait forever
+        # parent's task queues, its next threaded call would wait forever
         predict_threads(monkeypatch, 2)
         cube, labels = tiny_scene()
         pixels = np.flatnonzero(labels.ids.reshape(-1))[:100]
         cfg = tiny_model()
         params = init_params(cfg, 0)
         want = predict(params, cfg, cube, pixels, batch_size=8)
-        assert parallel._executor is not None
+        assert parallel._workers
 
         def child():
             if not (predict(params, cfg, cube, pixels, batch_size=8) == want).all():
