@@ -430,10 +430,11 @@ def attention_node(q, k, v, cfg, additive=None):
         arrays = tuple(t.data for t in parents[3:])
         per_sample *= arrays[0].shape[1]  # d_a
     chunks = _chunks(q.data, per_sample)
+    qkv = tuple(t.data for t in (q, k, v))  # backward's own references: no tensor
 
     def split(sl):
         """The chunk's C-ordered (..., H, N, d_h) copies of q, k and v."""
-        return (_copy(_heads(t.data[sl], h)) for t in (q, k, v))
+        return (_copy(_heads(a[sl], h)) for a in qkv)
 
     out = T._empty(q.shape[:-1] + v.shape[-1:])
     tracked = T._tracks(parents)
@@ -465,15 +466,15 @@ def attention_node(q, k, v, cfg, additive=None):
                 g_scores = T._softmax_bwd(p, g_p, out=T._empty(p.shape))
                 g_q, g_k, g_params = _Chunk(q_h, k_h, cfg, arrays, check=False).backward(g_scores)
                 if i == 0:
-                    g_qkv[:] = [_place(None, sl, part, t.shape)
-                                for part, t in zip((g_q, g_k, g_v), (q, k, v))]
+                    g_qkv[:] = [_place(None, sl, part, a.shape)
+                                for part, a in zip((g_q, g_k, g_v), qkv)]
             finally:
                 if i == 0:
                     laid_out.set()
             laid_out.wait()
             if i and g_qkv[0] is not None:  # else chunk 0 failed, and its error is raised
-                for full, part, t in zip(g_qkv, (g_q, g_k, g_v), (q, k, v)):
-                    _place(full, sl, part, t.shape)
+                for full, part, a in zip(g_qkv, (g_q, g_k, g_v), qkv):
+                    _place(full, sl, part, a.shape)
             return g_params
 
         per_chunk = parallel.deal(backward, len(chunks))

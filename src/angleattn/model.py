@@ -231,21 +231,21 @@ def encoder_block(tokens, lp, cfg, training=False, rng=None, kv_tokens=None):
         kv = normed
     else:
         kv = T.layer_norm(kv_tokens, lp.ln1_scale, lp.ln1_shift)
-    attn_out = multi_head_attention(normed, kv, cfg.attention, lp.attn)
-    u = T.add(tokens, T.dropout(attn_out, cfg.dropout_rate, training, rng))
+    # no name holds a value that no backward reads (the attention and MLP
+    # outputs, before and after dropout), so each dies as the next op takes it
+    u = T.add(tokens, T.dropout(multi_head_attention(normed, kv, cfg.attention, lp.attn),
+                                cfg.dropout_rate, training, rng))
     normed2 = T.layer_norm(u, lp.ln2_scale, lp.ln2_shift)
     hidden = T.gelu(T.add(T.matmul(normed2, lp.mlp_w1), lp.mlp_b1))
-    mlp_out = T.add(T.matmul(hidden, lp.mlp_w2), lp.mlp_b2)
-    return T.add(u, T.dropout(mlp_out, cfg.dropout_rate, training, rng))
+    return T.add(u, T.dropout(T.add(T.matmul(hidden, lp.mlp_w2), lp.mlp_b2),
+                              cfg.dropout_rate, training, rng))
 
 
 def _forward_tokens(x, params, cfg, training, rng):
-    tokens = tokenize_patch(x, params.w_s)
-    t0 = add_positions(tokens, cfg.positional, params.pos)
-    cross = VARIANTS[cfg.attention.variant].cross
-    t = t0
+    t = add_positions(tokenize_patch(x, params.w_s), cfg.positional, params.pos)
+    t0 = t if VARIANTS[cfg.attention.variant].cross else None  # the cross variants' keys
     for lp in params.layers:
-        t = encoder_block(t, lp, cfg, training, rng, kv_tokens=t0 if cross else None)
+        t = encoder_block(t, lp, cfg, training, rng, kv_tokens=t0)
     pooled = T.reduce_mean(T.layer_norm(t, params.final_scale, params.final_shift), axis=-2)
     logits = T.add(T.matmul(T.reshape(pooled, pooled.shape[:-1] + (1, pooled.shape[-1])),
                             params.w_c), params.b_c)

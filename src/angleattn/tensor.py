@@ -1,17 +1,25 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Values are numpy arrays. An operation with an input that ``requires_grad``
-records its inputs and a backward closure on its output, which then
-requires a gradient too. Calling ``backward()`` on a scalar builds a
-topologically ordered tape over the reachable graph and walks it in
+A ``Tensor`` is a value, a numpy array, and the graph node it is the
+value of. An operation with an input that ``requires_grad`` records its
+inputs' nodes and a backward closure on its output's node, which then
+requires a gradient too. A closure keeps the arrays that its backward
+reads (matmul its operands, gelu its input, layer_norm its normalised
+rows, dropout a one-byte mask) and no tensor, and a node keeps no value.
+So a forward value lives only while model code or a closure holds it:
+w_o's output, the dropout outputs, the residual sums and the pre-bias
+matmul outputs die as soon as the next op has consumed them, also while
+the graph lives. Calling ``backward()`` on a scalar builds a
+topologically ordered tape over the nodes it reaches and walks it in
 reverse. Each closure returns one gradient, or None, per parent, possibly
 in the output's broadcast shape; the tape alone stores them, reduced to
 each parent's shape, and only on parents that require a gradient. Leaves
 keep their gradient; an interior node's ``grad`` is released once its
 closure has passed it on, so a step holds about one frontier of gradients
-at a time. The graph itself stays intact. A gradient array may be shared
-between nodes, so nothing writes into one in place. Inside a
-``no_grad()`` block no graph is recorded at all.
+at a time. The nodes and closures stay intact, so the graph can be
+traced and run backward again. A gradient array may be shared between
+nodes, so nothing writes into one in place. Inside a ``no_grad()`` block
+no graph is recorded at all.
 
 The ops that work row by row over a stack of samples (matmul, gelu,
 layer_norm, add, dropout) deal contiguous slices of its leading axis to
@@ -19,15 +27,17 @@ layer_norm, add, dropout) deal contiguous slices of its leading axis to
 Each lends its output buffers in the calling thread first, and each share
 writes only its slice of them. Sums across samples, the dropout draw,
 2-D inputs and small arrays stay serial, and inside a share everything
-is; every bit is that of a serial run.
+is; a serial op calls numpy on the whole arrays. Every bit is that of a
+serial run.
 
 Inside a ``_StepPool`` (``train.train`` opens one per run, and
 ``train.predict`` one per calling thread for its calls of several blocks
-outside it) every array of at least 64 KiB that an op or a backward
-closure allocates is lent by the pool: activations, gradients and the
-temporaries of both passes. Each buffer goes back to the pool the moment
-the last view of its lend dies, so a step reuses the memory of its own
-earlier arrays at its live peak. The pool and ``no_grad`` are context
+outside it) every float64 array of at least 64 KiB that an op or a
+backward closure allocates is lent by the pool: activations, gradients
+and the temporaries of both passes (dropout's mask comes from the heap).
+Each buffer goes back to the pool the moment the last view of its lend
+dies, so a step reuses the memory of its own earlier arrays at its live
+peak. The pool and ``no_grad`` are context
 variables, so the shares of a ``parallel.deal`` (``predict``'s blocks, the
 attention node's chunks), which run in copies of the caller's context,
 lend from the caller's pool; a lock keeps its lends apart, and each share
@@ -54,19 +64,33 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class Tensor:
-    """An n-dimensional float64 value, optionally tracked for gradients."""
+class _Node:
+    """One vertex of the graph, the part of a tensor that ``Tape`` walks: its
+    parents' nodes, its backward closure and, once backward reaches it, its
+    gradient. It holds no forward value; a closure keeps the arrays it
+    reads itself, so a value that no closure reads dies with its tensor."""
 
-    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn", "op")
+    __slots__ = ("requires_grad", "grad", "parents", "backward_fn", "op", "shape")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None, op="leaf"):
-        # contiguity lets grad_check perturb coordinates through a flat view
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
+    def __init__(self, shape, requires_grad=False, parents=(), backward_fn=None, op="leaf"):
+        self.shape = shape
+        self.requires_grad = requires_grad
         self.grad = None
-        self.parents = tuple(parents)
+        self.parents = parents
         self.backward_fn = backward_fn
         self.op = op
+
+
+class Tensor:
+    """An n-dimensional float64 value, optionally tracked for gradients:
+    ``data`` and the graph ``node`` it is the value of."""
+
+    __slots__ = ("data", "node", "__weakref__")
+
+    def __init__(self, data, requires_grad=False, op="leaf"):
+        # contiguity lets grad_check perturb coordinates through a flat view
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.node = _Node(self.data.shape, bool(requires_grad), op=op)
 
     @property
     def shape(self):
@@ -80,11 +104,35 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def requires_grad(self):
+        return self.node.requires_grad
+
+    @property
+    def op(self):
+        return self.node.op
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
+    @property
+    def backward_fn(self):
+        return self.node.backward_fn
+
+    @backward_fn.setter
+    def backward_fn(self, fn):
+        self.node.backward_fn = fn
+
     def item(self):
         return float(self.data.reshape(()))
 
     def zero_grad(self):
-        self.grad = None
+        self.node.grad = None
 
     def backward(self):
         """Populate ``grad`` on every leaf reachable from this scalar."""
@@ -97,7 +145,7 @@ class Tensor:
 
 
 class Tape:
-    """Topologically ordered record of the graph below one root node."""
+    """Topologically ordered record of the graph below one root tensor."""
 
     def __init__(self, nodes):
         self.nodes = nodes  # inputs precede consumers
@@ -106,7 +154,7 @@ class Tape:
     def trace(cls, root):
         order = []
         seen = set()
-        stack = [(root, False)]
+        stack = [(root.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -124,7 +172,7 @@ class Tape:
     def backward(self, root):
         for node in self.nodes:
             node.grad = None
-        root.grad = np.ones_like(root.data)
+        root.node.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
             if node.backward_fn is not None and node.grad is not None:
                 for parent, g in zip(node.parents, node.backward_fn(node.grad)):
@@ -178,15 +226,20 @@ def no_grad():
 
 
 def _tracks(parents):
-    """Whether a node over ``parents`` is recorded: outside ``no_grad()``,
-    when some parent requires a gradient."""
-    return _recording.get() and any(p.requires_grad for p in parents)
+    """Whether a node over the tensors ``parents`` is recorded: outside
+    ``no_grad()``, when some parent requires a gradient."""
+    return _recording.get() and any(p.node.requires_grad for p in parents)
 
 
 def _make(data, parents, backward_fn, op):
+    """The tensor of value ``data`` that op ``op`` made from the tensors
+    ``parents``: recorded, with ``backward_fn``, when ``_tracks(parents)``."""
+    out = Tensor(data, op=op)
     if _tracks(parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn, op=op)
-    return Tensor(data, op=op)
+        node = out.node
+        node.requires_grad, node.backward_fn = True, backward_fn
+        node.parents = tuple(p.node for p in parents)
+    return out
 
 
 # arrays smaller than this come from np.empty even inside a pool: the heap
@@ -296,52 +349,45 @@ def _empty_like(a, shape=None):
     return _empty(tuple(shape[i] for i in axes)).transpose(np.argsort(axes))
 
 
-def _by_sample(fn, out):
-    """Call ``fn(sl)`` over the leading (sample) axis of ``out``, which
-    ``fn(sl)`` fills at ``out[sl]``; returns ``out``.
+def _by_sample(fn, out, *operands, **consts):
+    """``fn(*operands, out=out, **consts)``, which fills ``out``; returns ``out``.
 
     Where ``out`` stacks samples (3 or more axes), is not small and a deal
     would get more than one thread, its samples are split into
     ``parallel.threads()`` contiguous slices, one per share of a
-    ``parallel.deal``; else one call covers all of them. Every numpy call
-    in ``fn`` works row by row or sample by sample, so each sample's values
-    are the same bits however the samples are split, and every buffer is
-    lent before the deal, so the pool sees the same lends in either case.
+    ``parallel.deal``. A share calls ``fn`` on its slice of ``out`` and of
+    each operand that has ``out``'s sample axis (so ``fn`` may fill such an
+    operand too), and on every other operand whole, which broadcasts; else
+    one call covers all of them. Every numpy call in ``fn`` works row by
+    row or sample by sample, so each sample's values are the same bits
+    however the samples are split, and every buffer is lent before the
+    deal, so the pool sees the same lends in either case.
     """
     n = out.shape[0] if out.ndim >= 3 and out.nbytes >= _POOL_MIN_BYTES else 1
-    k = min(parallel.threads(), n)
+    k = min(parallel.threads(), n) if n > 1 else 1  # a small stack skips the threads() lookup
     if k <= 1:
-        fn(slice(None))
-    else:
-        parallel.deal(lambda i: fn(slice(n * i // k, n * (i + 1) // k)), k)
+        fn(*operands, out=out, **consts)
+        return out
+
+    def share(i):
+        sl = slice(n * i // k, n * (i + 1) // k)
+        fn(*(a[sl] if a.ndim == out.ndim and a.shape[0] == n else a for a in operands),
+           out=out[sl], **consts)
+
+    parallel.deal(share, k)
     return out
 
 
-def _rows(a, out, sl):
-    """The part of operand ``a`` that ``out[sl]`` needs: ``a[sl]`` where
-    ``a`` has ``out``'s sample axis, else all of ``a``, which broadcasts."""
-    return a[sl] if a.ndim == out.ndim and a.shape[0] == out.shape[0] else a
-
-
-def _product(a, b, out):
-    """``np.matmul(a, b, out=out)``, sample by sample; numpy calls gemm on
-    each stacked matrix of a batched product on its own anyway."""
-    return _by_sample(lambda sl: np.matmul(_rows(a, out, sl), _rows(b, out, sl), out=out[sl]),
-                      out)
-
-
 def _check_broadcast(a, b, op):
+    """The shape ``a`` and ``b`` broadcast to; DimensionError if none."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} are incompatible") from None
 
 
 def add(a, b):
-    _check_broadcast(a, b, "add")
-    out_data = _empty(np.broadcast_shapes(a.shape, b.shape))
-    _by_sample(lambda sl: np.add(_rows(a.data, out_data, sl), _rows(b.data, out_data, sl),
-                                 out=out_data[sl]), out_data)
+    out_data = _by_sample(np.add, _empty(_check_broadcast(a, b, "add")), a.data, b.data)
 
     def backward_fn(g):
         return g, g
@@ -351,10 +397,11 @@ def add(a, b):
 
 def mul(a, b):
     _check_broadcast(a, b, "mul")
-    out_data = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out_data = a_data * b_data
 
     def backward_fn(g):
-        return g * b.data, g * a.data
+        return g * b_data, g * a_data
 
     return _make(out_data, (a, b), backward_fn, "mul")
 
@@ -368,43 +415,45 @@ def scale(a, c):
     return _make(a.data * c, (a,), backward_fn, "scale")
 
 
+def _gelu_fwd(x, cdf, out):
+    """0.5 * x * (1 + erf(x / sqrt(2))) into ``out``, the cdf factor into ``cdf``."""
+    c = np.multiply(x, _INV_SQRT2, out=cdf)
+    erf(c, out=c)
+    np.add(1.0, c, out=c)
+    np.multiply(0.5, c, out=c)
+    np.multiply(x, c, out=out)
+
+
+def _gelu_bwd(x, cdf, g, out):
+    """(cdf + x * pdf) * g, pdf = exp(-0.5 * x * x) / sqrt(2 pi), in ``out`` alone."""
+    p = np.multiply(-0.5, x, out=out)
+    p *= x
+    np.exp(p, out=p)
+    np.multiply(_INV_SQRT2PI, p, out=p)
+    np.multiply(x, p, out=p)
+    np.add(cdf, p, out=p)
+    np.multiply(p, g, out=p)
+
+
 def gelu(a):
     """Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = a.data
-    cdf, y = _empty(x.shape), _empty(x.shape)
-
-    def forward(sl):
-        c = np.multiply(x[sl], _INV_SQRT2, out=cdf[sl])
-        erf(c, out=c)
-        np.add(1.0, c, out=c)
-        np.multiply(0.5, c, out=c)
-        np.multiply(x[sl], c, out=y[sl])
-
-    _by_sample(forward, y)
+    cdf = _empty(x.shape)
+    y = _by_sample(_gelu_fwd, _empty(x.shape), x, cdf)
 
     def backward_fn(g):
-        # (cdf + x * pdf) * g, pdf = exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
-        pdf = _empty(x.shape)
-
-        def backward(sl):
-            p = np.multiply(-0.5, x[sl], out=pdf[sl])
-            p *= x[sl]
-            np.exp(p, out=p)
-            np.multiply(_INV_SQRT2PI, p, out=p)
-            np.multiply(x[sl], p, out=p)
-            np.add(cdf[sl], p, out=p)
-            np.multiply(p, g[sl], out=p)
-
-        return (_by_sample(backward, pdf),)
+        return (_by_sample(_gelu_bwd, _empty(x.shape), x, cdf, g),)
 
     return _make(y, (a,), backward_fn, "gelu")
 
 
 def log(a):
-    def backward_fn(g):
-        return (g / a.data,)
+    x = a.data
 
-    return _make(np.log(a.data), (a,), backward_fn, "log")
+    def backward_fn(g):
+        return (g / x,)
+
+    return _make(np.log(x), (a,), backward_fn, "log")
 
 
 def clamp_min(a, floor):
@@ -426,36 +475,47 @@ def matmul(a, b):
         batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise DimensionError(f"matmul: batch extents differ, {a.shape} x {b.shape}") from None
-    out_data = _product(a.data, b.data, _empty(batch + (a.shape[-2], b.shape[-1])))
+    # numpy calls gemm on each stacked matrix of a batched product on its
+    # own anyway, so the products go sample by sample
+    out_data = _by_sample(np.matmul, _empty(batch + (a.shape[-2], b.shape[-1])), a.data, b.data)
+    # backward reads only what the gradients of the operands that need one read
+    a_t = np.swapaxes(a.data, -1, -2) if b.requires_grad else None
+    b_t = np.swapaxes(b.data, -1, -2) if a.requires_grad else None
 
     def backward_fn(g):
         # g has the output's shape, whose batch axes already broadcast a's and b's
-        return (_product(g, np.swapaxes(b.data, -1, -2), _empty(g.shape[:-1] + b.shape[-2:-1]))
-                if a.requires_grad else None,
-                _product(np.swapaxes(a.data, -1, -2), g,
-                         _empty(g.shape[:-2] + a.shape[-1:] + g.shape[-1:]))
-                if b.requires_grad else None)
+        return (None if b_t is None else
+                _by_sample(np.matmul, _empty(g.shape[:-1] + b_t.shape[-1:]), g, b_t),
+                None if a_t is None else
+                _by_sample(np.matmul, _empty(g.shape[:-2] + a_t.shape[-2:-1] + g.shape[-1:]),
+                           a_t, g))
 
     return _make(out_data, (a, b), backward_fn, "matmul")
 
 
 def reshape(a, shape):
+    a_shape = a.shape
+
     def backward_fn(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return _make(a.data.reshape(shape), (a,), backward_fn, "reshape")
 
 
 def sum_all(a):
+    a_shape = a.shape
+
     def backward_fn(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a_shape).copy(),)
 
     return _make(a.data.sum(), (a,), backward_fn, "sum")
 
 
 def sum_axis(a, axis):
+    a_shape = a.shape
+
     def backward_fn(g):
-        out = _empty(a.shape)
+        out = _empty(a_shape)
         np.copyto(out, np.expand_dims(g, axis))
         return (out,)
 
@@ -535,46 +595,60 @@ def softmax_rows(x):
     return _make(y, (x,), backward_fn, "softmax_rows")
 
 
+def _layer_norm_fwd(x, xhat, inv, scale, shift, out, eps):
+    """xhat = (x - mean) * inv, inv = 1 / sqrt(var + eps) per row, then
+    ``out`` = scale * xhat + shift."""
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    np.multiply(xhat, xhat, out=out)
+    np.divide(1.0, np.sqrt(out.mean(axis=-1, keepdims=True) + eps), out=inv)
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(scale, xhat, out=out)
+    out += shift
+
+
+def _layer_norm_bwd(g, xhat, inv, scale, t, out):
+    """gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * scale,
+    in ``out`` and ``t``; ``t`` then holds g * xhat."""
+    np.multiply(g, scale, out=out)
+    np.multiply(out, xhat, out=t)
+    np.multiply(xhat, t.mean(axis=-1, keepdims=True), out=t)
+    np.subtract(out, out.mean(axis=-1, keepdims=True), out=out)
+    out -= t
+    np.multiply(inv, out, out=out)
+    np.multiply(g, xhat, out=t)
+
+
 def layer_norm(x, scale_t, shift_t, eps=1e-5):
     """Per-vector standardization over the last axis, then affine."""
     d = x.shape[-1]
     if scale_t.shape != (d,) or shift_t.shape != (d,):
         raise DimensionError(
             f"layer_norm: scale/shift shapes {scale_t.shape}/{shift_t.shape} do not match d={d}")
-    # xhat = (x - mean) * inv, then y = scale * xhat + shift, in two buffers
-    xhat, y = _empty(x.shape), _empty(x.shape)
-    inv = np.empty(x.shape[:-1] + (1,))  # 1 / sqrt(var + eps) per row
-
-    def forward(sl):
-        xs, c, s = x.data[sl], xhat[sl], y[sl]
-        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=c)
-        np.multiply(c, c, out=s)
-        np.divide(1.0, np.sqrt(s.mean(axis=-1, keepdims=True) + eps), out=inv[sl])
-        np.multiply(c, inv[sl], out=c)
-        np.multiply(scale_t.data, c, out=s)
-        s += shift_t.data
-
-    _by_sample(forward, y)
+    shape, scale = x.shape, scale_t.data
+    xhat = _empty(shape)
+    inv = np.empty(shape[:-1] + (1,))  # 1 / sqrt(var + eps) per row
+    y = _by_sample(_layer_norm_fwd, _empty(shape), x.data, xhat, inv, scale, shift_t.data,
+                   eps=eps)
 
     def backward_fn(g):
-        # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * scale,
-        # in two buffers; the second then holds g * xhat
-        gx, t = _empty(x.shape), _empty(x.shape)
-
-        def backward(sl):
-            gh, ts, xh = gx[sl], t[sl], xhat[sl]
-            np.multiply(g[sl], scale_t.data, out=gh)
-            np.multiply(gh, xh, out=ts)
-            np.multiply(xh, ts.mean(axis=-1, keepdims=True), out=ts)
-            np.subtract(gh, gh.mean(axis=-1, keepdims=True), out=gh)
-            gh -= ts
-            np.multiply(inv[sl], gh, out=gh)
-            np.multiply(g[sl], xh, out=ts)
-
-        _by_sample(backward, gx)
+        gx, t = _empty(shape), _empty(shape)
+        _by_sample(_layer_norm_bwd, gx, g, xhat, inv, scale, t)
         return gx, t.reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
     return _make(y, (x, scale_t, shift_t), backward_fn, "layer_norm")
+
+
+def _masked(x, mask, out, rate):
+    """(x * mask) * (1 / (1 - rate)): the rounding of x times the kept
+    values' scale, and x's signed zero where the mask drops it."""
+    np.multiply(x, mask, out=out)
+    out *= 1.0 / (1.0 - rate)
+
+
+def _dropout_fwd(draw, mask, x, out, rate):
+    """The mask keeps the values whose uniform ``draw`` is at least ``rate``."""
+    np.greater_equal(draw, rate, out=mask)
+    _masked(x, mask, out, rate)
 
 
 def dropout(x, rate, training, rng):
@@ -583,20 +657,12 @@ def dropout(x, rate, training, rng):
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    keep = rng.random(out=_empty(x.shape))
-    out = _empty(x.shape)
-
-    def forward(sl):
-        k = keep[sl]
-        np.greater_equal(k, rate, out=k)  # 1.0 or 0.0
-        k /= 1.0 - rate
-        np.multiply(x.data[sl], k, out=out[sl])
-
-    _by_sample(forward, out)
+    draw = rng.random(out=_empty(x.shape))
+    mask = np.empty(x.shape, dtype=bool)  # backward keeps this byte per value only
+    out = _by_sample(_dropout_fwd, _empty(x.shape), draw, mask, x.data, rate=rate)
 
     def backward_fn(g):
-        g_x = _empty(keep.shape)
-        return (_by_sample(lambda sl: np.multiply(g[sl], keep[sl], out=g_x[sl]), g_x),)
+        return (_by_sample(_masked, _empty(g.shape), g, mask, rate=rate),)
 
     return _make(out, (x,), backward_fn, "dropout")
 

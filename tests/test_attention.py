@@ -566,9 +566,12 @@ def test_node_rejects_missing_additive_params_and_bad_heads():
 
 
 def _held_arrays(obj, depth=3):
-    """Arrays an object keeps alive: itself, or those in lists/tuples and closures."""
+    """Arrays an object keeps alive: itself, a tensor's value, or those in
+    lists/tuples and closures."""
     if isinstance(obj, np.ndarray):
         yield obj
+    elif isinstance(obj, Tensor):
+        yield obj.data
     elif isinstance(obj, (list, tuple)):
         for item in obj:
             yield from _held_arrays(item, depth)
@@ -581,8 +584,9 @@ def largest_held_per_sample(cfg, batch):
     params = M.init_params(cfg, 0)
     x = np.random.default_rng(0).normal(size=(batch, cfg.patch_size, cfg.patch_size, cfg.bands))
     probs = M.batched_forward(x, params, cfg, training=True, rng=np.random.default_rng(1))
+    # a node holds no value: the graph keeps the root's and what its closures hold
     nodes = Tape.trace(probs).nodes
-    held = [a.size for n in nodes for a in _held_arrays([n.data, n.backward_fn])]
+    held = [a.size for a in _held_arrays([probs.data] + [n.backward_fn for n in nodes])]
     return max(held) / batch, nodes
 
 

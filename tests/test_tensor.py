@@ -180,6 +180,27 @@ class TestDropout:
         with pytest.raises(ConfigError):
             T.dropout(rand((2,)), 1.0, True, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_backward_keeps_a_byte_mask(self, threads, monkeypatch):
+        # the closure keeps one bool per value, no float64 array of x's
+        # shape; output and gradient are x and g times the float64 keep
+        # scale, bit for bit, signed zeros included
+        monkeypatch.setattr(parallel, "_thread_share", threads)
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        x = rand((5, 40, 48), 15)
+        out = T.dropout(x, 0.3, True, np.random.default_rng(16))
+        held = [c.cell_contents for c in out.backward_fn.__closure__]
+        assert not any(isinstance(h, Tensor) for h in held)
+        assert [(a.dtype, a.shape) for a in held if isinstance(a, np.ndarray)] == [
+            (np.dtype(bool), x.shape)]
+        keep = np.random.default_rng(16).random(x.shape)
+        keep = (keep >= 0.3) / (1.0 - 0.3)
+        assert out.data.tobytes() == (x.data * keep).tobytes()
+        g = rand((5, 40, 48), 17).data
+        T.sum_all(T.mul(out, Tensor(g))).backward()
+        assert x.grad.tobytes() == (g * keep).tobytes()
+        assert np.signbit(x.grad[keep == 0]).any() and np.signbit(out.data[keep == 0]).any()
+
 
 class TestBackward:
     def test_sum_grad_ones(self):
@@ -236,7 +257,7 @@ class TestNoGrad:
         x = rand((3, 4), 30)
         with T.no_grad():
             out = T.softmax_rows(T.gelu(T.matmul(x, transpose(x))))
-        assert out.parents == () and out.backward_fn is None
+        assert out.node.parents == () and out.backward_fn is None
         assert not out.requires_grad
 
     def test_values_match_taped(self):
@@ -260,7 +281,7 @@ class TestNoGrad:
                 inner = T.gelu(x)
             outer = T.gelu(x)
         assert inner.backward_fn is None and outer.backward_fn is None
-        assert T.gelu(x).parents == (x,)
+        assert T.gelu(x).node.parents == (x.node,)
 
 
 class TestTapeAndDeterminism:
@@ -286,7 +307,7 @@ class TestTapeAndDeterminism:
             if node.parents:
                 assert node.grad is None
             else:
-                assert node.grad.shape == node.data.shape
+                assert node.grad.shape == node.shape == x.shape
 
     def test_backward_again_after_release(self):
         x = rand((3, 4), 24)

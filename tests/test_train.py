@@ -7,6 +7,7 @@ import os
 import threading
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -302,7 +303,7 @@ class TestTrainLoop:
         alive = []
 
         def counting_forward(*args, **kwargs):
-            alive.append(sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o.parents))
+            alive.append(sum(1 for o in gc.get_objects() if isinstance(o, T._Node) and o.parents))
             return batched_forward(*args, **kwargs)
 
         monkeypatch.setattr(train_module, "batched_forward", counting_forward)
@@ -645,6 +646,71 @@ class TestGradientTape:
             assert not any(t.grad.flags.writeable for _, t in named)
             clip_gradients(named, 1e-3)  # small enough to fire
             opt.step()
+
+    @staticmethod
+    def depth_2_model(monkeypatch, threads, variant="cs2"):
+        """(config, parameters) of a depth-2 model on ``threads`` threads,
+        every op dealing its samples when it can."""
+        monkeypatch.setattr(parallel, "_thread_share", threads)
+        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        attn = AttentionConfig(model_dim=8, heads=2, variant=variant)
+        cfg = ModelConfig(bands=8, num_classes=3, patch_size=3, model_dim=8, depth=2,
+                          heads=2, mlp_dim=16, dropout_rate=0.1, attention=attn)
+        return cfg, init_params(cfg, 0)
+
+    @staticmethod
+    def training_loss(cfg, params):
+        """The loss of a training forward over 6 patches."""
+        rng = np.random.default_rng(0)
+        probs = batched_forward(rng.normal(size=(6, 3, 3, 8)), params, cfg, training=True,
+                                rng=rng)
+        return label_smoothed_ce(probs, np.array([0, 1, 2, 0, 1, 2]), 0.05)
+
+    @pytest.mark.parametrize("variant", ["cs2", "c-cs2"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_values_no_backward_reads_die_in_the_forward(self, monkeypatch, threads, variant):
+        # no closure reads w_o's output, the dropout outputs, the pre-bias
+        # matmul outputs, the residual sums or the first block's input, so
+        # none of them (nor an array it views) outlives the forward
+        cfg, params = self.depth_2_model(monkeypatch, threads, variant)
+        kinds = {id(params.w_c): "pre-bias", id(params.b_c): None, id(params.pos): "block input"}
+        for lp in params.layers:
+            kinds.update({id(lp.attn.w_o): "w_o", id(lp.mlp_w1): "pre-bias",
+                          id(lp.mlp_w2): "pre-bias", id(lp.mlp_b1): None, id(lp.mlp_b2): None})
+        make, found = T._make, []
+
+        def owner(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        def recording(data, parents, backward_fn, op):
+            out = make(data, parents, backward_fn, op)
+            kind = {"dropout": "dropout", "add": "residual"}.get(op)
+            if op in ("matmul", "add"):
+                kind = kinds.get(id(parents[1]), kind)
+            if kind:
+                found.append((kind, weakref.ref(owner(out.data))))
+            return out
+
+        monkeypatch.setattr(T, "_make", recording)
+        loss = self.training_loss(cfg, params)
+        assert Counter(kind for kind, _ in found) == {"w_o": 2, "dropout": 4, "pre-bias": 5,
+                                                      "residual": 4, "block input": 1}
+        assert [kind for kind, ref in found if ref() is not None] == []
+        loss.backward()
+        assert all(t.grad is not None for _, t in params.named_parameters())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_second_backward_gives_the_same_gradients(self, monkeypatch, threads):
+        # no closure consumes what it keeps: backward runs again on one graph
+        cfg, params = self.depth_2_model(monkeypatch, threads)
+        loss = self.training_loss(cfg, params)
+        loss.backward()
+        first = [np.array(t.grad) for _, t in params.named_parameters()]
+        loss.backward()
+        for g, (_, t) in zip(first, params.named_parameters(), strict=True):
+            assert t.grad.tobytes() == g.tobytes()
 
     def test_interior_gradients_released_during_backward(self, monkeypatch):
         # benchmark config, batch 128: interior gradients alive at one time
