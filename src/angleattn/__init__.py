@@ -1,6 +1,6 @@
 """Angular-attention transformers for hyperspectral image classification."""
 
-from . import attention, cli, data, model, tensor, train
+from . import attention, data, model, tensor, train
 from .attention import (AdditiveParams, AttentionConfig, AttentionParams,
                         NormMode, ScoreVariant, attention_node,
                         multi_head_attention)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -262,10 +261,8 @@ class _Chunk:
 
     Each step repeats the composed reference's numpy expression on the same
     operand layout, so the q k^T variants stay bit-identical to it. Every
-    array it makes comes from ``tensor._empty``, so inside a step pool its
-    (..., H, N, N[, d_a]) temporaries go back to the pool when the chunk
-    and the arrays it hands on die. The forward checks the cosine rows
-    (``check``); backward recomputes the same rows bit for bit and skips it.
+    array it makes comes from ``tensor._empty``. The forward checks the
+    cosine rows (``check``); backward recomputes them bit for bit and skips it.
     """
 
     def __init__(self, q, k, cfg, additive, check=True):
@@ -348,8 +345,6 @@ class _Chunk:
             g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2), out=T._empty(self.q.shape))
             g_k = np.swapaxes(np.matmul(np.swapaxes(self.q, -1, -2), g_s,
                                         out=T._empty(self.k_t.shape)), -1, -2)
-            if self.n_cos is not None:  # the reference's head slicing leaves it C-ordered
-                g_k = _copy(g_k)
             g_params = ()
         return (self._normalize_bwd(g_q, self.q_norm), self._normalize_bwd(g_k, self.k_norm),
                 g_params)
@@ -377,19 +372,6 @@ def _projection_bwd(rows, w_t, g, out):
     return np.matmul(g, np.swapaxes(w_t, -1, -2), out=out), np.swapaxes(g_w_t, -1, -2)
 
 
-def _place(full, sl, part, shape):
-    """Merge one chunk's (..., H, N, d_h) gradient into the batch's (..., N, D),
-    keeping its memory layout: the composed reference hands the key gradient
-    on transposed, and the layout decides how the projection matmuls round."""
-    part = np.swapaxes(part, -2, -3).reshape(part.shape[:-3] + shape[-2:])
-    if sl == slice(None):
-        return part
-    if full is None:
-        full = T._empty_like(part, shape)
-    full[sl] = part
-    return full
-
-
 def attention_node(q, k, v, cfg, additive=None):
     """softmax(scores(normalised q, normalised k)) v per head, as one tape node.
 
@@ -398,10 +380,7 @@ def attention_node(q, k, v, cfg, additive=None):
     For the q k^T variants it is bit for bit the composed reference in
     ``tests/oracle.py``, down to the layout of the gradients it hands on.
     The softmax subtracts each row's max before ``exp`` unless
-    ``_skips_max_shift(cfg)``: on checked unit rows a cosine-family score is
-    bounded (cs2, abscs in [0, 1], cs in [-1, 1], tempcs2 in [0, 1/tau]), so
-    ``exp`` cannot overflow while the bound stays at most ``_EXP_LIMIT``, and
-    the shift's max and subtract passes buy nothing.
+    ``_skips_max_shift(cfg)``, where no score can make ``exp`` overflow.
     The node walks the leading sample axis in chunks whose largest array
     (the scores, or the additive hidden tensor) fits CHUNK_BUDGET. When
     recorded on the tape it keeps its inputs and each chunk's softmax
@@ -412,9 +391,12 @@ def attention_node(q, k, v, cfg, additive=None):
     (chunk, H, N, N[, d_a]) temporaries come from ``tensor._empty`` and die
     with it, so inside a step pool the next chunk reuses their buffers, and
     outside one the heap does; under ``no_grad`` the softmax too runs in
-    the score buffer. The kept probabilities stay in chunk order, chunk
-    0 lays out the batch's q, k and v gradients before the other chunks
-    write theirs, and the additive parameter gradients are summed in chunk
+    the score buffer. The caller lends the output, and backward the batch's
+    q, k and v gradients in the reference's layouts, before the deal; each
+    chunk writes only its own samples' rows of them (a matmul only where
+    each destination matrix has a unit last stride, which keeps it on
+    BLAS), so no chunk waits for another. The kept probabilities stay in
+    chunk order and the additive parameter gradients are summed in chunk
     order, so every bit is that of a serial loop.
     """
     h = cfg.heads
@@ -446,35 +428,32 @@ def attention_node(q, k, v, cfg, additive=None):
         q_h, k_h, v_h = split(sl)
         s = _Chunk(q_h, k_h, cfg, arrays).scores()
         p = T._softmax_fwd(s, out=T._empty(s.shape) if tracked else s, shift=shift)
-        _heads(out, h)[sl] = np.matmul(p, v_h, out=T._empty(v_h.shape))
+        np.matmul(p, v_h, out=_heads(out, h)[sl])
         return p if tracked else None
 
     kept = parallel.deal(forward, len(chunks))
 
+    # the reference hands on a q k^T key gradient as the transpose of its (..., D, N)
+    # q^T dL/ds, unless k's normalisation or the mix's head slicing copies it C-ordered
+    key_transposed = (spec.kernel is not None and not spec.mixed
+                      and cfg.resolved_norm_mode in (NormMode.NONE, NormMode.QUERY_ONLY))
+
     def backward_fn(g):
-        g_out, g_qkv = _heads(g, h), [None, None, None]
-        laid_out = threading.Event()  # chunk 0 makes the batch's gradients in its layout
+        g_out, (a_q, a_k, a_v) = _heads(g, h), qkv
+        g_k = (np.swapaxes(T._empty(a_k.shape[:-2] + a_k.shape[:-3:-1]), -1, -2)
+               if key_transposed else T._empty(a_k.shape))
+        g_qkv = T._empty(a_q.shape), g_k, T._empty(a_v.shape)  # lent before the deal
+        g_q_h, g_k_h, g_v_h = (_heads(a, h) for a in g_qkv)
 
         def backward(i):
-            """Chunk i's additive parameter gradients, or (); its q, k and v
-            gradients go into the batch's."""
+            """Chunk i's additive parameter gradients, or (); it writes its rows of g_qkv."""
             sl, p = chunks[i], kept[i]
-            try:
-                q_h, k_h, v_h = split(sl)
-                g_v = np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=T._empty(v_h.shape))
-                g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=T._empty(p.shape))
-                g_scores = T._softmax_bwd(p, g_p, out=T._empty(p.shape))
-                g_q, g_k, g_params = _Chunk(q_h, k_h, cfg, arrays, check=False).backward(g_scores)
-                if i == 0:
-                    g_qkv[:] = [_place(None, sl, part, a.shape)
-                                for part, a in zip((g_q, g_k, g_v), qkv)]
-            finally:
-                if i == 0:
-                    laid_out.set()
-            laid_out.wait()
-            if i and g_qkv[0] is not None:  # else chunk 0 failed, and its error is raised
-                for full, part, a in zip(g_qkv, (g_q, g_k, g_v), qkv):
-                    _place(full, sl, part, a.shape)
+            q_h, k_h, v_h = split(sl)
+            np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=g_v_h[sl])
+            g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=T._empty(p.shape))
+            g_scores = T._softmax_bwd(p, g_p, out=T._empty(p.shape))
+            g_q_h[sl], g_k_h[sl], g_params = _Chunk(q_h, k_h, cfg, arrays,
+                                                    check=False).backward(g_scores)
             return g_params
 
         per_chunk = parallel.deal(backward, len(chunks))

@@ -9,6 +9,7 @@ the checkpoint.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -40,11 +41,27 @@ _PATH_KEYS = ("cube", "labels", "out")
 
 
 def _check_paths(cfg):
-    """The one value rule no config dataclass holds: a path is a string or null.
-    Without it ``{"cube": 5}`` would make ``open`` read file descriptor 5."""
+    """The one value rule no config dataclass holds: a path is a NUL-free string or
+    null. ``{"cube": 5}`` would make ``open`` read fd 5, a NUL byte raise ValueError."""
     for key in _PATH_KEYS:
-        if cfg[key] is not None and not isinstance(cfg[key], str):
-            raise ConfigError(f"{key} must be a path string or null, got {cfg[key]!r}")
+        if cfg[key] is not None and not (isinstance(cfg[key], str) and "\0" not in cfg[key]):
+            raise ConfigError(f"{key} must be a NUL-free path string or null, got {cfg[key]!r}")
+
+
+@contextlib.contextmanager
+def _output(path, directory=False):
+    """Makes ``path`` (a directory, or a file opened to append and yielded) before
+    the block, so a bad path fails before any work; removes it if new and the block fails."""
+    made = not os.path.exists(path)
+    if directory:
+        os.makedirs(path, exist_ok=True)
+    with contextlib.nullcontext() if directory else open(path, "a") as f:
+        try:
+            yield f
+        except BaseException:
+            if made:
+                (os.rmdir if directory else os.remove)(path)
+            raise
 
 
 def load_config_file(path):
@@ -137,10 +154,9 @@ def cmd_train(args):
     classes = labels.num_classes if cfg["classes"] is None else cfg["classes"]
     model_cfg, tcfg, split_spec = build_configs(cfg, cube.bands, classes, cfg["seed"])
     splits = stratified_split(labels, split_spec)
-    params, log, best_epoch = train(model_cfg, cube, labels, splits, tcfg)
-    manifest_cfg = dict(cfg)
-    manifest_cfg["classes"] = classes
-    manifest_cfg["scene_bands"] = cube.bands
+    with _output(cfg["out"], directory=True):
+        params, log, best_epoch = train(model_cfg, cube, labels, splits, tcfg)
+    manifest_cfg = dict(cfg, classes=classes, scene_bands=cube.bands)
     save_checkpoint(cfg["out"], params, manifest_cfg, cfg["seed"], best_epoch)
     with open(os.path.join(cfg["out"], "epochs.jsonl"), "w") as f:
         for entry in log:
@@ -178,10 +194,7 @@ def _params_from_checkpoint(path):
 
 def cmd_eval(args):
     params, model_cfg, split_spec, cfg, manifest = _params_from_checkpoint(args.checkpoint)
-    if args.cube:
-        cfg["cube"] = args.cube
-    if args.labels:
-        cfg["labels"] = args.labels
+    cfg.update((key, getattr(args, key)) for key in ("cube", "labels") if getattr(args, key))
     cube, labels = _load_scene(cfg)
     if cube.bands != model_cfg.bands:
         raise ConfigError(f"cube has {cube.bands} bands, checkpoint expects {model_cfg.bands}")
@@ -220,10 +233,12 @@ def cmd_sweep(args):
     cube, labels = _load_scene(dict(cfg, snr_db=None))  # noise is added per cell
     classes = labels.num_classes if cfg["classes"] is None else cfg["classes"]
     model_cfg, tcfg, split_spec = build_configs(cfg, cube.bands, classes, cfg["seed"])
-    rows = sweep(variants, model_cfg, cube, labels, split_spec, tcfg, seeds=seeds, snr_dbs=snrs)
-    csv_text = rows_to_csv(rows)
-    if cfg["out"]:
-        with open(cfg["out"], "w") as f:
+    with _output(cfg["out"]) if cfg["out"] else contextlib.nullcontext() as f:
+        rows = sweep(variants, model_cfg, cube, labels, split_spec, tcfg, seeds=seeds,
+                     snr_dbs=snrs)
+        csv_text = rows_to_csv(rows)
+        if f:
+            f.truncate(0)
             f.write(csv_text)
     print(csv_text, end="")
     return 0
@@ -293,8 +308,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AngleAttnError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AngleAttnError, OSError, MemoryError) as exc:  # MemoryError: a refused allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -336,17 +336,15 @@ def _empty(shape):
     return pool.empty(shape)
 
 
-def _empty_like(a, shape=None):
-    """``np.empty_like(a, shape=shape)`` through ``_empty``: C or Fortran
-    order where ``a`` is contiguous that way, else ``a``'s axes ordered by
-    stride, as numpy's order 'K' does. Layouts decide how later matmuls and
-    sums round, so they are kept."""
-    shape = a.shape if shape is None else shape
+def _empty_like(a):
+    """``np.empty_like(a)`` through ``_empty``: C or Fortran order where ``a`` is
+    contiguous that way, else ``a``'s axes ordered by stride, as numpy's order
+    'K' does. Layouts decide how later matmuls and sums round, so they are kept."""
     if a.flags.c_contiguous:
-        return _empty(shape)
+        return _empty(a.shape)
     axes = (list(range(a.ndim))[::-1] if a.flags.f_contiguous
             else sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
-    return _empty(tuple(shape[i] for i in axes)).transpose(np.argsort(axes))
+    return _empty(tuple(a.shape[i] for i in axes)).transpose(np.argsort(axes))
 
 
 def _by_sample(fn, out, *operands, **consts):

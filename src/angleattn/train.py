@@ -161,12 +161,10 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
     few patches still fills every core. Each row of a forward depends on
     its own patch alone, so the ids depend on none of these bounds, and
     each block writes only its own slice of them. ``parallel.deal`` runs
-    the blocks round-robin on those threads, each in a copy of the caller's
-    context, so under its ``no_grad``, pool and numpy error handling; the
-    attention nodes inside a threaded block run their chunks, and its ops
-    their samples, serially. The
-    error raised is that of the lowest-offset block that failed, the one a
-    serial run would raise.
+    the blocks on those threads under the caller's ``no_grad``, pool and
+    numpy error handling, and raises the error of the lowest-offset block
+    that failed, as a serial run would; inside a threaded block the
+    attention nodes and ops run serially.
 
     Inside ``train`` the blocks' arrays come from its step pool. Outside it
     a call of more blocks than threads lends from its thread's predict
@@ -197,10 +195,18 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
     return preds
 
 
+def _check_classes(cfg, labels):
+    """ConfigError unless the model has a class for every label id."""
+    if labels.num_classes > cfg.num_classes:
+        raise ConfigError(f"num_classes {cfg.num_classes} is below the {labels.num_classes} "
+                          "classes of the labels")
+
+
 def evaluate(params, cfg, cube, labels, test_indices, batch_size=256):
     """Confusion matrix and OA/AA/kappa over the given test pixels."""
     if len(test_indices) == 0:
         raise EvalError("empty test set")
+    _check_classes(cfg, labels)
     truth = labels.ids.reshape(-1)[test_indices].astype(np.int64)
     preds = predict(params, cfg, cube, test_indices, batch_size)
     k = cfg.num_classes
@@ -248,6 +254,7 @@ def train(cfg, cube, labels, splits, tcfg):
     train_idx, val_idx, _ = splits
     if len(train_idx) == 0:
         raise SplitError("empty training split")
+    _check_classes(cfg, labels)
     flat_labels = labels.ids.reshape(-1).astype(np.int64)
     params = init_params(cfg, tcfg.seed)
     named = params.named_parameters()

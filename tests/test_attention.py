@@ -679,3 +679,34 @@ def test_threaded_chunks_raise_the_earliest_chunks_error(threads, monkeypatch):
     monkeypatch.setattr(attention, "_check_unit_rows", slow_for_short_rows)
     with pytest.raises(ContractError, match=r"^query rows .*\(found norm 1\.732e-13\)$"):
         attention_node(Tensor(q), Tensor(k), Tensor(v), cfg_for("cs2", dim=6, heads=2))
+
+
+# -- the layouts of the gradients the node hands on ----------------------------
+
+@pytest.mark.parametrize("chunks", [1, 4])
+@pytest.mark.parametrize("norm_mode", [None, "none", "query", "key", "both"])
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_node_gradients_have_the_references_layouts(tag, norm_mode, chunks, monkeypatch):
+    # the node lends the batch's q, k and v gradients itself, by its own
+    # rule, and no chunk lays them out: in one chunk and in four 1-sample
+    # chunks they must have the strides of the composed reference's
+    monkeypatch.setattr(attention, "CHUNK_BUDGET", attention.CHUNK_BUDGET if chunks == 1 else 1)
+    b, n, d, h = 4, 5, 12, 3
+    cfg = cfg_for(tag, dim=d, heads=h, norm_mode=norm_mode)
+    add = rand_params(d, h, seed=53, additive=True).additive
+    rng = np.random.default_rng(54)
+    arrays, weights = [rng.normal(size=(b, n, d)) for _ in range(3)], rng.normal(size=(b, n, d))
+
+    def gradients(attend_heads):
+        qkv = [Tensor(a, requires_grad=True) for a in arrays]
+        T.sum_all(T.mul(attend_heads(*qkv), Tensor(weights))).backward()
+        return [t.grad for t in qkv]
+
+    def reference(q, k, v):
+        qh, kh, vh = (split_heads(t, h) for t in (q, k, v))
+        return merge_heads(attend(score(cfg.variant, *normalise(qh, kh, cfg), cfg, add), vh,
+                                  shift=not attention._skips_max_shift(cfg)))
+
+    node = gradients(lambda q, k, v: attention_node(q, k, v, cfg, add))
+    for got, want in zip(node, gradients(reference), strict=True):
+        assert got.strides == want.strides

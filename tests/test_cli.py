@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from angleattn import cli as cli_module
 from angleattn import train as train_module
 from angleattn.cli import CONFIG_DEFAULTS, main
 from angleattn.train import SWEEP_CSV_HEADER
@@ -219,7 +220,8 @@ class TestTrain:
                     ({"dropout": None}, "dropout_rate"), ({"variant": 2}, "score variant"),
                     ({"snr_db": "loud"}, "snr_db"),
                     ({"cube": 5}, "cube"), ({"out": ["x"]}, "out"),
-                    ({"classes": False}, "num_classes"), ({"classes": 0}, "num_classes")]
+                    ({"classes": False}, "num_classes"), ({"classes": 0}, "num_classes"),
+                    ({"cube": "a\u0000b"}, "cube")]
 
     @pytest.mark.parametrize("doc,field", WRONG_CONFIG,
                              ids=[f"doc{i}" for i in range(len(WRONG_CONFIG))])
@@ -284,9 +286,6 @@ class TestTrain:
 class TestDivergence:
     def test_names_epoch_and_step_without_warnings(self, scene_dir, tmp_path):
         # a subprocess, so that numpy's RuntimeWarnings would reach its stderr
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         argv = ["train", "--cube", os.path.join(scene_dir, "scene.npy"),
                 "--labels", os.path.join(scene_dir, "labels.npy"),
                 "--patch", "5", "--dim", "8", "--depth", "1", "--heads", "2",
@@ -297,7 +296,7 @@ class TestDivergence:
         done = subprocess.run(
             [sys.executable, "-c", "import sys; from angleattn.cli import main; "
              "sys.exit(main(sys.argv[1:]))"] + argv,
-            env=env, capture_output=True, text=True, timeout=120)
+            env=package_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 1
         assert re.fullmatch(r"error: epoch 0 step 0: .+ after the update\n", done.stderr), done.stderr
 
@@ -534,13 +533,7 @@ class TestSweep:
                                                                   capsys, monkeypatch):
         # -3000 dB is a valid SNR, but its noise puts this cube beyond
         # float32's range; each cell's noise is drawn before the first trains
-        calls, train = [], train_module.train
-
-        def recording(*args):
-            calls.append(args)
-            return train(*args)
-
-        monkeypatch.setattr(train_module, "train", recording)
+        calls = recording(monkeypatch, train_module, "train")
         out = tmp_path / "r.csv"
         assert self.run_sweep(scene_dir, str(out), "cs2", "0", "20,-3000") == 2
         assert capsys.readouterr().err == ("error: noise at snr_db -3000.0 puts the cube "
@@ -619,3 +612,87 @@ class TestConfigFile:
                     assert err.startswith("error: ") and err.count("\n") == 1, err
                 else:
                     assert err == ""
+
+
+def recording(monkeypatch, module, name):
+    """The calls of ``module.name`` from now on; each still runs."""
+    calls, fn = [], getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def package_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+class TestRefusedBeforeWork:
+    """Inputs refused with one ``error:`` line before the work they would spoil."""
+
+    def scene_argv(self, command, scene_dir, out, extra=()):
+        return ([command, "--cube", os.path.join(scene_dir, "scene.npy"),
+                 "--labels", os.path.join(scene_dir, "labels.npy"), "--out", out]
+                + FAST + (["--variants", "cs2"] if command == "sweep" else []) + list(extra))
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_unwritable_out_exits_1_before_training(self, scene_dir, tmp_path, capsys,
+                                                    monkeypatch, command):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        out = not_a_dir / "x" if command == "train" else tmp_path / "missing" / "x.csv"
+        trainings, sweeps = (recording(monkeypatch, cli_module, fn) for fn in ("train", "sweep"))
+        assert main(self.scene_argv(command, scene_dir, str(out))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+        assert trainings == sweeps == []
+
+    def test_refused_sweep_keeps_an_existing_csv_and_makes_none(self, scene_dir, tmp_path):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("kept\n")
+        for out in (old, new):
+            assert main(self.scene_argv("sweep", scene_dir, str(out), ["--classes", "2"])) == 2
+        assert old.read_text() == "kept\n" and not new.exists()
+
+    def test_more_label_classes_than_the_model_exits_2(self, scene_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        steps = recording(monkeypatch, train_module, "_train_step")
+        ckpt = tmp_path / "ckpt"
+        assert run_train(scene_dir, str(ckpt), ["--classes", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_classes 2 ") and err.count("\n") == 1
+        assert steps == [] and not ckpt.exists()
+
+    def test_eval_of_more_label_classes_than_the_checkpoint_exits_2(self, small_ckpt, tmp_path,
+                                                                    capsys, monkeypatch):
+        cube = json.load(open(os.path.join(small_ckpt, "manifest.json")))["config"]["cube"]
+        ids = np.load(os.path.join(os.path.dirname(cube), "labels.npy"))
+        ids.reshape(-1)[np.flatnonzero(ids == 3)[:10]] = 4  # enough for every split
+        labels = str(tmp_path / "labels.npy")
+        np.save(labels, ids)
+        forwards = recording(monkeypatch, train_module, "predict")
+        assert main(["eval", "--checkpoint", small_ckpt, "--labels", labels]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_classes 3 ") and err.count("\n") == 1
+        assert forwards == []
+
+    def test_refused_allocation_exits_1(self, scene_dir, tmp_path, capsys):
+        # 2^44 tokens x dim 4 of float64 is 512 TiB, beyond any process's
+        # address space: numpy refuses it before touching memory
+        out = tmp_path / "ckpt"
+        assert run_train(scene_dir, str(out), ["--patch", str(2 ** 22), "--dim", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_run_as_a_module_writes_nothing_to_stderr(self):
+        done = subprocess.run([sys.executable, "-m", "angleattn.cli", "--help"],
+                              env=package_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stdout.startswith("usage: angleattn")
+        assert done.stderr == ""

@@ -759,6 +759,19 @@ class TestEvaluate:
         with pytest.raises(EvalError):
             evaluate(params, cfg, cube, labels, np.array([], dtype=int))
 
+    def test_more_label_classes_than_the_model_refused_before_any_forward(self, monkeypatch):
+        # train and evaluate share the check; at evaluate it used to end in
+        # an IndexError from np.add.at after the forward
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        cfg, refusal = replace(tiny_model(), num_classes=2), r"^num_classes 2 is below the 3 "
+        monkeypatch.setattr(train_module, "init_params", None)
+        with pytest.raises(ConfigError, match=refusal):
+            train(cfg, cube, labels, splits, TrainConfig(epochs=1))
+        monkeypatch.setattr(train_module, "predict", None)
+        with pytest.raises(ConfigError, match=refusal):
+            evaluate(init_params(cfg, 0), cfg, cube, labels, splits[2])
+
 
 class TestPredict:
     def test_all_zero_pixel_under_cosine_scoring(self):
