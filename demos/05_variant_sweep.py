@@ -5,8 +5,8 @@ over a few seeds on a gain-perturbed scene, then prints the result table
 as CSV. The cosine variant should win or tie on median OA: per-pixel gain
 scrambles magnitudes but leaves spectral directions intact.
 
-Takes a couple of minutes serially; set ANGLEATTN_THREADS=2 to run the
-cells in two processes.
+Takes a couple of minutes on one core; sweep runs its cells one per usable
+core at a time.
 """
 
 import numpy as np
@@ -37,5 +37,5 @@ def main():
         print(f"{tag}: median OA {np.median(oas):.4f}")
 
 
-if __name__ == "__main__":  # sweep's worker processes import this module
+if __name__ == "__main__":
     main()

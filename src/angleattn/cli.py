@@ -50,12 +50,13 @@ def _check_paths(cfg):
 
 @contextlib.contextmanager
 def _output(path, directory=False):
-    """Makes ``path`` (a directory, or a file opened to append and yielded) before
-    the block, so a bad path fails before any work; removes it if new and the block fails."""
+    """Makes ``path`` (a directory, or a binary file opened to append and yielded)
+    before the block, so a bad path fails before any work; removes it if new and
+    the block fails. A writer truncates the file first."""
     made = not os.path.exists(path)
     if directory:
         os.makedirs(path, exist_ok=True)
-    with contextlib.nullcontext() if directory else open(path, "a") as f:
+    with contextlib.nullcontext() if directory else open(path, "ab") as f:
         try:
             yield f
         except BaseException:
@@ -199,21 +200,27 @@ def cmd_eval(args):
     if cube.bands != model_cfg.bands:
         raise ConfigError(f"cube has {cube.bands} bands, checkpoint expects {model_cfg.bands}")
     _, _, test_idx = stratified_split(labels, split_spec)
-    report = evaluate(params, model_cfg, cube, labels, test_idx)
-    print(f"OA={100 * report.oa:.2f} AA={100 * report.aa:.2f} kappa={100 * report.kappa:.2f}")
-    if args.out:
-        row = {"variant": cfg["variant"], "seed": manifest["seed"],
-               "epoch_best": manifest["epoch"], "oa": report.oa, "aa": report.aa,
-               "kappa": report.kappa, "train_seconds": 0.0, "snr_db": cfg["snr_db"]}
-        with open(args.out, "w") as f:
-            f.write(rows_to_csv([row]))
-    if args.map or args.map_npy:
-        flat = np.arange(labels.ids.size)
-        preds = predict(params, model_cfg, cube, flat).reshape(labels.ids.shape)
-        if args.map:
-            export_map(preds, args.map, num_classes=model_cfg.num_classes)
-        if args.map_npy:
-            np.save(args.map_npy, preds.astype("<u2"))
+    with contextlib.ExitStack() as claims:
+        out, ppm, npy = (path and claims.enter_context(_output(path))
+                         for path in (args.out, args.map, args.map_npy))
+        report = evaluate(params, model_cfg, cube, labels, test_idx)
+        print(f"OA={100 * report.oa:.2f} AA={100 * report.aa:.2f} "
+              f"kappa={100 * report.kappa:.2f}")
+        if ppm or npy:
+            flat = np.arange(labels.ids.size)
+            preds = predict(params, model_cfg, cube, flat).reshape(labels.ids.shape)
+        if out:
+            row = {"variant": cfg["variant"], "seed": manifest["seed"],
+                   "epoch_best": manifest["epoch"], "oa": report.oa, "aa": report.aa,
+                   "kappa": report.kappa, "train_seconds": 0.0, "snr_db": cfg["snr_db"]}
+            out.truncate(0)
+            out.write(rows_to_csv([row]).encode())
+        if ppm:
+            ppm.truncate(0)
+            export_map(preds, ppm, num_classes=model_cfg.num_classes)
+        if npy:
+            npy.truncate(0)
+            np.save(npy, preds.astype("<u2"))
     return 0
 
 
@@ -239,7 +246,7 @@ def cmd_sweep(args):
         csv_text = rows_to_csv(rows)
         if f:
             f.truncate(0)
-            f.write(csv_text)
+            f.write(csv_text.encode())
     print(csv_text, end="")
     return 0
 

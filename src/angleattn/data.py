@@ -9,6 +9,7 @@ PPM (P6) images.
 from __future__ import annotations
 
 import ast
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -313,7 +314,8 @@ def class_color(k, num_classes):
 
 
 def export_map(predictions, path, num_classes=None):
-    """Write class-id raster as a binary PPM (P6, maxval 255)."""
+    """Write class-id raster as a binary PPM (P6, maxval 255) to a path or an
+    open binary file."""
     predictions = np.asarray(predictions)
     if predictions.ndim != 2:
         raise DimensionError(f"prediction map must be 2-D, got {predictions.shape}")
@@ -322,6 +324,6 @@ def export_map(predictions, path, num_classes=None):
                        dtype=np.uint8)
     pixels = palette[predictions]
     h, w = predictions.shape
-    with open(path, "wb") as f:
+    with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())

@@ -5,10 +5,11 @@ calling thread and the module's worker threads, each of which waits on a
 task queue of its own. ``train.predict`` deals its blocks through it,
 ``attention.attention_node`` its sample chunks, and the row-by-row ops of
 ``tensor`` (matmul, gelu, layer_norm, add, dropout) slices of their
-leading sample axis. Each share runs in a copy of the caller's context, so
-under its ``no_grad`` and step pool, and is marked as a share: a deal made
-inside one runs serially. So no worker ever hands work to a worker, and
-the threads of any loop never exceed the budget.
+leading sample axis, and ``train.sweep`` its cells. Each share runs in a
+copy of the caller's context, so under its ``no_grad`` and step pool, and
+is marked as a share: a deal made inside one runs serially. So no worker
+ever hands work to a worker, and the threads of any loop never exceed one
+per usable core.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ import numpy as np
 # caller's own), or None outside one; the step pool keeps a free list per share
 _share = contextvars.ContextVar("angleattn_share", default=None)
 
-# the thread budget when set (by sweep's worker processes); else one per usable core
-_thread_share = None
-
-# the task queues of the worker threads, as many as the budget allows besides the caller
+# the task queues of the worker threads, one per usable core besides the caller
 _workers = []
 _workers_lock = threading.Lock()
 
@@ -48,23 +46,9 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def _budget():
-    """Threads a deal may use, the caller included: one per usable core, or
-    the share of them that ``sweep`` gave its worker process."""
-    return _thread_share or _usable_cores()
-
-
-def _share_cores(workers):
-    """Initializer of ``sweep``'s worker processes: ``workers`` of them split
-    the usable cores between their deals, so that together they run no more
-    threads than there are cores."""
-    global _thread_share
-    _thread_share = max(1, _usable_cores() // workers)
-
-
 def threads():
-    """Threads a deal started here would use: the budget, or 1 inside a share."""
-    return 1 if _share.get() is not None else _budget()
+    """Threads a deal started here would use: one per usable core, or 1 inside a share."""
+    return 1 if _share.get() is not None else _usable_cores()
 
 
 def _work(tasks):
@@ -82,10 +66,10 @@ def _work(tasks):
 
 def _queues(n):
     """The task queues of ``n`` workers. The first deal starts one worker
-    per thread of the budget besides the caller; a deal that needs more
-    (the budget grew since) starts the rest."""
+    per usable core besides the caller; a deal that needs more (the cores
+    grew since) starts the rest."""
     with _workers_lock:
-        while len(_workers) < max(n, _budget() - 1):
+        while len(_workers) < max(n, _usable_cores() - 1):
             tasks = queue.SimpleQueue()
             threading.Thread(target=_work, args=(tasks,), daemon=True,
                              name=f"angleattn-{len(_workers)}").start()
@@ -101,7 +85,8 @@ def deal(fn, n):
     order and in a copy of the caller's context, under its numpy error
     handling. The caller waits for every share, then raises the error of
     the lowest-index item that failed, the one a serial loop would raise;
-    a share stops at its first failure. With one share no thread starts.
+    a share stops at its first failure, and skips an item once a
+    lower-index item has failed. With one share no thread starts.
     """
     k = min(threads(), n)
     if k <= 1:
@@ -110,10 +95,13 @@ def deal(fn, n):
     errors = np.geterr()  # numpy 1.x keeps it per thread, outside the context
 
     def run(share):
-        """Run ``share``'s items in turn; record (index, error) of the first that fails."""
+        """Run ``share``'s items in turn, up to the first that fails or that
+        follows a failed item; record (index, error) of the one that fails."""
         _share.set(share)
         with np.errstate(**errors):
             for i in range(share, n, k):
+                if any(j < i for j, _ in failures):
+                    return
                 try:
                     results[i] = fn(i)
                 except BaseException as exc:

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -293,23 +291,16 @@ def train(cfg, cube, labels, splits, tcfg):
 SWEEP_CSV_HEADER = "variant,seed,epoch_best,oa,aa,kappa,train_seconds,snr_db"
 
 
-def _sweep_workers():
-    """Worker processes for sweep cells: ANGLEATTN_THREADS, default 1 (serial)."""
-    text = os.environ.get("ANGLEATTN_THREADS", "1")
-    if not text.isdecimal() or int(text) < 1:
-        raise ConfigError(f"ANGLEATTN_THREADS must be a positive integer, got {text!r}")
-    return int(text)
-
-
 def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None,
           snr_dbs=(None,)):
     """Train and evaluate every variant x seed x SNR cell; rows in that order.
 
     A cell's seed sets its split, initialization, shuffling and noise; an SNR
-    of None adds no noise. ``seeds`` defaults to ``tcfg_base.seed``. Cells
-    run in ``ANGLEATTN_THREADS`` spawned processes when that is above 1, so a
-    calling script must keep its top-level code under ``__name__ == "__main__"``;
-    each process then deals its threaded loops to its share of the usable cores.
+    of None adds no noise. ``seeds`` defaults to ``tcfg_base.seed``. The
+    cells are dealt through ``parallel.deal``: one cell runs on every core,
+    and several run one per core at a time, each cell's loops serially, so
+    the ``train_seconds`` of concurrent cells overlap. A cell's row does
+    not depend on which thread ran it.
     """
     seeds = [tcfg_base.seed] if seeds is None else list(seeds)
     snr_dbs = list(snr_dbs)
@@ -321,19 +312,9 @@ def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None,
         for snr_db in snr_dbs:
             inject_noise(cube, snr_db, seed)
     variants = [ScoreVariant.from_tag(v) if isinstance(v, str) else v for v in variants]
-    workers = _sweep_workers()
     cells = [(v, seed, snr) for v in variants for seed in seeds for snr in snr_dbs]
-    run = partial(_sweep_cell, cfg_base=cfg_base, cube=cube, labels=labels,
-                  split_spec=split_spec, tcfg_base=tcfg_base)
-    if workers == 1:
-        return [run(*cell) for cell in cells]
-    from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps pay for these
-    from multiprocessing import get_context
-
-    workers = min(workers, len(cells))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"),
-                             initializer=parallel._share_cores, initargs=(workers,)) as pool:
-        return list(pool.map(run, *zip(*cells)))
+    return parallel.deal(lambda i: _sweep_cell(*cells[i], cfg_base, cube, labels, split_spec,
+                                               tcfg_base), len(cells))
 
 
 def _sweep_cell(variant, seed, snr_db, cfg_base, cube, labels, split_spec, tcfg_base):

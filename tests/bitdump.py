@@ -18,12 +18,13 @@ pooled buffers; then the ids and every block's probabilities of two
 successive ``predict`` calls on the trained model outside ``train``, each
 over two blocks, the second of them partial, so that the second call runs
 on the buffers the first left in the thread's predict pool.
-``--predict-threads N`` sets the thread budget of every threaded loop
-(``parallel.deal``; by default one thread per usable core): ``predict``'s
-blocks, the attention node's chunks and the training ops' slices of their
-sample axis (matmul, gelu, layer_norm, add, dropout), so 1 runs everything
-serially; ``predict``'s blocks' probabilities are stored in the order of
-their offsets in the call, whichever thread ran them. ``compare``
+``--predict-threads N`` takes N as the usable cores, so it sets the
+threads of every threaded loop (``parallel.deal``; by default one thread
+per usable core): ``predict``'s blocks, the attention node's chunks and the
+training ops' slices of their sample axis (matmul, gelu, layer_norm, add,
+dropout), so 1 runs everything serially; ``predict``'s blocks'
+probabilities are stored in the order of their offsets in the call,
+whichever thread ran them. ``compare``
 lists the arrays whose bytes, dtype or shape differ, or that only one dump
 holds, and exits 1 if any do; for two arrays of one shape it also prints
 the largest absolute and relative difference.
@@ -197,7 +198,7 @@ def main(argv=None):
     p_dump.add_argument("--variants", default=",".join(v.value for v in ScoreVariant),
                         help="comma-separated variant tags (default: all 12)")
     p_dump.add_argument("--predict-threads", type=int, default=None,
-                        help="thread budget of predict's blocks, the attention node's "
+                        help="threads of predict's blocks, the attention node's "
                              "chunks and the training ops' sample slices "
                              "(default: one per usable core)")
     p_compare = sub.add_parser("compare", help="list the arrays that differ between two dumps")
@@ -205,13 +206,13 @@ def main(argv=None):
     p_compare.add_argument("b")
     args = parser.parse_args(argv)
     if args.mode == "dump":
-        budget = parallel._thread_share
+        cores = parallel._usable_cores
         if args.predict_threads is not None:
-            parallel._thread_share = args.predict_threads
+            parallel._usable_cores = lambda: args.predict_threads
         try:
             arrays = dump(args.variants.split(","))
         finally:
-            parallel._thread_share = budget
+            parallel._usable_cores = cores
         np.savez(args.out, **arrays)
         print(f"wrote {len(arrays)} arrays to {args.out}")
         return 0

@@ -619,7 +619,7 @@ def test_one_attention_node_per_layer():
 def node_over_chunks(tag, threads, monkeypatch):
     """Output, input gradients and the threads that ran a chunk, of the node
     over 8 samples in chunks of 2, on a budget of ``threads`` threads."""
-    monkeypatch.setattr(parallel, "_thread_share", threads)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
     b, n, d, h = 8, 5, 6, 2
     cfg = cfg_for(tag, dim=d, heads=h)
     additive = VARIANTS[cfg.variant].kernel is None
@@ -663,7 +663,7 @@ def test_threaded_chunks_raise_the_earliest_chunks_error(threads, monkeypatch):
     # chunks of 2 samples: a query row below eps in chunk 1 fails last in
     # time, after a NaN row in chunk 3, yet its error is the one raised, as
     # in a serial loop
-    monkeypatch.setattr(parallel, "_thread_share", threads)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
     monkeypatch.setattr(attention, "CHUNK_BUDGET", 2 * 8 * 5 * 5 * 2)
     rng = np.random.default_rng(52)
     q, k, v = (rng.normal(size=(8, 5, 6)) for _ in range(3))

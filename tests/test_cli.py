@@ -13,8 +13,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from angleattn import cli as cli_module
+from angleattn import parallel
 from angleattn import train as train_module
 from angleattn.cli import CONFIG_DEFAULTS, main
+from angleattn.errors import EvalError
 from angleattn.train import SWEEP_CSV_HEADER
 
 FAST = ["--patch", "5", "--dim", "8", "--depth", "1", "--heads", "2",
@@ -502,12 +504,6 @@ class TestSweep:
         # the noisy cell trains on other data, so the model and its scores differ
         assert flag_rows[1].split(",")[3:6] != clean_rows[1].split(",")[3:6]
 
-    def test_bad_worker_count_exits_2(self, scene_dir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ANGLEATTN_THREADS", "abc")
-        assert self.run_sweep(scene_dir, str(tmp_path / "r.csv"), "cs2", "0") == 2
-        err = capsys.readouterr().err
-        assert "ANGLEATTN_THREADS" in err and err.count("\n") == 1
-
     def test_no_snr_axis(self, scene_dir, tmp_path):
         out = str(tmp_path / "rows.csv")
         assert self.run_sweep(scene_dir, out, "cs2", "0") == 0
@@ -541,12 +537,13 @@ class TestSweep:
         assert calls == [] and not out.exists()
 
     def test_parallel_matches_serial(self, scene_dir, tmp_path, monkeypatch):
-        serial, parallel = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
-        monkeypatch.setenv("ANGLEATTN_THREADS", "1")
+        # on two cores the two cells run at once, one per core
+        serial, threaded = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
         assert self.run_sweep(scene_dir, serial, "cs2,dp", "0") == 0
-        monkeypatch.setenv("ANGLEATTN_THREADS", "2")
-        assert self.run_sweep(scene_dir, parallel, "cs2,dp", "0") == 0
-        assert strip_time(serial) == strip_time(parallel)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+        assert self.run_sweep(scene_dir, threaded, "cs2,dp", "0") == 0
+        assert strip_time(serial) == strip_time(threaded)
 
 
 def strip_time(path):
@@ -690,6 +687,45 @@ class TestRefusedBeforeWork:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_patch_beyond_numpys_index_exits_2(self, scene_dir, tmp_path, capsys):
+        # 10^18 tokens of 16 float64 values is more bytes than numpy can
+        # index: it refuses such an array before touching memory
+        out = tmp_path / "ckpt"
+        assert run_train(scene_dir, str(out), ["--patch", str(10 ** 9)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: patch_size {10 ** 9} ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["--out", "--map", "--map-npy"])
+    def test_eval_unwritable_output_exits_1_before_evaluating(self, small_ckpt, tmp_path,
+                                                              capsys, monkeypatch, bad):
+        evaluations = recording(monkeypatch, cli_module, "evaluate")
+        argv = ["eval", "--checkpoint", small_ckpt]
+        for flag in ("--out", "--map", "--map-npy"):
+            argv += [flag, str(tmp_path / ("missing/x" if flag == bad else flag.strip("-")))]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing" in err and err.count("\n") == 1
+        assert evaluations == [] and list(tmp_path.iterdir()) == []
+
+    def test_failed_eval_removes_only_the_files_it_made(self, small_ckpt, tmp_path,
+                                                        monkeypatch):
+        old, new = tmp_path / "old.csv", tmp_path / "new.ppm"
+        old.write_text("kept\n")
+
+        def failing(*args):
+            raise EvalError("prediction failed")
+
+        monkeypatch.setattr(cli_module, "predict", failing)
+        assert main(["eval", "--checkpoint", small_ckpt, "--out", str(old),
+                     "--map", str(new)]) == 1
+        assert old.read_text() == "kept\n" and not new.exists()
+
+    def test_map_npy_is_written_at_its_path(self, small_ckpt, tmp_path):
+        npy = tmp_path / "map"  # np.save given this path would write map.npy
+        assert main(["eval", "--checkpoint", small_ckpt, "--map-npy", str(npy)]) == 0
+        assert np.load(npy).dtype == np.dtype("<u2") and list(tmp_path.iterdir()) == [npy]
 
     def test_run_as_a_module_writes_nothing_to_stderr(self):
         done = subprocess.run([sys.executable, "-m", "angleattn.cli", "--help"],

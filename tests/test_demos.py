@@ -20,7 +20,6 @@ def test_demo_runs(demo, tmp_path):
     # demo 03 writes scene_labels.ppm to its working directory
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    env.pop("ANGLEATTN_THREADS", None)
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -5,7 +5,6 @@ example ``Tape.backward``), so a package change that breaks the benchmark
 fails here. About 11 s.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_perfbench_selftest_passes():
-    env = dict(os.environ)
-    env.pop("ANGLEATTN_THREADS", None)
     done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-3000:]

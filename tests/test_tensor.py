@@ -185,7 +185,7 @@ class TestDropout:
         # the closure keeps one bool per value, no float64 array of x's
         # shape; output and gradient are x and g times the float64 keep
         # scale, bit for bit, signed zeros included
-        monkeypatch.setattr(parallel, "_thread_share", threads)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
         x = rand((5, 40, 48), 15)
         out = T.dropout(x, 0.3, True, np.random.default_rng(16))
@@ -499,7 +499,7 @@ class TestStepPool:
         monkeypatch.setattr(attention, "CHUNK_BUDGET", 1)  # one sample per chunk
         rng = np.random.default_rng(0)
         for tag, threads in itertools.product(("cs2", "dp", "add", "msa-cs2"), (1, 2)):
-            monkeypatch.setattr(parallel, "_thread_share", threads)
+            monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
             q, k, v = (Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True) for _ in range(3))
             additive = None
             if tag == "add":
@@ -715,7 +715,7 @@ class TestDealtOps:
     @staticmethod
     def run(op, threads, monkeypatch, shape=(5, 40, 48)):
         """The op's output and every input's gradient, on ``threads`` threads."""
-        monkeypatch.setattr(parallel, "_thread_share", threads)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
         rng = np.random.default_rng(4)
         n, d = shape[-2:]
         others = {"matmul": [(d, 64)], "matmul-batched": [shape[:-2] + (d, 64)], "gelu": [],

@@ -1,5 +1,5 @@
-import concurrent.futures
 import contextlib
+import contextvars
 import gc
 import math
 import multiprocessing
@@ -9,6 +9,7 @@ import time
 import weakref
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,9 +47,9 @@ def tiny_scene(seed=0, snr=None):
 
 
 def predict_threads(monkeypatch, n):
-    """Give threaded loops (predict's blocks, the node's chunks) a budget of
-    ``n`` threads, whatever the cores."""
-    monkeypatch.setattr(parallel, "_thread_share", n)
+    """Give threaded loops (predict's blocks, the node's chunks, sweep's
+    cells) ``n`` threads: as many usable cores, whatever the machine has."""
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: n)
 
 
 def tiny_model(variant="cs2"):
@@ -533,7 +534,6 @@ class TestStepPool:
         cfg = tiny_model()
         params = init_params(cfg, 0)
         monkeypatch.setattr(parallel, "_workers", [])
-        monkeypatch.setattr(parallel, "_thread_share", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()
         assert parallel.threads() == 1
@@ -545,12 +545,11 @@ class TestStepPool:
     def test_executor_is_sized_from_the_budget(self, monkeypatch):
         # a first call of two blocks on four cores starts three workers, not
         # one, so that later calls of more blocks still run on every core;
-        # a budget that grows since starts the workers it lacks
+        # cores that grow since start the workers they lack
         cube, pixels = self.predict_pixels()
         cfg = tiny_model()
         params = init_params(cfg, 0)
         monkeypatch.setattr(parallel, "_workers", [])
-        monkeypatch.setattr(parallel, "_thread_share", None)
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
         before = threading.active_count()
         try:
@@ -651,7 +650,7 @@ class TestGradientTape:
     def depth_2_model(monkeypatch, threads, variant="cs2"):
         """(config, parameters) of a depth-2 model on ``threads`` threads,
         every op dealing its samples when it can."""
-        monkeypatch.setattr(parallel, "_thread_share", threads)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
         attn = AttentionConfig(model_dim=8, heads=2, variant=variant)
         cfg = ModelConfig(bands=8, num_classes=3, patch_size=3, model_dim=8, depth=2,
@@ -973,35 +972,65 @@ class TestPredictThreads:
         assert proc.exitcode == 0
 
     def test_sweep_workers_share_the_cores(self, monkeypatch):
-        # each spawned cell process runs predict on its share of the cores;
-        # an in-process stand-in for the spawn pool runs its initializer
-        started = []
+        # two cells on two cores run one per core, each cell's loops
+        # serially; one cell runs on the caller, its loops on every core.
+        # The rows do not depend on the cores
+        seen, train = [], train_module.train
 
-        class InProcess:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                started.append(max_workers)
-                initializer(*initargs)
+        def train_recording(*args):
+            seen.append((threading.current_thread(), parallel.threads()))
+            return train(*args)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
-        monkeypatch.setattr(parallel, "_thread_share", None)
-        monkeypatch.setattr(parallel, "_usable_cores", lambda: 4)
-        monkeypatch.setenv("ANGLEATTN_THREADS", "3")
+        monkeypatch.setattr(train_module, "train", train_recording)
         cube, labels = tiny_scene()
-        rows = sweep(["cs2", "dp"], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
-                     TrainConfig(epochs=1, batch_size=32, seed=0))
-        assert started == [2] and len(rows) == 2
-        assert parallel.threads() == 2
-        for workers, threads in ((1, 4), (3, 1), (8, 1)):
-            parallel._share_cores(workers)
-            assert parallel.threads() == threads
+
+        def rows(cores, variants):
+            predict_threads(monkeypatch, cores)
+            seen.clear()
+            return [dict(row, train_seconds=None) for row in sweep(
+                variants, tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
+                TrainConfig(epochs=1, batch_size=32, seed=0))]
+
+        serial = rows(1, ["cs2", "dp"])
+        assert seen == [(threading.main_thread(), 1)] * 2
+        assert rows(2, ["cs2", "dp"]) == serial
+        assert [threads for _, threads in seen] == [1, 1] and len(set(seen)) == 2
+        assert rows(2, ["cs2"]) == serial[:1]
+        assert seen == [(threading.main_thread(), 2)]
+
+    def test_a_failure_skips_the_later_items_of_other_shares(self, monkeypatch):
+        # two shares: the caller runs items 0 and 2, a worker 1 and 3. Item 0
+        # fails once item 1 has started, and item 1 waits until the caller's
+        # share has ended on that failure, so item 3 has not started by then;
+        # it never runs, as in a serial loop
+        predict_threads(monkeypatch, 2)
+        started, ended = threading.Event(), threading.Event()
+        copy_context, ran, waited = contextvars.copy_context, [], []
+
+        class Context:
+            """A copy of the current context that says when share 0 has ended."""
+
+            def __init__(self):
+                self.context = copy_context()
+
+            def run(self, fn, share):
+                self.context.run(fn, share)
+                if share == 0:
+                    ended.set()
+
+        def item(i):
+            ran.append(i)
+            if i == 0:
+                waited.append(started.wait(60))
+                raise NumericError("item 0")
+            if i == 1:
+                started.set()
+                waited.append(ended.wait(60))
+
+        monkeypatch.setattr(parallel, "contextvars", SimpleNamespace(copy_context=Context))
+        with pytest.raises(NumericError, match="^item 0$"):
+            parallel.deal(item, 4)
+        assert waited == [True, True] and sorted(ran) == [0, 1]
 
 
 class TestSweep:
@@ -1072,11 +1101,3 @@ class TestSweep:
         assert rows[0]["oa"] == evaluate(params, cfg, noisy, labels, splits[2]).oa
         assert [r["snr_db"] for r in sweep(["cs2"], cfg, cube, labels, spec, tcfg)] == [None]
         assert rows_to_csv(rows).splitlines()[1].endswith(",0.0")
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_worker_count(self, monkeypatch, value):
-        monkeypatch.setenv("ANGLEATTN_THREADS", value)
-        cube, labels = tiny_scene()
-        with pytest.raises(ConfigError, match="ANGLEATTN_THREADS"):
-            sweep(["cs2"], tiny_model(), cube, labels, SplitSpec(0.1, 0.1, seed=0),
-                  TrainConfig(epochs=1, seed=0))
