@@ -256,8 +256,9 @@ def _copy(a):
 
 
 class _Chunk:
-    """One chunk's forward state, recomputed in backward: normalised rows and
-    raw scores (and the additive hidden tensor).
+    """One head group of one chunk (``group`` is its (kernel, norm mode,
+    cosine); a None kernel is additive): its forward state, recomputed in
+    backward: normalised rows and raw scores (and the additive hidden tensor).
 
     Each step repeats the composed reference's numpy expression on the same
     operand layout, so the q k^T variants stay bit-identical to it. Every
@@ -265,11 +266,9 @@ class _Chunk:
     cosine rows (``check``); backward recomputes them bit for bit and skips it.
     """
 
-    def __init__(self, q, k, cfg, additive, check=True):
-        self.cfg, self.spec, self.additive = cfg, VARIANTS[cfg.variant], additive
-        self.n_cos = (cfg.heads + 1) // 2 if self.spec.mixed else None
-        mode = cfg.resolved_norm_mode
-        check = check and self.spec.cosine and mode is NormMode.BOTH
+    def __init__(self, q, k, group, cfg, additive, check=True):
+        (self.kernel, mode, cosine), self.cfg, self.additive = group, cfg, additive
+        check = check and cosine and mode is NormMode.BOTH
         self.q, self.q_norm = self._normalize(q, mode in (NormMode.BOTH, NormMode.QUERY_ONLY),
                                               "query" if check else None)
         self.k, self.k_norm = self._normalize(k, mode in (NormMode.BOTH, NormMode.KEY_ONLY),
@@ -291,42 +290,20 @@ class _Chunk:
         self.w = w_a.reshape(h, 1, d_a, 1)
 
     def _normalize(self, x, on, check):
-        """Each row over max(||row||_2, _NORM_EPS); the mixed variant's cosine
-        heads only. With ``check`` (what the rows are) their norms must pass
-        ``_check_unit_rows``."""
+        """Each row over max(||row||_2, _NORM_EPS). With ``check`` (what the
+        rows are) their norms must pass ``_check_unit_rows``."""
         if not on:
             return x, None
-        part = x if self.n_cos is None else _copy(x[..., :self.n_cos, :, :])
-        y, active, denom, norms = T._l2_rows_fwd(part, _NORM_EPS, out=T._empty(part.shape))
+        y, active, denom, norms = T._l2_rows_fwd(x, _NORM_EPS, out=T._empty(x.shape))
         if check:
             _check_unit_rows(norms, check)
-        if self.n_cos is not None:
-            y = np.concatenate([y, x[..., self.n_cos:, :, :]], axis=-3, out=T._empty(x.shape))
-        return y, (part, active, denom)
+        return y, (x, active, denom)
 
     def _normalize_bwd(self, g, saved):
         if saved is None:
             return g
-        part, active, denom = saved
-        if self.n_cos is None:
-            return T._l2_rows_bwd(g, part, active, denom, out=T._empty(part.shape))
-        g_cos = _copy(g[..., :self.n_cos, :, :])
-        return np.concatenate([T._l2_rows_bwd(g_cos, part, active, denom,
-                                              out=T._empty(part.shape)),
-                               g[..., self.n_cos:, :, :]], axis=-3, out=T._empty(g.shape))
-
-    def _kernel(self, direction, *arrays, out):
-        """The row's kernel forward or backward, written into ``out``; the mixed
-        variant runs sdp on its last floor(H/2) heads, each group into its
-        own head slice of ``out`` (both of its kernels write there)."""
-        d_h = self.q.shape[-1]
-        if self.n_cos is None:
-            return getattr(self.spec.kernel, direction)(*arrays, d_h, self.cfg, out=out)
-        for kernel, heads in ((self.spec.kernel, np.s_[..., :self.n_cos, :, :]),
-                              (_SCALED, np.s_[..., self.n_cos:, :, :])):
-            getattr(kernel, direction)(*(a[heads] for a in arrays), d_h, self.cfg,
-                                       out=out[heads])
-        return out
+        x, active, denom = saved
+        return T._l2_rows_bwd(g, x, active, denom, out=T._empty(x.shape))
 
     def scores(self):
         """The raw scores, written over the chunk's score buffer."""
@@ -334,14 +311,14 @@ class _Chunk:
             s = T._empty(self.score_shape)
             np.matmul(self.hidden, self.w, out=s.reshape(s.shape + (1,)))
             return s
-        return self._kernel("forward", self.s, out=self.s)
+        return self.kernel.forward(self.s, self.q.shape[-1], self.cfg, out=self.s)
 
     def backward(self, g_scores):
         """(dL/dq, dL/dk, additive parameter gradients or ()) from dL/dscores."""
         if self.additive is not None:
             g_q, g_k, g_params = self._additive_bwd(g_scores)
         else:
-            g_s = self._kernel("backward", self.s, g_scores, out=self.s)
+            g_s = self.kernel.backward(self.s, g_scores, self.q.shape[-1], self.cfg, out=self.s)
             g_q = np.matmul(g_s, np.swapaxes(self.k_t, -1, -2), out=T._empty(self.q.shape))
             g_k = np.swapaxes(np.matmul(np.swapaxes(self.q, -1, -2), g_s,
                                         out=T._empty(self.k_t.shape)), -1, -2)
@@ -378,26 +355,26 @@ def attention_node(q, k, v, cfg, additive=None):
     ``q``, ``k``, ``v`` are (..., N, D); head h owns columns [h*d_h, (h+1)*d_h)
     of each, and the (..., N, D_v) output merges the heads back the same way.
     For the q k^T variants it is bit for bit the composed reference in
-    ``tests/oracle.py``, down to the layout of the gradients it hands on.
-    The softmax subtracts each row's max before ``exp`` unless
-    ``_skips_max_shift(cfg)``, where no score can make ``exp`` overflow.
-    The node walks the leading sample axis in chunks whose largest array
-    (the scores, or the additive hidden tensor) fits CHUNK_BUDGET. When
-    recorded on the tape it keeps its inputs and each chunk's softmax
-    probabilities; backward recomputes the rest, head copies too, one chunk
-    at a time, so no (N, N, d_a) tensor outlives its chunk. Forward and
-    backward each deal the chunks to ``parallel.threads()`` threads
-    (``parallel.deal``; one inside a threaded ``predict`` block). A chunk's
-    (chunk, H, N, N[, d_a]) temporaries come from ``tensor._empty`` and die
-    with it, so inside a step pool the next chunk reuses their buffers, and
-    outside one the heap does; under ``no_grad`` the softmax too runs in
-    the score buffer. The caller lends the output, and backward the batch's
-    q, k and v gradients in the reference's layouts, before the deal; each
-    chunk writes only its own samples' rows of them (a matmul only where
-    each destination matrix has a unit last stride, which keeps it on
-    BLAS), so no chunk waits for another. The kept probabilities stay in
-    chunk order and the additive parameter gradients are summed in chunk
-    order, so every bit is that of a serial loop.
+    ``tests/oracle.py``, down to the layout of the gradients it hands on. A
+    head's rows depend on that head alone, so the variant runs as head groups,
+    each a ``_Chunk`` on its slice of the heads: one group of all of them, or
+    for the mix cs^2 on the first ceil(H/2) and sdp on the rest. The softmax
+    subtracts each row's max before ``exp`` unless ``_skips_max_shift(cfg)``,
+    where no score can make ``exp`` overflow. The node walks the leading sample
+    axis in chunks whose largest array (the scores, or the additive hidden
+    tensor) fits CHUNK_BUDGET. When recorded on the tape it keeps its inputs
+    and each chunk's softmax probabilities; backward recomputes the rest, head
+    copies too, one chunk at a time, so no (N, N, d_a) tensor outlives its
+    chunk. Forward and backward each deal the chunks to ``parallel.threads()``
+    threads (``parallel.deal``; one inside a threaded ``predict`` block). A
+    chunk's temporaries come from ``tensor._empty`` and die with it; under
+    ``no_grad`` the softmax too runs in the score buffer. The caller lends the
+    output, and in backward the batch's q, k and v gradients in the reference's
+    layouts; each chunk writes only its own rows of them, and each group only
+    its heads of those and of the chunk's probabilities (a matmul only where
+    each destination matrix has a unit last stride, which keeps it on BLAS), so
+    no chunk waits for another. The additive parameter gradients are summed in
+    chunk order, so every bit is that of a serial loop.
     """
     h = cfg.heads
     if any(t.shape[-1] % h for t in (q, k, v)):
@@ -421,20 +398,28 @@ def attention_node(q, k, v, cfg, additive=None):
     out = T._empty(q.shape[:-1] + v.shape[-1:])
     tracked = T._tracks(parents)
     shift = not _skips_max_shift(cfg)
+    # the head groups, as (heads, (kernel, norm mode, cosine))
+    groups = [(np.s_[...], (spec.kernel, cfg.resolved_norm_mode, spec.cosine))]
+    if spec.mixed:
+        n_cos = (h + 1) // 2
+        groups = [(np.s_[..., :n_cos, :, :], (spec.kernel, cfg.resolved_norm_mode, True)),
+                  (np.s_[..., n_cos:, :, :], (_SCALED, NormMode.NONE, False))]
 
     def forward(i):
         """Chunk i's output rows; its probabilities when they are kept."""
         sl = chunks[i]
         q_h, k_h, v_h = split(sl)
-        s = _Chunk(q_h, k_h, cfg, arrays).scores()
-        p = T._softmax_fwd(s, out=T._empty(s.shape) if tracked else s, shift=shift)
-        np.matmul(p, v_h, out=_heads(out, h)[sl])
-        return p if tracked else None
+        p = T._empty(q_h.shape[:-1] + k_h.shape[-2:-1]) if tracked else None
+        for heads, group in groups:
+            s = _Chunk(q_h[heads], k_h[heads], group, cfg, arrays).scores()
+            p_g = T._softmax_fwd(s, out=s if p is None else p[heads], shift=shift)
+            np.matmul(p_g, v_h[heads], out=_heads(out, h)[sl][heads])
+        return p
 
     kept = parallel.deal(forward, len(chunks))
 
     # the reference hands on a q k^T key gradient as the transpose of its (..., D, N)
-    # q^T dL/ds, unless k's normalisation or the mix's head slicing copies it C-ordered
+    # q^T dL/ds, unless k's normalisation or the mix's concatenated heads copy it C-ordered
     key_transposed = (spec.kernel is not None and not spec.mixed
                       and cfg.resolved_norm_mode in (NormMode.NONE, NormMode.QUERY_ONLY))
 
@@ -452,8 +437,9 @@ def attention_node(q, k, v, cfg, additive=None):
             np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=g_v_h[sl])
             g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=T._empty(p.shape))
             g_scores = T._softmax_bwd(p, g_p, out=T._empty(p.shape))
-            g_q_h[sl], g_k_h[sl], g_params = _Chunk(q_h, k_h, cfg, arrays,
-                                                    check=False).backward(g_scores)
+            for heads, group in groups:
+                chunk = _Chunk(q_h[heads], k_h[heads], group, cfg, arrays, check=False)
+                g_q_h[sl][heads], g_k_h[sl][heads], g_params = chunk.backward(g_scores[heads])
             return g_params
 
         per_chunk = parallel.deal(backward, len(chunks))

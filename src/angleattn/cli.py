@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .attention import AttentionConfig
+from .attention import AttentionConfig, ScoreVariant
 from .data import (SplitSpec, SynthSpec, check_snr_db, export_map, inject_noise,
                    load_cube, load_labels, normalize_bands, save_cube, save_labels,
                    stratified_split, synth_scene)
@@ -257,8 +257,7 @@ _RUN_KEYS = [key for key in CONFIG_DEFAULTS if key not in _SCENE_KEYS]  # train 
 _HELP = {
     "cube": "input cube (.npy, <f4, HxWxC)", "labels": "input labels (.npy, <u2, HxW)",
     "out": "output path", "norm_mode": "none, query, key, or both",
-    "variant": "score variant tag (cs2, cs, abscs, tempcs2, dp, sdp, add, msa-cs2, "
-               "c-sdp, c-cs2, c-cs, c-add)",
+    "variant": f"score variant tag ({', '.join(v.value for v in ScoreVariant)})",
 }
 # a flag is typed as its default; these two numeric keys default to None
 _NULL_DEFAULT_TYPES = {"classes": int, "snr_db": float}
@@ -308,6 +307,11 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv:
+        if "\0" in arg:  # no path can hold one: open() would raise ValueError
+            print(f"error: argument {arg!r} holds a NUL byte", file=sys.stderr)
+            return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

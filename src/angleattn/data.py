@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DimensionError, FormatError, NumericError, SplitError,
-                     check_int, check_real)
+                     check_indexable, check_int, check_real)
 
 _NPY_MAGIC = b"\x93NUMPY"
 
@@ -105,6 +105,11 @@ class SynthSpec:
         check_real("gain_hi", self.gain_hi, lambda v: self.gain_lo <= v < math.inf,
                    f"finite and >= gain_lo {self.gain_lo}")
         check_snr_db(self.snr_db)
+        h, w = self.height, self.width
+        check_indexable(f"height {h}, width {w} and bands {self.bands}", "the cube",
+                        (h, w, self.bands))
+        check_indexable(f"height {h}, width {w} and sites {self.sites}",
+                        "the distances to the sites", (h, w, self.sites))
 
 
 def _read_npy(path, expected_descr, expected_ndim):

@@ -1,7 +1,10 @@
 """Exception types shared across the package, and the type and range checks
 that the config dataclasses raise ConfigError from."""
 
+import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class AngleAttnError(Exception):
@@ -44,6 +47,15 @@ def check_int(name, value, low):
     """Raise ConfigError unless ``value`` is an integer >= ``low``; a bool is not one."""
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= low):
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_indexable(fields, what, shape):
+    """Raise ConfigError naming ``fields`` (the config values that set ``shape``)
+    unless a float64 or int64 array of ``shape`` has no more bytes than numpy
+    can index; numpy refuses a larger one with a ValueError before it touches
+    memory."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise ConfigError(f"{fields}: {what} would have more bytes than numpy can index")
 
 
 def check_real(name, value, ok, want):

@@ -19,7 +19,8 @@ import numpy as np
 from . import tensor as T
 from .attention import (VARIANTS, AdditiveParams, AttentionConfig, AttentionParams,
                         _lookup_tag, multi_head_attention)
-from .errors import ConfigError, DimensionError, FormatError, check_int, check_real
+from .errors import (ConfigError, DimensionError, FormatError, check_indexable, check_int,
+                     check_real)
 from .tensor import Tensor
 
 
@@ -50,10 +51,12 @@ class ModelConfig:
         self.positional = Positional.from_tag(self.positional)
         for name in ("bands", "num_classes", "patch_size", "model_dim", "depth", "heads", "mlp_dim"):
             check_int(name, getattr(self, name), 1)
-        width = max(self.bands, self.model_dim, self.mlp_dim)
-        if 8 * self.tokens * width > np.iinfo(np.intp).max:  # numpy: "array is too big"
-            raise ConfigError(f"patch_size {self.patch_size} gives one sample {self.tokens} x "
-                              f"{width} float64 values, more bytes than numpy can index")
+        width, field = max((self.bands, "bands"), (self.model_dim, "model_dim"),
+                           (self.mlp_dim, "mlp_dim"))
+        check_indexable(f"patch_size {self.patch_size} and {field} {width}", "one sample",
+                        (self.tokens, width))
+        check_indexable(f"num_classes {self.num_classes}", "evaluate's confusion matrix",
+                        (self.num_classes, self.num_classes))
         check_real("dropout_rate", self.dropout_rate, lambda v: 0 <= v < 1, "in [0, 1)")
         if self.attention is None:
             self.attention = AttentionConfig(model_dim=self.model_dim, heads=self.heads)

@@ -206,9 +206,8 @@ def evaluate(params, cfg, cube, labels, test_indices, batch_size=256):
         raise EvalError("empty test set")
     _check_classes(cfg, labels)
     truth = labels.ids.reshape(-1)[test_indices].astype(np.int64)
+    confusion = np.zeros((cfg.num_classes,) * 2, dtype=np.int64)  # refused before the work
     preds = predict(params, cfg, cube, test_indices, batch_size)
-    k = cfg.num_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (truth - 1, preds - 1), 1)
     oa, aa, kappa, per_class = metrics_from_confusion(confusion)
     return EvalReport(confusion=confusion, oa=oa, aa=aa, kappa=kappa, per_class_acc=per_class)
@@ -254,6 +253,9 @@ def train(cfg, cube, labels, splits, tcfg):
         raise SplitError("empty training split")
     _check_classes(cfg, labels)
     flat_labels = labels.ids.reshape(-1).astype(np.int64)
+    # evaluate's confusion matrix, so that one numpy refuses stops the run before
+    # its first step; pages it never touches cost nothing
+    np.zeros((cfg.num_classes,) * 2, dtype=np.int64)
     params = init_params(cfg, tcfg.seed)
     named = params.named_parameters()
     opt = AdamW(named, lr=tcfg.lr, weight_decay=tcfg.weight_decay)

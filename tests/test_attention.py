@@ -432,6 +432,36 @@ def test_node_matches_composed_oracle(tag, budget, monkeypatch):
                         np.testing.assert_array_equal(fused[name], want, err_msg=f"{case} {name}")
 
 
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("norm_mode", [None, "none", "query", "key", "both"])
+@pytest.mark.parametrize("heads", [1, 5])
+def test_mix_at_one_and_five_heads_matches_composed_oracle(heads, norm_mode, budget,
+                                                           monkeypatch):
+    # one head leaves the mix's sdp group empty, five split it 3 / 2; 25 tokens
+    # and 12-wide heads, as in oracle_batch, so a wrong layout changes the rounding
+    if budget is not None:
+        monkeypatch.setattr(attention, "CHUNK_BUDGET", budget)
+    b, n, d = 3, 25, 12 * heads
+    rng = np.random.default_rng(heads)
+    qkv, weights = rng.normal(size=(3, b, n, d)), Tensor(rng.normal(size=(b, n, d)))
+    qkv[:, 1, 2] = 0.0  # a zero row in each of q, k and v
+    cfg = cfg_for("msa-cs2", dim=d, heads=heads, norm_mode=norm_mode)
+
+    def oracle(q, k, v):
+        qh, kh, vh = (split_heads(m, heads) for m in (q, k, v))
+        return merge_heads(attend(score("msa-cs2", *normalise(qh, kh, cfg), cfg), vh))
+
+    results = []
+    for run in (lambda q, k, v: attention_node(q, k, v, cfg), oracle):
+        q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
+        out = run(q, k, v)
+        T.sum_all(T.mul(out, weights)).backward()
+        results.append([out.data, q.grad, k.grad, v.grad])
+    for got, want in zip(*results, strict=True):
+        np.testing.assert_array_equal(got, want)
+        assert got.strides == want.strides
+
+
 # the (variant, norm mode) pairs whose softmax takes exp of the raw scores,
 # written out apart from attention._skips_max_shift; every other pair of the
 # 12 x 5 keeps the row-max shift
@@ -451,10 +481,16 @@ def test_softmax_shift_reach(tag, norm_mode):
         got = attention_node(Tensor(q), Tensor(k), Tensor(v), cfg, additive).data
     q_h, k_h, v_h = (np.ascontiguousarray(np.swapaxes(x.reshape(b, n, h, d // h), 1, 2))
                      for x in (q, k, v))
-    arrays = None
-    if VARIANTS[cfg.variant].kernel is None:
+    spec, arrays = VARIANTS[cfg.variant], None
+    if spec.kernel is None:
         arrays = tuple(t.data for t in (additive.w_q, additive.w_k, additive.w_a, additive.b_a))
-    s = attention._Chunk(q_h, k_h, cfg, arrays).scores()  # normalise, check unit rows, score
+    # (heads, (kernel, norm mode, cosine)); the mix scores cs^2 on heads 0-1, sdp on head 2
+    groups = [(np.s_[:], (spec.kernel, cfg.resolved_norm_mode, spec.cosine))]
+    if spec.mixed:
+        groups = [(np.s_[:, :2], (spec.kernel, cfg.resolved_norm_mode, True)),
+                  (np.s_[:, 2:], (attention._SCALED, NormMode.NONE, False))]
+    s = np.concatenate([attention._Chunk(q_h[heads], k_h[heads], group, cfg, arrays).scores()
+                        for heads, group in groups], axis=1)  # normalise, check, score
 
     def attend_rows(e):
         p = e / e.sum(axis=-1, keepdims=True)

@@ -16,10 +16,11 @@ def test_dump_then_compare_reports_a_changed_array(tmp_path, capsys):
     assert bitdump.main(["compare", a, a]) == 0
     # predict's blocks, the node's chunks and the ops' sample slices on two
     # threads give the bits of one; add is the variant whose node backward
-    # sums its parameter gradients over the chunks, cs2 the benchmark's
+    # sums its parameter gradients over the chunks, cs2 the benchmark's, and
+    # msa-cs2 the one whose chunks run two head groups
     serial, threaded = str(tmp_path / "serial.npz"), str(tmp_path / "threaded.npz")
     for path, threads in ((serial, "1"), (threaded, "2")):
-        assert bitdump.main(["dump", path, "--variants", "cs2,dp,add",
+        assert bitdump.main(["dump", path, "--variants", "cs2,dp,add,msa-cs2",
                              "--predict-threads", threads]) == 0
     assert bitdump.main(["compare", serial, threaded]) == 0
     key = "dp:both:H3:sinusoidal:budget=1:w_c"

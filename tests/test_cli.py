@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,6 +27,8 @@ FAST = ["--patch", "5", "--dim", "8", "--depth", "1", "--heads", "2",
 
 SCENE = ["--height", "24", "--width", "24", "--bands", "8",
          "--classes", "3", "--sites", "6"]
+
+HUGE = "99999999999999999999"  # beyond numpy's index as any extent
 
 # no int above 3, so no drawn extent can allocate much; huge finite floats
 # reach arithmetic that only overflows near the edge of float64
@@ -105,6 +109,16 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag[2:]} must be") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--height", "--width", "--bands", "--sites"])
+    def test_extent_beyond_numpys_index_exits_2(self, tmp_path, capsys, flag):
+        # the cube or the distances to the sites would have more bytes than
+        # numpy can index: it refuses such an array before touching memory
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), flag, HUGE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{flag[2:]} {HUGE}" in err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_missing_out(self):
         assert main(["synth", "--seed", "0"] + SCENE) == 2
@@ -697,6 +711,54 @@ class TestRefusedBeforeWork:
         assert err.startswith(f"error: patch_size {10 ** 9} ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,field", [("--mlp-dim", "mlp_dim"), ("--dim", "model_dim")])
+    def test_width_beyond_numpys_index_names_its_field(self, scene_dir, tmp_path, capsys,
+                                                       flag, field):
+        out = tmp_path / "ckpt"
+        extra = [flag, HUGE] + (["--heads", "1"] if flag == "--dim" else [])
+        assert run_train(scene_dir, str(out), extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: patch_size 5 and {field} {HUGE}: ")
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_classes_beyond_numpys_index_exits_2(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "ckpt"
+        assert run_train(scene_dir, str(out), ["--classes", HUGE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: num_classes {HUGE}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unallocatable_confusion_exits_1_before_training(self, scene_dir, tmp_path,
+                                                             capsys, monkeypatch):
+        # a (K, K) int64 confusion matrix of 182 TiB is beyond any process's
+        # address space, whatever the machine's RAM or overcommit setting
+        def unreached(*args, **kwargs):
+            raise AssertionError("the run went on past its confusion matrix")
+
+        for name in ("_train_step", "predict"):
+            monkeypatch.setattr(train_module, name, unreached)
+        out = tmp_path / "ckpt"
+        assert run_train(scene_dir, str(out), ["--classes", "5000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "(5000000, 5000000)" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "s", "--config", "c\0.json"],
+        ["train", "--out", "o", "--config", "c\0.json"],
+        ["sweep", "--variants", "cs2", "--config", "c\0.json"],
+        ["eval", "--cube", "c\0.npy"], ["eval", "--labels", "l\0.npy"],
+        ["eval", "--out", "o\0.csv"], ["eval", "--map", "m\0.ppm"],
+        ["eval", "--map-npy", "m\0.npy"]])
+    def test_nul_byte_in_argv_exits_2(self, small_ckpt, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "eval":
+            argv = argv + ["--checkpoint", small_ckpt]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NUL" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bad", ["--out", "--map", "--map-npy"])
     def test_eval_unwritable_output_exits_1_before_evaluating(self, small_ckpt, tmp_path,
                                                               capsys, monkeypatch, bad):
@@ -732,3 +794,84 @@ class TestRefusedBeforeWork:
                               env=package_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0 and done.stdout.startswith("usage: angleattn")
         assert done.stderr == ""
+
+
+# every subcommand's flags, as its parser defines them
+_SUBPARSERS = next(a for a in cli_module.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+FLAGS = {name: sorted(flag for flag in p._option_string_actions
+                      if flag.startswith("--") and flag != "--help")
+         for name, p in _SUBPARSERS.items()}
+
+# tiny legal values, bad numbers, bad strings, and existing, missing and
+# directory paths (relative to each example's working directory); no
+# mid-size extent, so nothing drawn allocates much
+ARGV_POOL = ["1", "2", "0.5", "cs2", "none", "0", "-1", "nan", "inf", "-inf", "1e400", HUGE,
+             "", "x", ",", "a\0b", "scene/scene.npy", "scene/labels.npy", "ckpt", "cfg.json",
+             "missing/x", "dir"]
+# nothing refuses a huge depth or epoch count before the work yet, and an
+# epoch count above 1 only makes an example slower
+BOUNDED = {"--depth": {HUGE}, "--epochs": {HUGE, "2"}}
+
+TINY = ["--patch", "3", "--dim", "4", "--depth", "1", "--heads", "1", "--mlp-dim", "4",
+        "--epochs", "1", "--batch", "16", "--train-frac", "0.2", "--val-frac", "0.2"]
+RUN = ["--cube", "scene/scene.npy", "--labels", "scene/labels.npy", "--out", "out"] + TINY
+BASE_ARGV = {  # a valid call per subcommand, so that drawn flags reach past parsing
+    "synth": ["--out", "out", "--height", "16", "--width", "16", "--bands", "8",
+              "--classes", "3", "--sites", "6"],
+    "train": RUN, "sweep": RUN + ["--variants", "cs2"], "eval": ["--checkpoint", "ckpt"]}
+
+
+@contextlib.contextmanager
+def working_dir(path):
+    """``contextlib.chdir``, which Python 3.10 lacks."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's valid call with up to 4 of its flags drawn from ARGV_POOL."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flag_values = st.sampled_from(FLAGS[command]).flatmap(lambda flag: st.tuples(
+        st.just(flag), st.sampled_from([v for v in ARGV_POOL if v not in BOUNDED.get(flag, ())]))
+    )
+    drawn = draw(st.lists(flag_values, max_size=4, unique_by=lambda fv: fv[0]))
+    return [command] + BASE_ARGV[command] + [x for fv in drawn for x in fv]
+
+
+class TestArgvFuzz:
+    @pytest.fixture(scope="class")
+    def fixtures(self, tmp_path_factory):
+        """A 16x16x8 scene, a checkpoint trained on it, and an empty config file."""
+        root = tmp_path_factory.mktemp("argv")
+        os.makedirs(root / "dir")
+        (root / "cfg.json").write_text("{}")
+        argv = ["synth"] + BASE_ARGV["synth"]
+        assert main(argv[:2] + [str(root / "scene")] + argv[3:]) == 0
+        with working_dir(root):
+            assert main(["train"] + RUN[:5] + ["ckpt"] + TINY) == 0
+        return root
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=argvs())
+    @example(argv=["synth"] + BASE_ARGV["synth"] + ["--sites", HUGE])
+    @example(argv=["eval"] + BASE_ARGV["eval"] + ["--cube", "a\0b"])
+    def test_any_argv_ends_in_an_exit_code(self, fixtures, tmp_path, capsys, argv):
+        # each example runs in a fresh copy, so no example sees what another wrote
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+            shutil.copytree(fixtures, work, dirs_exist_ok=True)
+            capsys.readouterr()
+            with working_dir(work):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+            err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert err.count("error:") == (code != 0), (argv, err)

@@ -771,6 +771,15 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match=refusal):
             evaluate(init_params(cfg, 0), cfg, cube, labels, splits[2])
 
+    def test_unallocatable_confusion_refused_before_any_forward(self, monkeypatch):
+        # (5e6, 5e6) int64 is 182 TiB, beyond any process's address space
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        cfg = replace(tiny_model(), num_classes=5_000_000)
+        monkeypatch.setattr(train_module, "predict", None)
+        with pytest.raises(MemoryError, match=r"\(5000000, 5000000\)"):
+            evaluate(None, cfg, cube, labels, splits[2])
+
 
 class TestPredict:
     def test_all_zero_pixel_under_cosine_scoring(self):
