@@ -305,13 +305,17 @@ class _Chunk:
         x, active, denom = saved
         return T._l2_rows_bwd(g, x, active, denom, out=T._empty(x.shape))
 
-    def scores(self):
-        """The raw scores, written over the chunk's score buffer."""
-        if self.additive is not None:  # backward needs only the hidden tensor
-            s = T._empty(self.score_shape)
+    def scores(self, out=None):
+        """The raw scores, written into ``out``, or else over the chunk's score
+        buffer (for the additive, whose backward reads only the hidden tensor,
+        a new one). With ``out`` the raw s that ``backward`` reads stays as it
+        is; the identity kernel hands s itself back."""
+        if self.additive is not None:
+            s = T._empty(self.score_shape) if out is None else out
             np.matmul(self.hidden, self.w, out=s.reshape(s.shape + (1,)))
             return s
-        return self.kernel.forward(self.s, self.q.shape[-1], self.cfg, out=self.s)
+        return self.kernel.forward(self.s, self.q.shape[-1], self.cfg,
+                                   out=self.s if out is None else out)
 
     def backward(self, g_scores):
         """(dL/dq, dL/dk, additive parameter gradients or ()) from dL/dscores."""
@@ -362,19 +366,21 @@ def attention_node(q, k, v, cfg, additive=None):
     subtracts each row's max before ``exp`` unless ``_skips_max_shift(cfg)``,
     where no score can make ``exp`` overflow. The node walks the leading sample
     axis in chunks whose largest array (the scores, or the additive hidden
-    tensor) fits CHUNK_BUDGET. When recorded on the tape it keeps its inputs
-    and each chunk's softmax probabilities; backward recomputes the rest, head
-    copies too, one chunk at a time, so no (N, N, d_a) tensor outlives its
-    chunk. Forward and backward each deal the chunks to ``parallel.threads()``
-    threads (``parallel.deal``; one inside a threaded ``predict`` block). A
-    chunk's temporaries come from ``tensor._empty`` and die with it; under
-    ``no_grad`` the softmax too runs in the score buffer. The caller lends the
-    output, and in backward the batch's q, k and v gradients in the reference's
-    layouts; each chunk writes only its own rows of them, and each group only
-    its heads of those and of the chunk's probabilities (a matmul only where
-    each destination matrix has a unit last stride, which keeps it on BLAS), so
-    no chunk waits for another. The additive parameter gradients are summed in
-    chunk order, so every bit is that of a serial loop.
+    tensor) fits CHUNK_BUDGET, and takes each softmax in its chunk's score
+    buffer, recorded on the tape or not. It keeps only its q, k and v arrays:
+    backward recomputes everything else (head copies, normalised rows, scores
+    and probabilities) one chunk at a time with the forward's own numpy calls,
+    so every bit is the forward's and no (N, N) or (N, N, d_a) array outlives
+    its chunk. Forward and backward each deal the chunks to
+    ``parallel.threads()`` threads (``parallel.deal``; one inside a threaded
+    ``predict`` block). A chunk's temporaries come from ``tensor._empty`` and
+    die with it. The caller lends the output, and in backward the batch's q, k
+    and v gradients in the reference's layouts; each chunk writes only its own
+    rows of them, and each group only its heads of those and of the chunk's
+    probabilities (a matmul only where each destination matrix has a unit last
+    stride, which keeps it on BLAS), so no chunk waits for another. The
+    additive parameter gradients are summed in chunk order, so every bit is
+    that of a serial loop.
     """
     h = cfg.heads
     if any(t.shape[-1] % h for t in (q, k, v)):
@@ -396,7 +402,6 @@ def attention_node(q, k, v, cfg, additive=None):
         return (_copy(_heads(a[sl], h)) for a in qkv)
 
     out = T._empty(q.shape[:-1] + v.shape[-1:])
-    tracked = T._tracks(parents)
     shift = not _skips_max_shift(cfg)
     # the head groups, as (heads, (kernel, norm mode, cosine))
     groups = [(np.s_[...], (spec.kernel, cfg.resolved_norm_mode, spec.cosine))]
@@ -406,17 +411,15 @@ def attention_node(q, k, v, cfg, additive=None):
                   (np.s_[..., n_cos:, :, :], (_SCALED, NormMode.NONE, False))]
 
     def forward(i):
-        """Chunk i's output rows; its probabilities when they are kept."""
+        """Chunk i's output rows."""
         sl = chunks[i]
         q_h, k_h, v_h = split(sl)
-        p = T._empty(q_h.shape[:-1] + k_h.shape[-2:-1]) if tracked else None
         for heads, group in groups:
             s = _Chunk(q_h[heads], k_h[heads], group, cfg, arrays).scores()
-            p_g = T._softmax_fwd(s, out=s if p is None else p[heads], shift=shift)
-            np.matmul(p_g, v_h[heads], out=_heads(out, h)[sl][heads])
-        return p
+            np.matmul(T._softmax_fwd(s, out=s, shift=shift), v_h[heads],
+                      out=_heads(out, h)[sl][heads])
 
-    kept = parallel.deal(forward, len(chunks))
+    parallel.deal(forward, len(chunks))
 
     # the reference hands on a q k^T key gradient as the transpose of its (..., D, N)
     # q^T dL/ds, unless k's normalisation or the mix's concatenated heads copy it C-ordered
@@ -432,13 +435,18 @@ def attention_node(q, k, v, cfg, additive=None):
 
         def backward(i):
             """Chunk i's additive parameter gradients, or (); it writes its rows of g_qkv."""
-            sl, p = chunks[i], kept[i]
+            sl = chunks[i]
             q_h, k_h, v_h = split(sl)
+            p, groups_of_chunk = T._empty(q_h.shape[:-1] + k_h.shape[-2:-1]), []
+            for heads, group in groups:  # the forward's probabilities, beside the raw s
+                chunk = _Chunk(q_h[heads], k_h[heads], group, cfg, arrays, check=False)
+                T._softmax_fwd(chunk.scores(out=p[heads]), out=p[heads], shift=shift)
+                groups_of_chunk.append((heads, chunk))
             np.matmul(np.swapaxes(p, -1, -2), g_out[sl], out=g_v_h[sl])
             g_p = np.matmul(g_out[sl], np.swapaxes(v_h, -1, -2), out=T._empty(p.shape))
             g_scores = T._softmax_bwd(p, g_p, out=T._empty(p.shape))
-            for heads, group in groups:
-                chunk = _Chunk(q_h[heads], k_h[heads], group, cfg, arrays, check=False)
+            p = g_p = None  # the groups' backward reads only g_scores
+            for heads, chunk in groups_of_chunk:
                 g_q_h[sl][heads], g_k_h[sl][heads], g_params = chunk.backward(g_scores[heads])
             return g_params
 

@@ -22,7 +22,7 @@ from .data import (SplitSpec, SynthSpec, check_snr_db, export_map, inject_noise,
                    stratified_split, synth_scene)
 from .errors import AngleAttnError, ConfigError, FormatError, check_int
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from .train import TrainConfig, evaluate, predict, rows_to_csv, sweep, train
+from .train import TrainConfig, evaluate, rows_to_csv, sweep, train
 
 # defaults follow the reference training protocol
 CONFIG_DEFAULTS = {
@@ -203,12 +203,10 @@ def cmd_eval(args):
     with contextlib.ExitStack() as claims:
         out, ppm, npy = (path and claims.enter_context(_output(path))
                          for path in (args.out, args.map, args.map_npy))
-        report = evaluate(params, model_cfg, cube, labels, test_idx)
+        report = evaluate(params, model_cfg, cube, labels, test_idx,
+                          predict_scene=bool(ppm or npy))
         print(f"OA={100 * report.oa:.2f} AA={100 * report.aa:.2f} "
               f"kappa={100 * report.kappa:.2f}")
-        if ppm or npy:
-            flat = np.arange(labels.ids.size)
-            preds = predict(params, model_cfg, cube, flat).reshape(labels.ids.shape)
         if out:
             row = {"variant": cfg["variant"], "seed": manifest["seed"],
                    "epoch_best": manifest["epoch"], "oa": report.oa, "aa": report.aa,
@@ -217,10 +215,10 @@ def cmd_eval(args):
             out.write(rows_to_csv([row]).encode())
         if ppm:
             ppm.truncate(0)
-            export_map(preds, ppm, num_classes=model_cfg.num_classes)
+            export_map(report.scene_ids, ppm, num_classes=model_cfg.num_classes)
         if npy:
             npy.truncate(0)
-            np.save(npy, preds.astype("<u2"))
+            np.save(npy, report.scene_ids.astype("<u2"))
     return 0
 
 

@@ -144,8 +144,30 @@ def _trunc_normal(rng, shape, std=0.02):
         x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
 
 
+def _check_fits_in_memory(cfg):
+    """ConfigError, before any allocation, when the parameters, their gradients
+    and AdamW's two moments (4 float64 values per parameter) exceed physical
+    memory; on a platform that does not report it nothing is checked."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    count = param_count(cfg)
+    if 4 * 8 * count > memory:  # whole GiB by shifts below: a count may be past float range
+        raise ConfigError(
+            f"depth {cfg.depth}, model_dim {cfg.model_dim}, mlp_dim {cfg.mlp_dim}, "
+            f"bands {cfg.bands}, patch_size {cfg.patch_size} and num_classes "
+            f"{cfg.num_classes} make {count} parameters; with their gradients and two AdamW "
+            f"moments they need {4 * 8 * count >> 30} GiB, above the {memory >> 30} GiB "
+            "of physical memory")
+
+
 def init_params(cfg, seed):
-    """Glorot-uniform projections, truncated-normal positions, unit LN."""
+    """Glorot-uniform projections, truncated-normal positions, unit LN.
+
+    A model whose training state cannot fit in physical memory is refused
+    first (``_check_fits_in_memory``)."""
+    _check_fits_in_memory(cfg)
     rng = np.random.default_rng(seed)
     d, n, c, k = cfg.model_dim, cfg.tokens, cfg.bands, cfg.num_classes
     d_h = cfg.attention.head_dim

@@ -48,6 +48,7 @@ class EvalReport:
     aa: float
     kappa: float
     per_class_acc: np.ndarray
+    scene_ids: np.ndarray | None = None  # (H, W) ids of every pixel, with predict_scene
 
 
 def label_smoothed_ce(probs, targets, smoothing):
@@ -200,17 +201,25 @@ def _check_classes(cfg, labels):
                           "classes of the labels")
 
 
-def evaluate(params, cfg, cube, labels, test_indices, batch_size=256):
-    """Confusion matrix and OA/AA/kappa over the given test pixels."""
+def evaluate(params, cfg, cube, labels, test_indices, batch_size=256, predict_scene=False):
+    """Confusion matrix and OA/AA/kappa over the given test pixels.
+
+    With ``predict_scene`` it predicts every pixel of the scene once, keeps
+    those ids as the report's ``scene_ids`` and reads the test pixels' ids
+    from them; each id depends on its own patch alone, so they are the ids
+    a call over the test pixels gives."""
     if len(test_indices) == 0:
         raise EvalError("empty test set")
     _check_classes(cfg, labels)
     truth = labels.ids.reshape(-1)[test_indices].astype(np.int64)
     confusion = np.zeros((cfg.num_classes,) * 2, dtype=np.int64)  # refused before the work
-    preds = predict(params, cfg, cube, test_indices, batch_size)
+    pixels = np.arange(labels.ids.size) if predict_scene else test_indices
+    ids = predict(params, cfg, cube, pixels, batch_size)
+    preds = ids[test_indices] if predict_scene else ids
     np.add.at(confusion, (truth - 1, preds - 1), 1)
     oa, aa, kappa, per_class = metrics_from_confusion(confusion)
-    return EvalReport(confusion=confusion, oa=oa, aa=aa, kappa=kappa, per_class_acc=per_class)
+    return EvalReport(confusion=confusion, oa=oa, aa=aa, kappa=kappa, per_class_acc=per_class,
+                      scene_ids=ids.reshape(labels.ids.shape) if predict_scene else None)
 
 
 def _train_step(params, cfg, tcfg, opt, batch, targets, rng):

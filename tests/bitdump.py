@@ -7,10 +7,12 @@
 both} x heads {2, 3, 4} x positional {learnable, sinusoidal, none} x
 ``CHUNK_BUDGET`` {default, 1}, the ``no_grad`` probabilities, one training
 step's loss and every parameter gradient on a small batch with a zero
-pixel and an all-zero patch, plus the ``no_grad`` single-patch ``forward``
-probabilities of those two patches and the probabilities of ``predict``'s
-blocked path (``no_grad`` forwards over blocks of ``train._predict_block``
-patches, and of 1 patch, concatenated). For every variant x positional
+pixel and an all-zero patch, every gradient again from a second
+``backward()`` through the same graph (``again.<name>``), plus the
+``no_grad`` single-patch ``forward`` probabilities of those two patches
+and the probabilities of ``predict``'s blocked path (``no_grad`` forwards
+over blocks of ``train._predict_block`` patches, and of 1 patch,
+concatenated). For every variant x positional
 mode it also writes the parameters, epoch losses and validation OAs of a
 2-epoch ``train.train`` run whose arrays are large enough for the step
 pool and whose last batch is partial, so that a smaller batch reuses
@@ -74,7 +76,9 @@ def blocked_probs(x, params, cfg, block):
 def model_outputs(cfg, x, targets):
     """no_grad probabilities (batched, single-patch for the zero-pixel and
     all-zero patches, and blocked as ``predict`` runs them), then one
-    training step's loss and every gradient."""
+    training step's loss and every gradient, from two ``backward()`` calls
+    through its graph: the attention node recomputes its probabilities in
+    each."""
     params = M.init_params(cfg, 3)
     with T.no_grad():
         out = {"probs": M.batched_forward(x, params, cfg).data,
@@ -87,6 +91,8 @@ def model_outputs(cfg, x, targets):
     loss.backward()
     out["loss"] = loss.data
     out.update((name, t.grad) for name, t in params.named_parameters())
+    loss.backward()
+    out.update((f"again.{name}", t.grad) for name, t in params.named_parameters())
     return out
 
 

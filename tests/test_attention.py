@@ -652,9 +652,10 @@ def test_one_attention_node_per_layer():
 
 # -- the node's chunks on several threads (parallel.deal) ---------------------
 
-def node_over_chunks(tag, threads, monkeypatch):
-    """Output, input gradients and the threads that ran a chunk, of the node
-    over 8 samples in chunks of 2, on a budget of ``threads`` threads."""
+def node_over_chunks(tag, threads, monkeypatch, backwards=1):
+    """Output, input gradients (of each of ``backwards`` ``backward()`` calls
+    through one graph) and the threads that ran a chunk, of the node over 8
+    samples in chunks of 2, on a budget of ``threads`` threads."""
     monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
     b, n, d, h = 8, 5, 6, 2
     cfg = cfg_for(tag, dim=d, heads=h)
@@ -674,8 +675,11 @@ def node_over_chunks(tag, threads, monkeypatch):
 
     monkeypatch.setattr(attention, "_Chunk", Recording)
     out = attention_node(q, k, v, cfg, add)
-    T.sum_all(T.mul(out, weights)).backward()
-    return [out.data] + [t.grad for t in inputs], ran
+    loss, grads = T.sum_all(T.mul(out, weights)), []
+    for _ in range(backwards):
+        loss.backward()
+        grads += [t.grad for t in inputs]
+    return [out.data] + grads, ran
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -692,6 +696,24 @@ def test_threaded_chunks_give_the_serial_bits(tag, monkeypatch):
     for want, got in zip(serial, threaded, strict=True):
         np.testing.assert_array_equal(got, want)
         assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_every_backward_through_one_graph_gives_the_same_bits(tag, monkeypatch):
+    # the node keeps only q, k and v, and each backward recomputes the
+    # probabilities: two backward() calls through one graph, over four
+    # chunks, serially and on two threads, in a pool whose lends start as
+    # NaN, hand on the bits of one serial backward outside a pool
+    want, _ = node_over_chunks(tag, 1, monkeypatch)
+    monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+    poison_lends(monkeypatch)
+    for threads in (1, 2):
+        with T._StepPool():
+            got, _ = node_over_chunks(tag, threads, monkeypatch, backwards=2)
+        firsts, seconds = got[1:len(want)], got[len(want):]  # each backward's gradients
+        for first, second, serial in zip(firsts, seconds, want[1:], strict=True):
+            assert first.tobytes() == second.tobytes() == serial.tobytes(), threads
+            assert first.strides == second.strides == serial.strides, threads
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

@@ -13,6 +13,12 @@ def test_dump_then_compare_reports_a_changed_array(tmp_path, capsys):
     # 5 norm modes x 3 head counts x 3 positional modes x 2 chunk budgets,
     # and a training run and its two predict calls per positional mode
     assert len({key.rsplit(":", 1)[0] for key in arrays}) == 90 + 3 + 3
+    # each case's gradients again, from a second backward through the step's
+    # graph, where the attention node recomputes what it did not keep
+    again = [key for key in arrays if key.rsplit(":", 1)[1].startswith("again.")]
+    assert len({key.rsplit(":", 1)[0] for key in again}) == 90
+    assert all(arrays[key].tobytes() == arrays[key.replace(":again.", ":")].tobytes()
+               for key in again)
     assert bitdump.main(["compare", a, a]) == 0
     # predict's blocks, the node's chunks and the ops' sample slices on two
     # threads give the bits of one; add is the variant whose node backward

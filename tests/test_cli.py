@@ -349,6 +349,18 @@ class TestEval:
         assert preds.min() >= 1 and preds.max() <= 3
         assert os.listdir(tmp_path) == ["map.npy"]
 
+    def test_map_predicts_each_pixel_once(self, small_ckpt, tmp_path, capsys, monkeypatch):
+        # the report reads the test pixels' ids from the map's: one predict
+        # over the scene's H x W pixels, and the report of an eval without a map
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", small_ckpt]) == 0
+        alone = capsys.readouterr().out
+        calls = recording(monkeypatch, train_module, "predict")
+        assert main(["eval", "--checkpoint", small_ckpt, "--map", str(tmp_path / "map.ppm"),
+                     "--map-npy", str(tmp_path / "map.npy")]) == 0
+        assert capsys.readouterr().out == alone
+        assert sum(len(args[3]) for args in calls) == 24 * 24
+
     def test_manifest_holding_clip_mode_evaluates_as_before(self, small_ckpt, tmp_path,
                                                             capsys):
         # checkpoints written while clip_mode was a config key still hold it
@@ -694,10 +706,13 @@ class TestRefusedBeforeWork:
         assert forwards == []
 
     def test_refused_allocation_exits_1(self, scene_dir, tmp_path, capsys):
-        # 2^44 tokens x dim 4 of float64 is 512 TiB, beyond any process's
-        # address space: numpy refuses it before touching memory
+        # a batch of 2^22 x 2^22-pixel patches is PiBs, beyond any process's
+        # address space: numpy refuses it before touching memory (with learnable
+        # positions, their 2^44 x 4 table is refused first, with exit 2, as a
+        # training state beyond physical memory)
         out = tmp_path / "ckpt"
-        assert run_train(scene_dir, str(out), ["--patch", str(2 ** 22), "--dim", "4"]) == 1
+        assert run_train(scene_dir, str(out), ["--patch", str(2 ** 22), "--dim", "4",
+                                               "--positional", "none"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
@@ -779,7 +794,7 @@ class TestRefusedBeforeWork:
         def failing(*args):
             raise EvalError("prediction failed")
 
-        monkeypatch.setattr(cli_module, "predict", failing)
+        monkeypatch.setattr(train_module, "predict", failing)
         assert main(["eval", "--checkpoint", small_ckpt, "--out", str(old),
                      "--map", str(new)]) == 1
         assert old.read_text() == "kept\n" and not new.exists()
@@ -809,9 +824,9 @@ FLAGS = {name: sorted(flag for flag in p._option_string_actions
 ARGV_POOL = ["1", "2", "0.5", "cs2", "none", "0", "-1", "nan", "inf", "-inf", "1e400", HUGE,
              "", "x", ",", "a\0b", "scene/scene.npy", "scene/labels.npy", "ckpt", "cfg.json",
              "missing/x", "dir"]
-# nothing refuses a huge depth or epoch count before the work yet, and an
-# epoch count above 1 only makes an example slower
-BOUNDED = {"--depth": {HUGE}, "--epochs": {HUGE, "2"}}
+# nothing refuses a huge epoch count before the work yet, and an epoch
+# count above 1 only makes an example slower
+BOUNDED = {"--epochs": {HUGE, "2"}}
 
 TINY = ["--patch", "3", "--dim", "4", "--depth", "1", "--heads", "1", "--mlp-dim", "4",
         "--epochs", "1", "--batch", "16", "--train-frac", "0.2", "--val-frac", "0.2"]
@@ -862,6 +877,7 @@ class TestArgvFuzz:
     @given(argv=argvs())
     @example(argv=["synth"] + BASE_ARGV["synth"] + ["--sites", HUGE])
     @example(argv=["eval"] + BASE_ARGV["eval"] + ["--cube", "a\0b"])
+    @example(argv=["train"] + BASE_ARGV["train"] + ["--depth", HUGE])
     def test_any_argv_ends_in_an_exit_code(self, fixtures, tmp_path, capsys, argv):
         # each example runs in a fresh copy, so no example sees what another wrote
         with tempfile.TemporaryDirectory(dir=tmp_path) as work:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angleattn import model as model_module
 from angleattn import tensor as T
 from angleattn.attention import AttentionConfig, ScoreVariant
 from angleattn.data import SplitSpec, SynthSpec
@@ -242,6 +243,20 @@ class TestParamCount:
         params = init_params(cfg, 25)
         actual = sum(t.size for _, t in params.named_parameters())
         assert param_count(cfg) == actual
+
+    def test_training_state_beyond_physical_memory_refused_before_allocating(self,
+                                                                             monkeypatch):
+        # 4 float64 values per parameter: the value, its gradient, two AdamW moments
+        cfg = toy_config()
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 32 * param_count(cfg)}
+        monkeypatch.setattr(model_module.os, "sysconf", pages.__getitem__)
+        init_params(cfg, 0)  # exactly fits
+        pages["SC_PHYS_PAGES"] -= 1
+        monkeypatch.setattr(model_module.np.random, "default_rng", None)  # nothing is drawn
+        with pytest.raises(ConfigError, match=r"^depth 2, model_dim 8, mlp_dim 16, bands 5, "
+                                              r"patch_size 3 and num_classes 3 make \d+ "
+                                              r"parameters; .* need 0 GiB, above the 0 GiB"):
+            init_params(cfg, 0)
 
 
 class TestGradientEndToEnd:

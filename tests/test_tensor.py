@@ -472,29 +472,30 @@ class TestStepPool:
             assert small.ctypes.data != big
             assert pool.empty((250,)).ctypes.data == big
 
-    def test_node_keeps_only_its_output_and_probabilities(self, monkeypatch):
-        # the node's head copies, normalised rows and scores go back when
-        # its forward returns, and everything its backward lent but the
-        # gradient it hands on goes back when backward returns
+    def test_node_keeps_only_its_output(self, monkeypatch):
+        # the node's head copies, normalised rows, scores and probabilities go
+        # back when its forward returns, and everything its backward lent
+        # (the recomputed probabilities too) but the gradient it hands on goes
+        # back when backward returns
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
         q = Tensor(np.random.default_rng(0).normal(size=(3, 5, 6)), requires_grad=True)
         with T._StepPool() as pool:
             out = attention.attention_node(q, q, q, AttentionConfig(6, 2))
             pool._drain()
-            assert len(pool._lent) == 2  # one chunk: the output and its probabilities
+            assert len(pool._lent) == 1  # the output alone
             T.sum_all(out).backward()
             pool._drain()
-            assert len(pool._lent) == 3 and np.shares_memory(q.grad, buffers(pool)[-1])
+            assert len(pool._lent) == 2 and np.shares_memory(q.grad, buffers(pool)[-1])
             out = q.grad = None
             pool._drain()
             assert not pool._lent
 
-    def test_node_of_4_chunks_keeps_only_its_output_and_probabilities(self, monkeypatch):
+    def test_node_of_4_chunks_keeps_only_its_output(self, monkeypatch):
         # serial and on 2 threads: every chunk temporary (head copies,
-        # normalised rows, scores) goes back when its chunk ends, and
-        # everything its backward lent but the gradients it hands on goes
-        # back when backward returns; no gradient views a larger array, so
-        # none keeps a chunk temporary alive
+        # normalised rows, scores, probabilities) goes back when its chunk
+        # ends, and everything its backward lent but the gradients it hands
+        # on goes back when backward returns; no gradient views a larger
+        # array, so none keeps a chunk temporary alive
         monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
         monkeypatch.setattr(attention, "CHUNK_BUDGET", 1)  # one sample per chunk
         rng = np.random.default_rng(0)
@@ -511,19 +512,19 @@ class TestStepPool:
                 out = attention.attention_node(q, k, v, AttentionConfig(6, 2, variant=tag),
                                                additive)
                 pool._drain()
-                assert len(pool._lent) == 1 + 4, tag  # the output and 4 chunks' probabilities
+                assert len(pool._lent) == 1, tag  # the output alone
                 T.sum_all(out).backward()
                 assert all(owner(leaf.grad).nbytes == leaf.grad.nbytes for leaf in leaves), tag
                 pool._drain()
                 pooled = [buf for _, buf, _ in pool._lent.values()
                           if any(np.shares_memory(np.frombuffer(buf, np.uint8), leaf.grad)
                                  for leaf in leaves)]
-                assert len(pool._lent) == 1 + 4 + len(pooled), tag
+                assert len(pool._lent) == 1 + len(pooled), tag
                 for leaf in leaves:
                     leaf.grad = None
                 pooled = None
                 pool._drain()
-                assert len(pool._lent) == 1 + 4, tag
+                assert len(pool._lent) == 1, tag
                 out = None
                 pool._drain()
                 assert not pool._lent, tag
