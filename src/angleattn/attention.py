@@ -193,17 +193,22 @@ def project_qkv(tokens_q, tokens_kv, params):
 _NORM_EPS = 1e-12  # a shorter row is divided by this instead of by its norm
 
 
-def _check_unit_rows(norms, what):
+def _check_unit_rows(x, norms, what):
     """The row normalisation must give unit rows, or exactly zero ones: from
-    the rows' norms before it, each must be exactly 0 (the ``_NORM_EPS``
-    rule keeps a zero row zero), or finite and at least ``_NORM_EPS``. A
-    shorter row would come out shorter than unit, and an infinite norm
-    (a square that overflowed, or an inf entry) would turn the row into
-    zeros or NaNs; a NaN norm fails both tests."""
-    bad = ~((norms == 0.0) | ((norms >= _NORM_EPS) & (norms < np.inf)))
+    the rows ``x`` and their norms before it, each row must be all zeros
+    (the ``_NORM_EPS`` rule keeps a zero row zero), or have a finite norm of
+    at least ``_NORM_EPS``. A shorter row would come out shorter than unit,
+    and an infinite norm (a square that overflowed, or an inf entry) would
+    turn the row into zeros or NaNs; a NaN norm fails both tests. A nonzero
+    row whose squares all underflow has a norm of exactly 0, so only the
+    rows of norm 0 are read for a nonzero entry."""
+    zero = norms == 0.0
+    bad = ~(zero | ((norms >= _NORM_EPS) & (norms < np.inf)))
+    if zero.any():
+        bad[zero] = (x[zero[..., 0]] != 0.0).any(axis=-1)
     if bad.any():
         raise ContractError(
-            f"{what} rows must have a finite norm of at least {_NORM_EPS:g}, or be zero, "
+            f"{what} rows must have a finite norm of at least {_NORM_EPS:g}, or be all zeros, "
             f"for cosine scoring with norm_mode=both (found norm {norms[bad].flat[0]:.3e})")
 
 
@@ -291,12 +296,12 @@ class _Chunk:
 
     def _normalize(self, x, on, check):
         """Each row over max(||row||_2, _NORM_EPS). With ``check`` (what the
-        rows are) their norms must pass ``_check_unit_rows``."""
+        rows are) they must pass ``_check_unit_rows``."""
         if not on:
             return x, None
         y, active, denom, norms = T._l2_rows_fwd(x, _NORM_EPS, out=T._empty(x.shape))
         if check:
-            _check_unit_rows(norms, check)
+            _check_unit_rows(x, norms, check)
         return y, (x, active, denom)
 
     def _normalize_bwd(self, g, saved):
@@ -374,13 +379,13 @@ def attention_node(q, k, v, cfg, additive=None):
     its chunk. Forward and backward each deal the chunks to
     ``parallel.threads()`` threads (``parallel.deal``; one inside a threaded
     ``predict`` block). A chunk's temporaries come from ``tensor._empty`` and
-    die with it. The caller lends the output, and in backward the batch's q, k
-    and v gradients in the reference's layouts; each chunk writes only its own
-    rows of them, and each group only its heads of those and of the chunk's
-    probabilities (a matmul only where each destination matrix has a unit last
-    stride, which keeps it on BLAS), so no chunk waits for another. The
-    additive parameter gradients are summed in chunk order, so every bit is
-    that of a serial loop.
+    die with it. The caller allocates the output, and in backward the batch's
+    q, k and v gradients in the reference's layouts; each chunk writes only
+    its own rows of them, and each group only its heads of those and of the
+    chunk's probabilities (a matmul only where each destination matrix has a
+    unit last stride, which keeps it on BLAS), so no chunk waits for
+    another. The additive parameter gradients are summed in chunk order, so
+    every bit is that of a serial loop.
     """
     h = cfg.heads
     if any(t.shape[-1] % h for t in (q, k, v)):
@@ -430,7 +435,7 @@ def attention_node(q, k, v, cfg, additive=None):
         g_out, (a_q, a_k, a_v) = _heads(g, h), qkv
         g_k = (np.swapaxes(T._empty(a_k.shape[:-2] + a_k.shape[:-3:-1]), -1, -2)
                if key_transposed else T._empty(a_k.shape))
-        g_qkv = T._empty(a_q.shape), g_k, T._empty(a_v.shape)  # lent before the deal
+        g_qkv = T._empty(a_q.shape), g_k, T._empty(a_v.shape)  # allocated before the deal
         g_q_h, g_k_h, g_v_h = (_heads(a, h) for a in g_qkv)
 
         def backward(i):

@@ -6,10 +6,10 @@ task queue of its own. ``train.predict`` deals its blocks through it,
 ``attention.attention_node`` its sample chunks, and the row-by-row ops of
 ``tensor`` (matmul, gelu, layer_norm, add, dropout) slices of their
 leading sample axis, and ``train.sweep`` its cells. Each share runs in a
-copy of the caller's context, so under its ``no_grad`` and step pool, and
-is marked as a share: a deal made inside one runs serially. So no worker
-ever hands work to a worker, and the threads of any loop never exceed one
-per usable core.
+copy of the caller's context, so under its ``no_grad``, and is marked as
+a share: a deal made inside one runs serially. So no worker ever hands
+work to a worker, and the threads of any loop never exceed one per usable
+core.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import threading
 import numpy as np
 
 # the share of a threaded deal that the current context runs (0: the
-# caller's own), or None outside one; the step pool keeps a free list per share
+# caller's own), or None outside one
 _share = contextvars.ContextVar("angleattn_share", default=None)
 
 # the task queues of the worker threads, one per usable core besides the caller
@@ -58,8 +58,8 @@ def _work(tasks):
         try:
             context.run(run, share)
         finally:
-            # the context holds the caller's step pool, and ``run`` its
-            # arrays: none of them may outlive the deal that lent them
+            # ``run`` holds the deal's arrays: none of them may outlive the
+            # deal that allocated them
             del context, run
             done.release()
 
@@ -115,7 +115,7 @@ def deal(fn, n):
     try:
         contextvars.copy_context().run(run, 0)
     finally:
-        for lock in done:  # no share may outlive the caller's pool block
+        for lock in done:  # no share may outlive the deal
             lock.acquire()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -24,35 +24,20 @@ no graph is recorded at all.
 The ops that work row by row over a stack of samples (matmul, gelu,
 layer_norm, add, dropout) deal contiguous slices of its leading axis to
 ``parallel.threads()`` threads, forward and backward (``_by_sample``).
-Each lends its output buffers in the calling thread first, and each share
-writes only its slice of them. Sums across samples, the dropout draw,
-2-D inputs and small arrays stay serial, and inside a share everything
-is; a serial op calls numpy on the whole arrays. Every bit is that of a
-serial run.
-
-Inside a ``_StepPool`` (``train.train`` opens one per run, and
-``train.predict`` one per calling thread for its calls of several blocks
-outside it) every float64 array of at least 64 KiB that an op or a
-backward closure allocates is lent by the pool: activations, gradients
-and the temporaries of both passes (dropout's mask comes from the heap).
-Each buffer goes back to the pool the moment the last view of its lend
-dies, so a step reuses the memory of its own earlier arrays at its live
-peak. The pool and ``no_grad`` are context
-variables, so the shares of a ``parallel.deal`` (``predict``'s blocks, the
-attention node's chunks), which run in copies of the caller's context,
-lend from the caller's pool; a lock keeps its lends apart, and each share
-has a free list of its own. A pool keeps every buffer until it is dropped.
+Each allocates its output buffers in the calling thread first, and each
+share writes only its slice of them. Sums across samples, the dropout
+draw, 2-D inputs and small arrays stay serial, and inside a share
+everything is; a serial op calls numpy on the whole arrays. Every bit is
+that of a serial run. ``no_grad`` is a context variable, so the shares of
+a ``parallel.deal``, which run in copies of the caller's context, record
+as the caller does.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import contextvars
 import math
-import mmap
-import threading
-import weakref
 
 import numpy as np
 from scipy.special import erf
@@ -85,7 +70,7 @@ class Tensor:
     """An n-dimensional float64 value, optionally tracked for gradients:
     ``data`` and the graph ``node`` it is the value of."""
 
-    __slots__ = ("data", "node", "__weakref__")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False, op="leaf"):
         # contiguity lets grad_check perturb coordinates through a flat view
@@ -190,9 +175,8 @@ def _accumulate(node, g):
     # layout decides how later matmuls round
     if node.grad is None:
         node.grad = g if g.flags.c_contiguous or g.flags.f_contiguous else np.array(g)
-    else:  # with one layout the sum takes it, as numpy's allocation would
-        node.grad = np.add(node.grad, g, out=_empty_like(g) if g.strides == node.grad.strides
-                           else None)
+    else:
+        node.grad = np.add(node.grad, g)
 
 
 def _unbroadcast(g, shape):
@@ -242,109 +226,15 @@ def _make(data, parents, backward_fn, op):
     return out
 
 
-# arrays smaller than this come from np.empty even inside a pool: the heap
-# reuses blocks that small without giving their pages back
-_POOL_MIN_BYTES = 64 << 10
-
-_active_pool = contextvars.ContextVar("angleattn_pool", default=None)
-
-
-class _StepPool:
-    """Anonymous ``mmap`` buffers, each lent again as soon as no array views
-    its last lend.
-
-    Freed arrays of a few MiB go back to glibc, which trims or unmaps them,
-    so the next step (or block) faults the same memory in again page by
-    page. A pool keeps its buffers mapped instead. Each lend is its own
-    ``np.frombuffer`` array over a free buffer; every view of it keeps it
-    alive, since numpy makes the lend each view's base. A weak reference to
-    the lend appends itself to ``_returned`` when the lend dies, and
-    ``empty`` drains that list before it picks a buffer. So no callback
-    edits a free list, and no buffer is lent while a view of its last lend
-    lives.
-
-    A request takes only a free buffer at most four times its size.
-    Otherwise a small array could take a large buffer that the node's
-    chunk temporaries just gave back, keep it for the rest of the step, and
-    make the next node map another: at paper size the additive node's 32 MiB
-    hidden-tensor buffers did so. With twice the size as the limit, a
-    partial batch's smaller arrays found no buffer and mapped their own,
-    and a ``train-cs2`` run peaked about 7 MiB higher.
-
-    As a context manager the pool is the one ``_empty`` lends from until
-    the block exits: in the current context, and so in the shares of a
-    ``parallel.deal`` made in it, which run in copies of it on other
-    threads. It keeps every buffer it maps, across blocks, until it is
-    dropped. ``empty`` drains, picks and maps under one lock, so those
-    threads may lend at once; a dead lend's callback only appends to
-    ``_returned``, from whichever thread drops the last view. Each share
-    lends from a free list of its own (the caller's own lends and share 0
-    from list 0), and a buffer goes back to the list it was lent from. A
-    share runs its items in a fixed order, so each list sees the same lends
-    on every run, and which buffers a run maps does not depend on how the
-    threads interleave. A dropped pool unmaps its free buffers at once, and
-    a lent buffer when the last view of its lend dies. Buffers are private
-    mappings, so a process forked while it holds some writes only its own
-    copies.
-    """
-
-    def __init__(self):
-        self._free = {}      # share -> the buffers no lend views, by size
-        self._lent = {}      # id(weak reference to a lend) -> (that reference, buffer, share)
-        self._returned = []  # weak references to dead lends, appended by their callback
-        self._lock = threading.Lock()
-
-    def __enter__(self):
-        self._token = _active_pool.set(self)
-        return self
-
-    def __exit__(self, *exc):
-        _active_pool.reset(self._token)
-
-    def _drain(self):
-        """Put the buffers of dead lends back on the free list."""
-        while self._returned:
-            _, buf, share = self._lent.pop(id(self._returned.pop()))
-            bisect.insort(self._free.setdefault(share, []), buf, key=len)
-
-    def empty(self, shape):
-        """A C-ordered float64 array over the smallest buffer on the current
-        share's free list that holds ``shape`` and is at most four times its
-        size, or over a new buffer; its values are arbitrary."""
-        nbytes = 8 * math.prod(shape)
-        share = parallel._share.get() or 0
-        with self._lock:
-            self._drain()
-            free = self._free.setdefault(share, [])
-            i = bisect.bisect_left(free, nbytes, key=len)
-            if i < len(free) and len(free[i]) <= 4 * nbytes:
-                buf = free.pop(i)
-            else:
-                buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-            lend = np.frombuffer(buf, np.float64, nbytes // 8)
-            ref = weakref.ref(lend, self._returned.append)
-            self._lent[id(ref)] = ref, buf, share
-        return lend.reshape(shape)
+# an op's output smaller than this is not dealt to threads (``_by_sample``)
+_DEAL_MIN_BYTES = 64 << 10
 
 
 def _empty(shape):
-    """np.empty(shape), or an array lent by the active ``_StepPool`` when one
-    is active and the array is not small."""
-    pool = _active_pool.get()
-    if pool is None or 8 * math.prod(shape) < _POOL_MIN_BYTES:
-        return np.empty(shape)
-    return pool.empty(shape)
-
-
-def _empty_like(a):
-    """``np.empty_like(a)`` through ``_empty``: C or Fortran order where ``a`` is
-    contiguous that way, else ``a``'s axes ordered by stride, as numpy's order
-    'K' does. Layouts decide how later matmuls and sums round, so they are kept."""
-    if a.flags.c_contiguous:
-        return _empty(a.shape)
-    axes = (list(range(a.ndim))[::-1] if a.flags.f_contiguous
-            else sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
-    return _empty(tuple(a.shape[i] for i in axes)).transpose(np.argsort(axes))
+    """``np.empty(shape)``: the buffers that ops, backward closures and the
+    attention node fill through ``out=`` come from here, so a test can fill
+    each with NaN to show one read before it is written."""
+    return np.empty(shape)
 
 
 def _by_sample(fn, out, *operands, **consts):
@@ -358,10 +248,9 @@ def _by_sample(fn, out, *operands, **consts):
     operand too), and on every other operand whole, which broadcasts; else
     one call covers all of them. Every numpy call in ``fn`` works row by
     row or sample by sample, so each sample's values are the same bits
-    however the samples are split, and every buffer is lent before the
-    deal, so the pool sees the same lends in either case.
+    however the samples are split.
     """
-    n = out.shape[0] if out.ndim >= 3 and out.nbytes >= _POOL_MIN_BYTES else 1
+    n = out.shape[0] if out.ndim >= 3 and out.nbytes >= _DEAL_MIN_BYTES else 1
     k = min(parallel.threads(), n) if n > 1 else 1  # a small stack skips the threads() lookup
     if k <= 1:
         fn(*operands, out=out, **consts)
@@ -536,14 +425,16 @@ def reduce_mean(a, axis=None):
 
 def _softmax_fwd(x, out=None, shift=True):
     """Softmax along the last axis. With ``shift`` each row's max is subtracted
-    before ``exp``, so no row can overflow, and a NaN input is a NumericError.
+    before ``exp``, so no row can overflow, and a row whose max is NaN or
+    infinite (a NaN or +inf entry, or every entry -inf) is a NumericError.
     Without it ``exp`` runs on ``x`` directly and nothing is checked: only for
     a caller that knows every value is finite and far below exp's overflow,
     as the attention node knows its cosine scores on checked unit rows are."""
     if shift:
         row_max = x.max(axis=-1, keepdims=True)
-        if np.isnan(row_max).any():  # max propagates NaN from anywhere in its row
-            raise NumericError("softmax_rows: NaN input")
+        if not np.isfinite(row_max).all():  # max propagates NaN from anywhere in its row
+            kind = "NaN" if np.isnan(row_max).any() else "infinite"
+            raise NumericError(f"softmax_rows: {kind} input")
         x = out = np.subtract(x, row_max, out=out)
     y = np.exp(x, out=out)
     y /= y.sum(axis=-1, keepdims=True)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import math
-import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -14,8 +13,8 @@ from . import attention, parallel
 from . import tensor as T
 from .attention import ScoreVariant
 from .data import extract_patches, inject_noise, stratified_split
-from .errors import (ConfigError, ContractError, EvalError, LabelError, NumericError,
-                     SplitError, check_int, check_real)
+from .errors import (AngleAttnError, ConfigError, ContractError, EvalError, LabelError,
+                     NumericError, SplitError, check_int, check_real)
 from .model import batched_forward, init_params, is_no_decay
 from .tensor import Tensor
 
@@ -147,8 +146,23 @@ def _predict_block(cfg):
     return max(1, attention.CHUNK_BUDGET // (16 * cfg.tokens * width))
 
 
-# each thread's pool for its predict calls of more blocks than threads outside train
-_predict_pools = threading.local()
+try:
+    _libc = ctypes.CDLL(None)  # the C library the process runs on
+except (OSError, TypeError):  # none that ctypes can load by that name
+    _libc = None
+
+
+def _tune_heap():
+    """Make glibc's heap keep freed memory, so that the next step or block
+    reuses it instead of faulting fresh pages in: an array below 32 MiB (the
+    largest size glibc lets the heap pass to a mapping of its own) comes
+    from the heap, and the heap gives memory back only when 1 GiB at its
+    top is free. The settings are process-wide and sticky; where libc has
+    no ``mallopt`` this does nothing."""
+    mallopt = getattr(_libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD
 
 
 def predict(params, cfg, cube, flat_indices, batch_size=256):
@@ -160,28 +174,16 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
     few patches still fills every core. Each row of a forward depends on
     its own patch alone, so the ids depend on none of these bounds, and
     each block writes only its own slice of them. ``parallel.deal`` runs
-    the blocks on those threads under the caller's ``no_grad``, pool and
-    numpy error handling, and raises the error of the lowest-offset block
-    that failed, as a serial run would; inside a threaded block the
-    attention nodes and ops run serially.
-
-    Inside ``train`` the blocks' arrays come from its step pool. Outside it
-    a call of more blocks than threads lends from its thread's predict
-    pool, which keeps every buffer it maps until the thread next trains or
-    ends, so a block reuses the buffers of the blocks and calls before it;
-    a thread that switches models between trainings keeps each model's
-    block buffers until then. A call of at most one block per thread
-    lends from no pool: none of its blocks could reuse another's buffers,
-    and between calls the heap can reuse memory that work between calls
-    freed, where kept buffers would sit beside it.
+    the blocks on those threads under ``no_grad`` and with numpy's
+    floating-point warnings off, as ``train`` runs, and raises the error of
+    the lowest-offset block that failed, as a serial run would; inside a
+    threaded block the attention nodes and ops run serially. It tunes the
+    heap as ``train`` does (``_tune_heap``).
     """
     n, threads = len(flat_indices), parallel.threads()
     block = max(1, min(batch_size, _predict_block(cfg), math.ceil(n / threads)))
     preds = np.empty(n, dtype=np.int64)
     offsets = range(0, n, block)
-    pool = contextlib.nullcontext()
-    if T._active_pool.get() is None and len(offsets) > threads:
-        pool = vars(_predict_pools).setdefault("pool", T._StepPool())
 
     def run(i):
         lo = offsets[i]
@@ -189,7 +191,8 @@ def predict(params, cfg, cube, flat_indices, batch_size=256):
         probs = batched_forward(patches, params, cfg, training=False)
         preds[lo:lo + len(patches)] = probs.data.argmax(axis=-1) + 1
 
-    with T.no_grad(), pool:
+    _tune_heap()
+    with T.no_grad(), np.errstate(all="ignore"):
         parallel.deal(run, len(offsets))
     return preds
 
@@ -252,11 +255,12 @@ def train(cfg, cube, labels, splits, tcfg):
 
     ``splits`` is the (train, val, test) triple of flat pixel indices.
     Model selection keeps the epoch with the best validation OA; with
-    epochs=0 the freshly initialized parameters are returned. The steps and
-    validations run inside one ``tensor._StepPool``, so each step's arrays
-    reuse the buffers of the arrays that died before them; its memory is
-    unmapped when ``train`` returns.
+    epochs=0 the freshly initialized parameters are returned. The heap is
+    tuned on entry (``_tune_heap``), so each step's arrays reuse the memory
+    of the arrays that died before them, and trimmed (``malloc_trim``) on
+    exit, also when the run fails, so a finished run keeps no freed memory.
     """
+    _tune_heap()
     train_idx, val_idx, _ = splits
     if len(train_idx) == 0:
         raise SplitError("empty training split")
@@ -272,10 +276,9 @@ def train(cfg, cube, labels, splits, tcfg):
     dropout_rng = np.random.default_rng(tcfg.seed + 2)
     log = []
     best = {"val_oa": -1.0, "epoch": 0, "values": params.copy_values()}
-    vars(_predict_pools).pop("pool", None)  # its kept buffers would add to this run's peak
     # numpy's floating-point warnings stay off stderr: a run that diverges
     # ends in one error naming the epoch and step (or validation) instead
-    with np.errstate(all="ignore"), T._StepPool():
+    with np.errstate(all="ignore"):
         try:
             for epoch in range(tcfg.epochs):
                 order = shuffle_rng.permutation(len(train_idx))
@@ -295,6 +298,9 @@ def train(cfg, cube, labels, splits, tcfg):
         # NaN rows reach the cosine variants' unit-row check as a ContractError
         except (NumericError, ContractError) as exc:
             raise type(exc)(f"{where}: {exc}") from None
+        finally:
+            if hasattr(_libc, "malloc_trim"):
+                _libc.malloc_trim(0)
     params.load_values(best["values"])
     return params, log, best["epoch"]
 
@@ -329,14 +335,20 @@ def sweep(variants, cfg_base, cube, labels, split_spec, tcfg_base, seeds=None,
 
 
 def _sweep_cell(variant, seed, snr_db, cfg_base, cube, labels, split_spec, tcfg_base):
-    cube = inject_noise(cube, snr_db, seed)
-    cfg = replace(cfg_base, attention=replace(cfg_base.attention, variant=variant))
-    splits = stratified_split(labels, replace(split_spec, seed=seed))
-    tcfg = replace(tcfg_base, seed=seed)
-    start = time.perf_counter()
-    params, _, best_epoch = train(cfg, cube, labels, splits, tcfg)
-    elapsed = time.perf_counter() - start
-    report = evaluate(params, cfg, cube, labels, splits[2])
+    """One cell's row; a library error comes out as the same type, its
+    message prefixed with the cell's variant, seed and SNR."""
+    try:
+        cube = inject_noise(cube, snr_db, seed)
+        cfg = replace(cfg_base, attention=replace(cfg_base.attention, variant=variant))
+        splits = stratified_split(labels, replace(split_spec, seed=seed))
+        tcfg = replace(tcfg_base, seed=seed)
+        start = time.perf_counter()
+        params, _, best_epoch = train(cfg, cube, labels, splits, tcfg)
+        elapsed = time.perf_counter() - start
+        report = evaluate(params, cfg, cube, labels, splits[2])
+    except AngleAttnError as exc:
+        snr = "none" if snr_db is None else f"{snr_db:g} dB"
+        raise type(exc)(f"variant {variant.value} seed {seed} snr {snr}: {exc}") from None
     return {"variant": variant.value, "seed": seed, "epoch_best": best_epoch,
             "oa": report.oa, "aa": report.aa, "kappa": report.kappa,
             "train_seconds": elapsed, "snr_db": snr_db}

@@ -14,12 +14,11 @@ and the probabilities of ``predict``'s blocked path (``no_grad`` forwards
 over blocks of ``train._predict_block`` patches, and of 1 patch,
 concatenated). For every variant x positional
 mode it also writes the parameters, epoch losses and validation OAs of a
-2-epoch ``train.train`` run whose arrays are large enough for the step
-pool and whose last batch is partial, so that a smaller batch reuses
-pooled buffers; then the ids and every block's probabilities of two
-successive ``predict`` calls on the trained model outside ``train``, each
-over two blocks, the second of them partial, so that the second call runs
-on the buffers the first left in the thread's predict pool.
+2-epoch ``train.train`` run whose last batch is partial, so that a
+smaller batch runs in memory a larger one freed; then the ids and every
+block's probabilities of two successive ``predict`` calls on the trained
+model outside ``train``, each over two blocks, the second of them
+partial, so that the second call runs in memory the first freed.
 ``--predict-threads N`` takes N as the usable cores, so it sets the
 threads of every threaded loop (``parallel.deal``; by default one thread
 per usable core): ``predict``'s blocks, the attention node's chunks and the
@@ -101,9 +100,9 @@ def train_outputs(tag, positional, scene):
     and ``predict_outputs`` of the trained model on the 180 test pixels.
 
     40 training pixels in batches of 16 end in a partial batch of 8. A
-    token activation (25 x 48 floats per patch) is above the step pool's
-    64 KiB floor from 7 patches on, so both batch sizes and the 20-pixel
-    validation run on pooled buffers."""
+    token activation (25 x 48 floats per patch) is above the 64 KiB deal
+    floor (``tensor._DEAL_MIN_BYTES``) from 7 patches on, so both batch
+    sizes deal their ops' samples to the threads."""
     cube, labels, splits = scene
     attn = AttentionConfig(model_dim=48, heads=2, variant=tag)
     cfg = M.ModelConfig(bands=6, num_classes=3, patch_size=5, model_dim=48, depth=2, heads=2,
@@ -119,8 +118,7 @@ def train_outputs(tag, positional, scene):
 def predict_outputs(params, cfg, cube, indices):
     """Ids and every block's probabilities, in offset order, of two
     successive ``predict`` calls outside ``train``: blocks of
-    ``_predict_block(cfg)`` = 109 patches, so 109 and 71 per call, every
-    token activation pooled."""
+    ``_predict_block(cfg)`` = 109 patches, so 109 and 71 per call."""
     out, gather, forward = {}, training.extract_patches, training.batched_forward
     offset, where = threading.local(), {int(pixel): i for i, pixel in enumerate(indices)}
 

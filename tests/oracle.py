@@ -24,8 +24,9 @@ def check_unit_rows(x, what):
     node checks the norms before it normalises instead
     (``attention._check_unit_rows``). On rows normalised by the same body
     the two agree, except on a row whose norm overflows (normalising turns
-    it to zero) or lies less than a relative 1.1e-5 below ``_NORM_EPS``:
-    only the node refuses those."""
+    it to zero), on a nonzero row whose squares all underflow (its norm reads
+    0), and on one whose norm lies less than a relative 1.1e-5 below
+    ``_NORM_EPS``: only the node refuses those."""
     norms = np.linalg.norm(x, axis=-1)
     deviation = np.where(norms == 0.0, 0.0, np.abs(norms - 1.0)).max(initial=0.0)
     if not deviation <= _UNIT_NORM_TOL:  # also catches NaN

@@ -19,7 +19,7 @@ from angleattn.tensor import Tape, Tensor, grad_check
 from bitdump import model_outputs, oracle_batch
 from oracle import (additive_score, attend, composed_attention, merge_heads, normalise, score,
                     split_heads)
-from test_tensor import poison_lends
+from test_tensor import poison_empty
 
 ALL_TAGS = ["cs2", "cs", "abscs", "tempcs2", "dp", "sdp", "add", "msa-cs2",
             "c-sdp", "c-cs2", "c-cs", "c-add"]
@@ -593,6 +593,19 @@ def test_node_refuses_a_row_whose_norm_overflows(tag, side):
     assert np.isfinite(attention_node(*(merge_heads(Tensor(t)) for t in (q, k, v)), cfg).data).all()
 
 
+def test_node_refuses_a_nonzero_row_whose_norm_underflows():
+    # at 1e-300 every square underflows and the norm reads exactly 0: taken
+    # for a zero row, the row would make attention uniform without a word
+    rng = np.random.default_rng(42)
+    q, k, v = (rng.normal(size=(2, 9, 8)) for _ in range(3))
+    cfg = cfg_for("cs2", dim=8, heads=2)
+    with np.errstate(under="ignore"), pytest.raises(
+            ContractError, match=r"^query rows must .*\(found norm 0\.000e\+00\)$"):
+        attention_node(Tensor(q * 1e-300), Tensor(k * 1e-300), Tensor(v), cfg)
+    q[1, 4], k[0, 2, :4] = 0.0, 0.0  # a zero row, and a zero head of a row, still pass
+    assert np.isfinite(attention_node(Tensor(q), Tensor(k), Tensor(v), cfg).data).all()
+
+
 def test_node_rejects_missing_additive_params_and_bad_heads():
     q = Tensor(np.zeros((2, 4, 6)))
     with pytest.raises(ConfigError):
@@ -684,14 +697,12 @@ def node_over_chunks(tag, threads, monkeypatch, backwards=1):
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_threaded_chunks_give_the_serial_bits(tag, monkeypatch):
-    # four chunks on two threads, lends poisoned inside a pool: the same
+    # four chunks on two threads, every buffer of _empty poisoned: the same
     # output, gradients (the additive ones summed over chunks) and layouts
     serial, ran = node_over_chunks(tag, 1, monkeypatch)
     assert len(ran) == 1
-    monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-    poison_lends(monkeypatch)
-    with T._StepPool():
-        threaded, ran = node_over_chunks(tag, 2, monkeypatch)
+    poison_empty(monkeypatch)
+    threaded, ran = node_over_chunks(tag, 2, monkeypatch)
     assert len(ran) == 2
     for want, got in zip(serial, threaded, strict=True):
         np.testing.assert_array_equal(got, want)
@@ -702,14 +713,12 @@ def test_threaded_chunks_give_the_serial_bits(tag, monkeypatch):
 def test_every_backward_through_one_graph_gives_the_same_bits(tag, monkeypatch):
     # the node keeps only q, k and v, and each backward recomputes the
     # probabilities: two backward() calls through one graph, over four
-    # chunks, serially and on two threads, in a pool whose lends start as
-    # NaN, hand on the bits of one serial backward outside a pool
+    # chunks, serially and on two threads, with every buffer of _empty NaN
+    # at first, hand on the bits of one serial backward on plain buffers
     want, _ = node_over_chunks(tag, 1, monkeypatch)
-    monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-    poison_lends(monkeypatch)
+    poison_empty(monkeypatch)
     for threads in (1, 2):
-        with T._StepPool():
-            got, _ = node_over_chunks(tag, threads, monkeypatch, backwards=2)
+        got, _ = node_over_chunks(tag, threads, monkeypatch, backwards=2)
         firsts, seconds = got[1:len(want)], got[len(want):]  # each backward's gradients
         for first, second, serial in zip(firsts, seconds, want[1:], strict=True):
             assert first.tobytes() == second.tobytes() == serial.tobytes(), threads
@@ -729,10 +738,10 @@ def test_threaded_chunks_raise_the_earliest_chunks_error(threads, monkeypatch):
     q[6, 1, 0] = np.nan
     check = attention._check_unit_rows
 
-    def slow_for_short_rows(norms, what):
+    def slow_for_short_rows(x, norms, what):
         if ((norms > 0) & (norms < attention._NORM_EPS)).any():
             time.sleep(0.2)
-        check(norms, what)
+        check(x, norms, what)
 
     monkeypatch.setattr(attention, "_check_unit_rows", slow_for_short_rows)
     with pytest.raises(ContractError, match=r"^query rows .*\(found norm 1\.732e-13\)$"):
@@ -745,7 +754,7 @@ def test_threaded_chunks_raise_the_earliest_chunks_error(threads, monkeypatch):
 @pytest.mark.parametrize("norm_mode", [None, "none", "query", "key", "both"])
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_node_gradients_have_the_references_layouts(tag, norm_mode, chunks, monkeypatch):
-    # the node lends the batch's q, k and v gradients itself, by its own
+    # the node allocates the batch's q, k and v gradients itself, by its own
     # rule, and no chunk lays them out: in one chunk and in four 1-sample
     # chunks they must have the strides of the composed reference's
     monkeypatch.setattr(attention, "CHUNK_BUDGET", attention.CHUNK_BUDGET if chunks == 1 else 1)

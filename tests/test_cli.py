@@ -18,7 +18,7 @@ from angleattn import cli as cli_module
 from angleattn import parallel
 from angleattn import train as train_module
 from angleattn.cli import CONFIG_DEFAULTS, main
-from angleattn.errors import EvalError
+from angleattn.errors import ConfigError, EvalError, NumericError
 from angleattn.train import SWEEP_CSV_HEADER
 
 FAST = ["--patch", "5", "--dim", "8", "--depth", "1", "--heads", "2",
@@ -387,6 +387,20 @@ class TestEval:
         assert err.startswith(f"error: parameter {entry['name']!r} has dtype ")
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_classifier_weights_evaluate_without_a_warning(self, small_ckpt, tmp_path,
+                                                                 capsys):
+        # w_c scaled by 1e308: the logits stay finite, but their softmax
+        # shift overflows, which numpy would report as a RuntimeWarning
+        files = {}
+        ckpt = edited_copy(small_ckpt, tmp_path / "ckpt",
+                           lambda m: files.update((p["name"], p["file"]) for p in m["params"]))
+        path = os.path.join(ckpt, files["w_c"])
+        np.save(path, np.load(path) * 1e308)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_checkpoint(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope")]) == 1
 
@@ -561,6 +575,23 @@ class TestSweep:
         assert capsys.readouterr().err == ("error: noise at snr_db -3000.0 puts the cube "
                                            "beyond float32's range (about 3.4e38)\n")
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("error, code", [(NumericError, 1), (ConfigError, 2)])
+    def test_failed_cell_names_its_cell(self, scene_dir, tmp_path, capsys, monkeypatch, error,
+                                        code):
+        # the error keeps its type, and so its exit code, and says which
+        # cell raised it
+        train = train_module.train
+
+        def failing(cfg, *args):
+            if cfg.attention.variant.value == "dp":
+                raise error("epoch 0 step 0: non-finite loss nan")
+            return train(cfg, *args)
+
+        monkeypatch.setattr(train_module, "train", failing)
+        assert self.run_sweep(scene_dir, str(tmp_path / "r.csv"), "cs2,dp", "3", "20") == code
+        assert capsys.readouterr().err == (
+            "error: variant dp seed 3 snr 20 dB: epoch 0 step 0: non-finite loss nan\n")
 
     def test_parallel_matches_serial(self, scene_dir, tmp_path, monkeypatch):
         # on two cores the two cells run at once, one per core

@@ -1,11 +1,7 @@
-import gc
+import contextlib
 import itertools
 import math
-import mmap
-import os
-import sys
-import threading
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +93,14 @@ class TestSoftmaxRows:
         with pytest.raises(NumericError):
             T.softmax_rows(Tensor(x))
 
+    @pytest.mark.parametrize("row", [[np.inf, 1.0, 2.0], [-np.inf] * 3])
+    def test_infinite_row_max_rejected(self, row):
+        # the shift would give inf - inf, and the row NaN probabilities
+        x = np.zeros((2, 3))
+        x[1] = row
+        with pytest.raises(NumericError, match="^softmax_rows: infinite input$"):
+            T.softmax_rows(Tensor(x))
+
     def test_rows_sum_to_one(self):
         out = T.softmax_rows(rand((6, 9), 11, -50, 50)).data
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
@@ -186,7 +190,7 @@ class TestDropout:
         # shape; output and gradient are x and g times the float64 keep
         # scale, bit for bit, signed zeros included
         monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(T, "_DEAL_MIN_BYTES", 1)
         x = rand((5, 40, 48), 15)
         out = T.dropout(x, 0.3, True, np.random.default_rng(16))
         held = [c.cell_contents for c in out.backward_fn.__closure__]
@@ -390,113 +394,63 @@ def test_unary_op_gradients(op, seed):
     assert grad_check(f, [x]) < 1e-4
 
 
-# -- the step pool: buffers lent again once no view of their last lend lives ---
+# -- memory: the buffers of _empty, and the bytes a step keeps alive ---------
 
-def poison_lends(monkeypatch):
-    """NaN into every array the pool lends, before the caller writes it."""
-    empty = T._StepPool.empty
+def poison_empty(monkeypatch):
+    """NaN into every array ``tensor._empty`` returns, before the caller writes it."""
+    empty = T._empty
 
-    def poisoned(pool, shape):
-        out = empty(pool, shape)
+    def poisoned(shape):
+        out = empty(shape)
         out.fill(np.nan)
         return out
 
-    monkeypatch.setattr(T._StepPool, "empty", poisoned)
+    monkeypatch.setattr(T, "_empty", poisoned)
 
 
-def free(pool):
-    """The buffers on every free list of the pool."""
-    pool._drain()
-    return sum(pool._free.values(), [])
+@contextlib.contextmanager
+def tracing():
+    """Trace allocations inside the block, so that ``live_bytes`` counts them."""
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
 
 
-def buffers(pool):
-    """Every buffer the pool holds, free or lent."""
-    return free(pool) + [buf for _, buf, _ in pool._lent.values()]
-
-
-def owner(a):
-    """The outermost array whose memory ``a`` views: for a pooled array,
-    the lend over its whole buffer."""
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a
+def live_bytes():
+    """Bytes of the numpy arrays allocated since ``tracing`` began that are
+    still alive: numpy reports every array's data to ``tracemalloc``."""
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(trace.size for trace in snapshot.traces)
 
 
 class TestStepPool:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.lists(st.integers(1, 40), max_size=3), st.integers(0, 4),
-                              st.booleans()), max_size=30))
-    def test_views_lent_at_once_never_share_memory(self, ops):
-        # each op lends one shape and fills it with its own number; it keeps
-        # the lend, or only a strided view of it, and then drops one earlier
-        # view (if ``drop`` names one), whose buffer comes back at once.
-        # Every view alive at once owns its memory and keeps its number.
-        live = []
-        with T._StepPool() as pool:
-            for i, (shape, drop, strided) in enumerate(ops):
-                view = pool.empty(tuple(shape))
-                view.fill(i)
-                live.append((i, view.reshape(-1)[::2] if strided else view))
-                view = None
-                if drop < len(live) - 1:
-                    live.pop(drop)
-                for j, (n, a) in enumerate(live):
-                    assert (a == n).all()
-                    for _, b in live[j + 1:]:
-                        assert not np.shares_memory(a, b)
+    """What a step's arrays keep alive, counted in live numpy bytes, and
+    ``tensor._empty``, which every buffer of an op, a backward closure or
+    the attention node comes from."""
 
-    def test_view_kept_past_recycle_is_never_lent_again(self):
-        # the other lends' buffers are recycled around a view that is kept
-        with T._StepPool() as pool:
-            kept = pool.empty((50, 40))
-            kept[:] = 7.0
-            kept = kept[1:]  # a view of the lend keeps the lend alive
-            for _ in range(4):  # the same shape, and one that fits in it
-                views = [pool.empty((50, 40)), pool.empty((10, 40))]
-                assert not any(np.shares_memory(kept, v) for v in views)
-                views[0][:] = views[1][:] = np.nan
-                views = None
-            assert (kept == 7.0).all()
-            assert len(buffers(pool)) == 3 and len(free(pool)) == 2
-            kept = None
-            assert len(buffers(pool)) == len(free(pool)) == 3
-
-    def test_scratch_buffers_are_kept_apart(self):
-        # a request takes no free buffer over four times its size: else a
-        # small array could keep a large buffer that the node's chunk
-        # temporaries just gave back, and the next node would map another
-        with T._StepPool() as pool:
-            big = pool.empty((1000,)).ctypes.data  # no view kept: back at once
-            small = pool.empty((249,))
-            assert small.ctypes.data != big
-            assert pool.empty((250,)).ctypes.data == big
-
-    def test_node_keeps_only_its_output(self, monkeypatch):
-        # the node's head copies, normalised rows, scores and probabilities go
-        # back when its forward returns, and everything its backward lent
-        # (the recomputed probabilities too) but the gradient it hands on goes
-        # back when backward returns
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+    def test_node_keeps_only_its_output(self):
+        # the node's head copies, normalised rows, scores and probabilities die
+        # when its forward returns, and everything its backward allocates (the
+        # recomputed probabilities too) but the gradient it hands on dies
+        # when backward returns; its closure keeps q, k and v, alive anyway
         q = Tensor(np.random.default_rng(0).normal(size=(3, 5, 6)), requires_grad=True)
-        with T._StepPool() as pool:
+        with tracing():
             out = attention.attention_node(q, q, q, AttentionConfig(6, 2))
-            pool._drain()
-            assert len(pool._lent) == 1  # the output alone
+            assert live_bytes() == out.data.nbytes
             T.sum_all(out).backward()
-            pool._drain()
-            assert len(pool._lent) == 2 and np.shares_memory(q.grad, buffers(pool)[-1])
+            assert live_bytes() == out.data.nbytes + q.grad.nbytes
             out = q.grad = None
-            pool._drain()
-            assert not pool._lent
+            assert live_bytes() == 0
 
     def test_node_of_4_chunks_keeps_only_its_output(self, monkeypatch):
         # serial and on 2 threads: every chunk temporary (head copies,
-        # normalised rows, scores, probabilities) goes back when its chunk
-        # ends, and everything its backward lent but the gradients it hands
-        # on goes back when backward returns; no gradient views a larger
-        # array, so none keeps a chunk temporary alive
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        # normalised rows, scores, probabilities) dies with its chunk, and
+        # everything its backward allocated but the gradients it hands on
+        # dies when backward returns; no gradient views a larger array, so
+        # none keeps a chunk temporary alive
         monkeypatch.setattr(attention, "CHUNK_BUDGET", 1)  # one sample per chunk
         rng = np.random.default_rng(0)
         for tag, threads in itertools.product(("cs2", "dp", "add", "msa-cs2"), (1, 2)):
@@ -508,146 +462,38 @@ class TestStepPool:
                                             for shape in ((2, 3, 3), (2, 3, 3), (2, 3), (2, 3))))
             leaves = [q, k, v] + ([additive.w_q, additive.w_k, additive.w_a, additive.b_a]
                                   if additive else [])
-            with T._StepPool() as pool:
+            with tracing():
                 out = attention.attention_node(q, k, v, AttentionConfig(6, 2, variant=tag),
                                                additive)
-                pool._drain()
-                assert len(pool._lent) == 1, tag  # the output alone
+                assert live_bytes() == out.data.nbytes, tag
                 T.sum_all(out).backward()
-                assert all(owner(leaf.grad).nbytes == leaf.grad.nbytes for leaf in leaves), tag
-                pool._drain()
-                pooled = [buf for _, buf, _ in pool._lent.values()
-                          if any(np.shares_memory(np.frombuffer(buf, np.uint8), leaf.grad)
-                                 for leaf in leaves)]
-                assert len(pool._lent) == 1 + len(pooled), tag
+                grads = sum(leaf.grad.nbytes for leaf in leaves)
+                assert live_bytes() == out.data.nbytes + grads, tag
                 for leaf in leaves:
                     leaf.grad = None
-                pooled = None
-                pool._drain()
-                assert len(pool._lent) == 1, tag
+                assert live_bytes() == out.data.nbytes, tag
                 out = None
-                pool._drain()
-                assert not pool._lent, tag
+                assert live_bytes() == 0, tag
 
-    def test_only_an_active_large_request_is_pooled(self, monkeypatch):
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1024)
-        assert T._empty((128,)).base is None
-        with T._StepPool():
-            assert T._empty((127,)).base is None
-            lent = T._empty((128,))
-            assert isinstance(lent.base.base.obj, mmap.mmap) and lent.flags.c_contiguous
-        assert T._empty((128,)).base is None
-
-    def test_threads_lend_from_one_pool_at_once(self):
-        # more threads than cores lend, fill and drop arrays of one pool,
-        # switching as often as the interpreter lets them, as shares 0, 1
-        # and 2 of a deal, two threads to a free list: a lost update to a
-        # free list or the lent table would lend one buffer to two threads
-        # at once, or lose or duplicate a buffer
-        pool, spoiled = T._StepPool(), []
-
-        def lend(k):
-            parallel._share.set(k % 3)  # a new thread starts in an empty context
-            rng, held = np.random.default_rng(k), []
-            for _ in range(400):
-                a = pool.empty((int(rng.integers(1, 3000)),))
-                a.fill(k)
-                held.append(a)
-                if len(held) > 4:
-                    if not (held.pop(int(rng.integers(len(held)))) == k).all():
-                        spoiled.append(k)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=lend, args=(k,)) for k in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and not spoiled
-        pool._drain()
-        assert not pool._lent and len({id(buf) for buf in free(pool)}) == len(free(pool))
-        assert sorted(pool._free) == [0, 1, 2]
-
-    def test_pool_keeps_every_buffer_until_it_is_dropped(self):
-        # leaving a block only deactivates the pool: the next block lends
-        # the buffers of the one before, and maps only what they lack
-        pool = T._StepPool()
-        with pool:
-            pool.empty((1000,)), pool.empty((100,))
-        kept = {id(buf) for buf in buffers(pool)}
-        with pool:  # the first block's 8000-byte buffer, and a new one
-            pool.empty((1000,)), pool.empty((10,))
-        assert T._active_pool.get() is None
-        held = buffers(pool)
-        assert kept < {id(buf) for buf in held}
-        assert sorted(len(buf) for buf in held) == [80, 800, 8000]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_writes_only_its_own_copies(self):
-        # buffers are private mappings: a child forked while the pool holds
-        # a lent and a free buffer writes both, and the parent sees neither
-        with T._StepPool() as pool:
-            kept = pool.empty((1000,))
-            kept[:] = 1.0
-            freed = pool.empty((2000,))
-            freed[:] = 3.0
-            address, freed = freed.ctypes.data, None
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    kept[:] = 2.0
-                    pool.empty((2000,))[:] = 2.0
-                    code = 0
-                finally:
-                    os._exit(code)
-            assert os.waitpid(pid, 0)[1] == 0
-            again = pool.empty((2000,))
-            assert again.ctypes.data == address
-            assert (kept == 1.0).all() and (again == 3.0).all()
-
-    def test_dropped_pool_unmaps_its_buffers_at_once(self):
-        # no reference cycle holds a pool: its free buffers go with it, and
-        # a buffer still viewed goes with its last view
-        gc.disable()
-        try:
-            pool = T._StepPool()
-            kept = pool.empty((300,))
-            pool.empty((200,))
-            pool._drain()
-            (unviewed,), ((_, viewed, _),) = free(pool), pool._lent.values()
-            unviewed, viewed = weakref.ref(unviewed), weakref.ref(viewed)
-            pool = None
-            assert unviewed() is None and viewed() is not None
-            kept = None
-            assert viewed() is None
-        finally:
-            gc.enable()
-
-    def test_sum_and_copies_keep_numpys_layout(self, monkeypatch):
-        # _empty_like lays out what np.empty_like would, and _accumulate's
-        # sum of two gradients what numpy's addition would
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+    def test_sum_and_copies_keep_numpys_layout(self):
+        # _accumulate's sum of two gradients lays out what numpy's addition
+        # would, and its copy of a strided gradient what np.array would
         base = np.random.default_rng(1).normal(size=(3, 4, 5))
-        with T._StepPool():
-            for a in (base, base.transpose(2, 1, 0), base.transpose(0, 2, 1), base[:1].T):
-                assert T._empty_like(a).strides == np.empty_like(a).strides
-                node = Tensor(np.zeros(a.shape))
-                node.grad = np.array(a)
-                T._accumulate(node, a)
-                assert node.grad.strides == (np.array(a) + a).strides
-                np.testing.assert_array_equal(node.grad, 2 * a)
+        for a in (base, base.transpose(2, 1, 0), base.transpose(0, 2, 1), base[:1].T):
+            node = Tensor(np.zeros(a.shape)).node
+            T._accumulate(node, a)
+            assert node.grad.strides == np.array(a).strides
+            T._accumulate(node, a)
+            assert node.grad.strides == (np.array(a) + a).strides
+            np.testing.assert_array_equal(node.grad, 2 * a)
 
     @pytest.mark.parametrize("op", ["add", "matmul", "gelu", "layer_norm", "dropout",
                                     "cs2", "dp", "add_attention", "msa-cs2"])
     def test_pooled_op_bits_match_unpooled(self, op, monkeypatch):
-        # inside the pool every lend, forward and backward, is NaN until the
-        # op writes it, and the second run reuses the first one's buffers
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        # every buffer of _empty, forward and backward, is NaN until the op
+        # writes it, also on the second run, which the heap serves from the
+        # memory the first one freed
+        monkeypatch.setattr(T, "_DEAL_MIN_BYTES", 1)
         monkeypatch.setattr(attention, "CHUNK_BUDGET", 3 * 8 * 2 * 5 * 5)  # chunks 3, 3, 1
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=(7, 5, 6)), rng.normal(size=(7, 5, 6))
@@ -677,11 +523,10 @@ class TestStepPool:
             return [np.array(out.data)] + [t.grad for t in ins]
 
         plain = run()
-        poison_lends(monkeypatch)
-        with T._StepPool():
-            run()
-            pooled = run()
-        for a, b in zip(plain, pooled):
+        poison_empty(monkeypatch)
+        run()
+        poisoned = run()
+        for a, b in zip(plain, poisoned):
             if a is None:
                 assert b is None
             else:
@@ -696,7 +541,7 @@ class TestDealtOps:
     and gradient is the same bits on any number of threads."""
 
     # deals per forward and backward; a (5, 40, 48) float64 array is above
-    # the pool's floor, and so are the products with a (48, 64) weight
+    # the deal floor, and so are the products with a (48, 64) weight
     DEALS = {"matmul": 3, "matmul-batched": 3, "gelu": 2, "layer_norm": 2,
              "add-bias": 1, "add-pos": 1, "dropout": 2}
 
@@ -739,14 +584,13 @@ class TestDealtOps:
     @pytest.mark.parametrize("op", DEALS)
     def test_bits_do_not_depend_on_the_threads(self, op, monkeypatch):
         # 5 samples over 2 threads are split 2 + 3, over 3 threads 1 + 2 + 2;
-        # in a pool whose every lend is NaN, a slice no share wrote shows
+        # with every buffer of _empty NaN, a slice no share wrote shows
         dealt = self.record_deals(monkeypatch)
         serial = self.run(op, 1, monkeypatch)
         assert dealt == []
-        poison_lends(monkeypatch)
+        poison_empty(monkeypatch)
         for threads in (2, 3):
-            with T._StepPool():
-                threaded = self.run(op, threads, monkeypatch)
+            threaded = self.run(op, threads, monkeypatch)
             assert dealt == [threads] * self.DEALS[op]
             dealt.clear()
             for a, b in zip(serial, threaded):
@@ -758,7 +602,7 @@ class TestDealtOps:
                                           if len(shape) == 3 or op != "matmul-batched"])
     def test_a_single_patch_or_a_small_array_starts_no_deal(self, op, shape, monkeypatch):
         # a 2-D input (one patch's tokens) stays on one thread, also above
-        # the pool's floor, and so does a stack whose arrays are all below it
+        # the deal floor, and so does a stack whose arrays are all below it
         dealt = self.record_deals(monkeypatch)
         self.run(op, 3, monkeypatch, shape=shape)
         assert dealt == []

@@ -1,4 +1,3 @@
-import contextlib
 import contextvars
 import gc
 import math
@@ -27,7 +26,7 @@ from angleattn.tensor import Tensor
 from angleattn.train import (AdamW, TrainConfig, clip_gradients, evaluate,
                              label_smoothed_ce, metrics_from_confusion, predict,
                              rows_to_csv, sweep, train)
-from test_tensor import buffers, poison_lends
+from test_tensor import live_bytes, poison_empty, tracing
 
 
 class PoisonedAdamW(AdamW):
@@ -338,15 +337,14 @@ class TestTrainLoop:
 
 
 class TestStepPool:
-    """``train`` lends every step's arrays, forward and backward, from one
-    step pool, and ``predict`` outside ``train`` from its calling thread's
-    predict pool, its workers too; the floor is lowered so that the tiny
-    model's arrays are pooled too, and 57 training pixels in batches of 16
-    end in a partial batch of 9."""
+    """What ``train`` and ``predict`` keep alive, counted in live numpy bytes,
+    and the heap they tune; the deal floor is lowered so that the tiny
+    model's ops deal their samples too, and 57 training pixels in batches
+    of 16 end in a partial batch of 9."""
 
     @staticmethod
     def run(variant, monkeypatch, epochs=2):
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(T, "_DEAL_MIN_BYTES", 1)
         cube, labels = tiny_scene()
         splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
         params, log, best = train(tiny_model(variant), cube, labels, splits,
@@ -355,32 +353,46 @@ class TestStepPool:
 
     @pytest.mark.parametrize("variant", [v.value for v in VARIANTS])
     def test_poisoned_recycle_changes_nothing(self, variant, monkeypatch):
-        # a buffer is NaN from the moment it is lent again, also when it came
-        # back mid-backward, until an op writes it: a pooled array read
-        # before it is fully written shows in the result
+        # every buffer of _empty is NaN until an op writes it, also where the
+        # heap hands a step memory that an earlier array freed mid-backward:
+        # an array read before it is fully written shows in the result
         clean = self.run(variant, monkeypatch)
-        poison_lends(monkeypatch)
+        poison_empty(monkeypatch)
         values, log, best = self.run(variant, monkeypatch)
         assert (log, best) == clean[1:]
         for name, value in values.items():
             np.testing.assert_array_equal(value, clean[0][name], err_msg=name)
 
-    def test_pool_stops_growing_after_the_first_epoch(self, monkeypatch):
-        # a view that outlives its use, or a request that finds no free
-        # buffer, makes the pool map a new one: once every batch shape and a
-        # validation have run, forward, backward and validation lends must
-        # all find their buffers free. First on one thread, then on two:
-        # the 57-pixel validation in two blocks, one per thread, and each
-        # node over chunks of 4 samples, the last partial, so that both
-        # threads lend in steps and validations alike, each from its own
-        # free list
+    def test_a_step_keeps_only_its_gradients(self, monkeypatch):
+        # after each step the live arrays it allocated are the parameters'
+        # gradients alone, each of its own size: no array of its graph
+        # outlives it; on one thread and on two
+        monkeypatch.setattr(T, "_DEAL_MIN_BYTES", 1)
+        cfg, tcfg = tiny_model(), TrainConfig()
+        rng = np.random.default_rng(0)
+        batch, targets = rng.normal(size=(16, 3, 3, 8)), rng.integers(0, 3, size=16)
+        for threads in (1, 2):
+            predict_threads(monkeypatch, threads)
+            params = init_params(cfg, 0)
+            opt = AdamW(params.named_parameters(), lr=tcfg.lr)
+            with tracing():
+                for _ in range(3):
+                    train_module._train_step(params, cfg, tcfg, opt, batch, targets, rng)
+                    assert live_bytes() == sum(t.grad.nbytes for _, t in opt.named_params)
+
+    def test_live_bytes_stop_growing_after_the_first_epoch(self, monkeypatch):
+        # an array that outlives its use shows as live bytes that grow from
+        # epoch to epoch: after each step and validation from the second
+        # epoch on, every epoch holds what the one before held. First on one
+        # thread, then on two: the 57-pixel validation in two blocks, one
+        # per thread, and each node over chunks of 4 samples, the last partial
         held, step, evaluate_ = [], train_module._train_step, train_module.evaluate
         forward, ran = train_module.batched_forward, set()
 
         def recording(fn):
             def recorded(*args):
                 out = fn(*args)
-                held.append({id(buf) for buf in buffers(T._active_pool.get())})
+                held.append(live_bytes())
                 return out
             return recorded
 
@@ -396,136 +408,47 @@ class TestStepPool:
             if threads == 2:  # 4 samples' scores: 9 x 9 per head, 2 heads
                 monkeypatch.setattr(attention_module, "CHUNK_BUDGET", 4 * 8 * 9 * 9 * 2)
             held.clear(), ran.clear()
-            self.run("cs2", monkeypatch, epochs=3)
+            with tracing():
+                self.run("cs2", monkeypatch, epochs=3)
             assert len(held) == 3 * 5 and held[0]  # 4 steps and a validation per epoch
-            assert all(ids == held[4] for ids in held[5:]), f"{threads} threads"
-            assert T._active_pool.get() is None and len(ran) == threads
+            assert held[5:10] == held[10:15], f"{threads} threads"
+            assert max(held[:5]) <= max(held[5:10]) and len(ran) == threads
+
+    def test_train_tunes_the_heap_and_trims_it_on_exit(self, monkeypatch):
+        # train sets both thresholds on entry and trims once on exit, also
+        # when a step raises; predict sets them and trims nothing; a libc
+        # without mallopt and malloc_trim is left alone
+        calls = []
+        monkeypatch.setattr(train_module, "_libc", SimpleNamespace(
+            mallopt=lambda param, value: calls.append((param, value)),
+            malloc_trim=lambda pad: calls.append(pad)))
+        tune = [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        cube, labels = tiny_scene()
+        splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
+        cfg, tcfg = tiny_model(), TrainConfig(epochs=1, batch_size=16)
+        train(cfg, cube, labels, splits, tcfg)
+        assert calls == tune * 2 + [0]  # the validation's predict tunes again
+        calls.clear()
+        predict(init_params(cfg, 0), cfg, cube, splits[2], batch_size=8)
+        assert calls == tune
+        calls.clear()
+
+        def failing(*args):
+            raise NumericError("forced")
+
+        monkeypatch.setattr(train_module, "_train_step", failing)
+        with pytest.raises(NumericError, match="^epoch 0 step 0: forced$"):
+            train(cfg, cube, labels, splits, tcfg)
+        assert calls == tune + [0]
+        monkeypatch.setattr(train_module, "_libc", SimpleNamespace())
+        with pytest.raises(NumericError, match="^epoch 0 step 0: forced$"):
+            train(cfg, cube, labels, splits, tcfg)
+        predict(init_params(cfg, 0), cfg, cube, splits[2], batch_size=8)
 
     @staticmethod
     def predict_pixels():
         cube, labels = tiny_scene()
         return cube, np.flatnonzero(labels.ids.reshape(-1))[:100]
-
-    @staticmethod
-    def thread_pool():
-        return vars(train_module._predict_pools).get("pool")
-
-    def test_predict_pools_only_a_call_of_several_blocks(self, monkeypatch):
-        # every lend is poisoned, so a pooled block that read a buffer before
-        # writing it would change the ids of an unpooled run; one thread, so
-        # that one block is live at a time
-        predict_threads(monkeypatch, 1)
-        cube, pixels = self.predict_pixels()
-        cfg = tiny_model()
-        params = init_params(cfg, 0)
-        plain = predict(params, cfg, cube, pixels, batch_size=32)  # every array below the floor
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
-        poison_lends(monkeypatch)
-        np.testing.assert_array_equal(predict(params, cfg, cube, pixels[:32], batch_size=32),
-                                      plain[:32])
-        assert self.thread_pool() is None
-        first = predict(params, cfg, cube, pixels, batch_size=32)  # blocks 32, 32, 32, 4
-        pool = self.thread_pool()
-        mapped = {id(buf) for buf in buffers(pool)}
-        second = predict(params, cfg, cube, pixels, batch_size=32)
-        assert mapped and {id(buf) for buf in buffers(self.thread_pool())} == mapped
-        np.testing.assert_array_equal(first, plain)
-        np.testing.assert_array_equal(second, plain)
-        with T._StepPool() as active:  # inside an active pool, that pool alone
-            predict(params, cfg, cube, pixels, batch_size=32)
-            assert buffers(active) and {id(buf) for buf in buffers(pool)} == mapped
-        assert T._active_pool.get() is None
-
-    def test_train_drops_the_threads_predict_pool(self, monkeypatch):
-        # kept through a training run, its buffers would only add to the peak
-        cube, pixels = self.predict_pixels()
-        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
-        self.run("cs2", monkeypatch, epochs=0)  # lowers the floor
-        predict(init_params(tiny_model(), 0), tiny_model(), cube, pixels, batch_size=32)
-        assert buffers(self.thread_pool())
-        self.run("cs2", monkeypatch, epochs=0)
-        assert self.thread_pool() is None
-
-    def test_predict_pool_keeps_every_buffer_it_maps(self, monkeypatch):
-        # a pool keeps each buffer until it is dropped: later calls with one
-        # model map nothing, and a thread that switches models keeps the
-        # buffers of each; one thread, so that one block is live at a time
-        predict_threads(monkeypatch, 1)
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
-        cube, pixels = self.predict_pixels()
-        small, wide = tiny_model(), replace(tiny_model(), mlp_dim=64)
-
-        def mapped(cfg):
-            predict(init_params(cfg, 0), cfg, cube, pixels, batch_size=32)  # blocks 32, 32, 32, 4
-            return {id(buf) for buf in buffers(self.thread_pool())}
-
-        first = mapped(small)
-        assert first and all(mapped(small) == first for _ in range(4))
-        with_wide = mapped(wide)
-        assert with_wide > first and mapped(small) == with_wide
-
-    def test_threaded_predict_lends_from_the_callers_pool(self, monkeypatch):
-        # two threads share the blocks and the caller's pool; every lend is
-        # poisoned, so a block that read a buffer before writing it, or two
-        # blocks lent one buffer at once, would change the ids
-        cube, pixels = self.predict_pixels()
-        cfg = tiny_model()
-        params = init_params(cfg, 0)
-        plain = predict(params, cfg, cube, pixels, batch_size=8)
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
-        predict_threads(monkeypatch, 2)
-        poison_lends(monkeypatch)
-        forward, ran = train_module.batched_forward, set()
-
-        def recording(*args, **kwargs):
-            ran.add(threading.current_thread())
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(train_module, "batched_forward", recording)
-        for _ in range(2):  # the second call on the buffers the first left
-            np.testing.assert_array_equal(predict(params, cfg, cube, pixels, batch_size=8),
-                                          plain)
-        assert len(ran) == 2 and buffers(self.thread_pool())
-        with T._StepPool() as active:  # inside an active pool, that pool alone
-            mapped = {id(buf) for buf in buffers(self.thread_pool())}
-            np.testing.assert_array_equal(predict(params, cfg, cube, pixels, batch_size=8),
-                                          plain)
-            assert buffers(active)
-            assert {id(buf) for buf in buffers(self.thread_pool())} == mapped
-
-    def test_a_block_per_thread_lends_from_no_pool(self, monkeypatch):
-        # as in map-paper's calls: no block of the call could reuse the
-        # buffers of another, so the call keeps none for the next
-        predict_threads(monkeypatch, 2)
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-        monkeypatch.setattr(train_module, "_predict_pools", threading.local())
-        cube, pixels = self.predict_pixels()
-        cfg = tiny_model()
-        params = init_params(cfg, 0)
-        predict(params, cfg, cube, pixels[:64], batch_size=32)  # blocks 32, 32
-        assert self.thread_pool() is None
-        predict(params, cfg, cube, pixels[:65], batch_size=32)  # blocks 32, 32, 1
-        assert buffers(self.thread_pool())
-
-    def test_threaded_predict_pool_keeps_at_most_two_blocks(self, monkeypatch):
-        # two blocks are live at once, so the pool may keep two blocks' buffers
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-        cube, pixels = self.predict_pixels()
-        cfg = tiny_model()
-        params = init_params(cfg, 0)
-
-        def retained(threads):
-            predict_threads(monkeypatch, threads)
-            monkeypatch.setattr(train_module, "_predict_pools", threading.local())
-            predict(params, cfg, cube, pixels, batch_size=32)  # blocks 32, 32, 32, 4
-            return sum(len(buf) for buf in buffers(self.thread_pool()))
-
-        one = retained(1)
-        for _ in range(5):
-            assert 0 < retained(2) <= 2 * one
 
     def test_one_core_or_one_block_starts_no_thread(self, monkeypatch):
         # on several threads a call is split into a block per thread, so
@@ -567,55 +490,45 @@ class TestStepPool:
             for tasks in parallel._workers:
                 tasks.put(None)  # ends the worker
 
-    def test_no_worker_keeps_the_pool_of_a_finished_train(self, monkeypatch):
-        # a worker's task holds a copy of the caller's context, and so its
-        # step pool: each worker drops its task before the caller goes on,
-        # so the pool dies when train returns and its buffers are unmapped
+    def test_no_worker_keeps_the_arrays_of_a_finished_train(self, monkeypatch):
+        # a worker's task holds the deal's arrays: each worker drops its task
+        # before the caller goes on, so once train returns the arrays it
+        # allocated that are still alive are those of what it returns: the
+        # parameters, which still hold the last step's gradients
         predict_threads(monkeypatch, 2)
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)  # the ops of a batch deal too
-        made = []
-
-        class Recorded(T._StepPool):
-            def __init__(self):
-                super().__init__()
-                made.append(weakref.ref(self))
-
-        monkeypatch.setattr(T, "_StepPool", Recorded)
+        monkeypatch.setattr(T, "_DEAL_MIN_BYTES", 1)  # the ops of a batch deal too
         cube, labels = tiny_scene()
         splits = stratified_split(labels, SplitSpec(0.1, 0.1, seed=0))
-        train(tiny_model(), cube, labels, splits, TrainConfig(epochs=1, batch_size=16))
-        assert len(made) == 1 and made[0]() is None
+        with tracing():
+            params, _, _ = train(tiny_model(), cube, labels, splits,
+                                 TrainConfig(epochs=1, batch_size=16))
+            assert live_bytes() == sum(t.data.nbytes + t.grad.nbytes
+                                       for _, t in params.named_parameters())
 
     def test_threads_predict_at_once(self, monkeypatch):
-        # each thread has a predict pool of its own, and a pool is active
-        # only in the thread that entered it and in predict's workers for
-        # it: one thread predicts inside a pool while two predict outside
-        # any, and all give the ids of one call alone
+        # three threads predict at once, each a call of several blocks dealt
+        # to the workers, with every buffer of _empty poisoned: each call gives
+        # the ids of one call alone
         cube, pixels = self.predict_pixels()
         cfg = tiny_model()
         params = init_params(cfg, 0)
         plain = predict(params, cfg, cube, pixels, batch_size=8)
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
-        poison_lends(monkeypatch)
+        monkeypatch.setattr(T, "_DEAL_MIN_BYTES", 1)
+        poison_empty(monkeypatch)
         start, results = threading.Barrier(3), [[], [], []]
 
-        def run(out, pool):
-            with pool as active:
-                start.wait()
-                out.append(T._active_pool.get() is active)
-                for _ in range(3):
-                    out.append(predict(params, cfg, cube, pixels, batch_size=8))
+        def run(out):
+            start.wait()
+            for _ in range(3):
+                out.append(predict(params, cfg, cube, pixels, batch_size=8))
 
-        threads = [threading.Thread(target=run, args=(out, pool)) for out, pool in
-                   zip(results, (T._StepPool(), contextlib.nullcontext(),
-                                 contextlib.nullcontext()))]
+        threads = [threading.Thread(target=run, args=(out,)) for out in results]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert [out[0] for out in results] == [True, True, True]
-        assert [len(out) for out in results] == [4, 4, 4]
-        for ids in sum((out[1:] for out in results), []):
+        assert [len(out) for out in results] == [3, 3, 3]
+        for ids in sum(results, []):
             np.testing.assert_array_equal(ids, plain)
 
 
@@ -651,7 +564,7 @@ class TestGradientTape:
         """(config, parameters) of a depth-2 model on ``threads`` threads,
         every op dealing its samples when it can."""
         monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(T, "_DEAL_MIN_BYTES", 1)
         attn = AttentionConfig(model_dim=8, heads=2, variant=variant)
         cfg = ModelConfig(bands=8, num_classes=3, patch_size=3, model_dim=8, depth=2,
                           heads=2, mlp_dim=16, dropout_rate=0.1, attention=attn)
@@ -922,7 +835,7 @@ class TestPredictThreads:
         # their rows serially, so only code outside every share hands work on
         predict_threads(monkeypatch, 2)
         monkeypatch.setattr(attention_module, "CHUNK_BUDGET", 1)
-        monkeypatch.setattr(T, "_POOL_MIN_BYTES", 1)  # every op of a batch may deal
+        monkeypatch.setattr(T, "_DEAL_MIN_BYTES", 1)  # every op of a batch may deal
         queues, deal, handed, dealt, nested = parallel._queues, parallel.deal, [], [], []
 
         class Recording:
